@@ -32,10 +32,12 @@ from .dynamics import (
     SolverOptions,
     State,
     SteadyResult,
+    StepOvershootError,
     constant_state,
     integrate_to_steady,
 )
 from .spectral import (
+    ConvergenceError,
     EigenResult,
     ThresholdResult,
     bisect_curve,
@@ -76,6 +78,8 @@ class SweepPoint:
     floors: tuple[float, ...]
     masses: tuple[float, ...]
     converged: bool
+    residual: float  # final right-hand-side sup-norm; nan if the simulation failed
+    steps: int
     note: str = ""
 
 
@@ -481,12 +485,13 @@ def sweep_outcomes(
             masses = sim.state.components @ grid.quadrature_weights
             outcome = classify_endpoint(masses)
             floors = tuple(float(x) for x in sim.state.components.min(axis=1))
-            converged = sim.converged
-        except Exception as exc:  # per-value failures are recorded, not fatal
+            converged, residual, steps = sim.converged, sim.residual, sim.steps
+        except (StepOvershootError, ConvergenceError, HypothesisError,
+                np.linalg.LinAlgError) as exc:  # numerical failures are recorded, not fatal
             masses = np.full(3, np.nan)
             outcome = "undetermined"
             floors = (np.nan, np.nan, np.nan)
-            converged = False
+            converged, residual, steps = False, np.nan, 0
             note = f"simulation failed: {exc}"
         points.append(
             SweepPoint(
@@ -497,6 +502,8 @@ def sweep_outcomes(
                 floors=floors,
                 masses=tuple(float(x) for x in masses),
                 converged=converged,
+                residual=residual,
+                steps=steps,
                 note=note,
             )
         )

@@ -464,11 +464,13 @@ def _task_sweep(config: ScenarioConfig, out: Path) -> RunArtifacts:
     for p in report_obj.points:
         floors = list(p.floors) + [np.nan] * (3 - len(p.floors))
         rows.append(
-            [p.value, p.lambda_uv0, p.lambda_00w, p.outcome, floors[0], floors[1], floors[2]]
+            [p.value, p.lambda_uv0, p.lambda_00w, p.outcome, floors[0], floors[1], floors[2],
+             str(p.converged), p.residual, p.steps]
         )
     csv_path = _write_csv(
         out / "sweep.csv",
-        ["value", "lambda_uv0", "lambda_00w", "outcome", "floor_u", "floor_v", "floor_w"],
+        ["value", "lambda_uv0", "lambda_00w", "outcome", "floor_u", "floor_v", "floor_w",
+         "converged", "residual", "steps"],
         rows,
     )
     svg = svgplot.line_plot(
@@ -489,13 +491,18 @@ def _task_sweep(config: ScenarioConfig, out: Path) -> RunArtifacts:
         f"empirical C1: {report_obj.empirical_c1}",
         f"empirical C2: {report_obj.empirical_c2}",
     ]
-    failures = [p for p in report_obj.points if p.note]
     for p in report_obj.points:
         lines.append(
             f"value {_fmt(p.value)}: {p.outcome} (lambda_uv0 {_fmt(p.lambda_uv0)}, "
             f"lambda_00w {_fmt(p.lambda_00w)}){'; ' + p.note if p.note else ''}"
         )
-    lines.append(f"status: {'OK' if not failures else 'PARTIAL'}")
+    unconverged = [p for p in report_obj.points if not p.converged]
+    for p in unconverged:
+        lines.append(
+            f"not converged: value {_fmt(p.value)} (residual {_fmt(p.residual)} "
+            f"after {p.steps} steps)"
+        )
+    lines.append(f"status: {'PARTIAL' if unconverged else 'OK'}")
     report = _write_report(out / "report.txt", lines)
     return RunArtifacts([csv_path], [svg], report, EXIT_OK)
 

@@ -5,6 +5,16 @@ Cholesky factorization per component, reused every step), the reaction
 is explicit.  Fixed points of the scheme satisfy the discrete
 steady-state equation exactly, so the stopping criterion is the
 sup-norm of the full right-hand side, which is independent of dt.
+
+A step validates once: the explicit stage is checked for overshoot and
+for NaN or inf, each factor is applied by a direct LAPACK ``pbtrs``
+call (the routine ``scipy.linalg.cho_solve_banded`` wraps, without its
+per-call finiteness scans), and the new block is checked for negative
+entries and clamped in place before it becomes a ``State`` without a
+second validation pass.  The floating-point operations and their order
+are those of the public ``State`` and ``cho_solve_banded`` path, so
+results are bit-identical to it.  ``integrate_to_steady`` assembles the
+Laplacian once per run for its residual checks.
 """
 
 from __future__ import annotations
@@ -13,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
-from .mesh import Grid, assemble_neumann_laplacian
+from .mesh import Grid, NeumannLaplacian, assemble_neumann_laplacian
 from .model import (
     Coefficients,
     ModelParams,
@@ -44,9 +54,21 @@ class State:
         comps = np.asarray(self.components, dtype=float)
         if comps.ndim != 2:
             raise ValueError(f"components must be 2-D (K, n), got shape {comps.shape}")
-        if np.min(comps) < -NEGATIVITY_TOLERANCE:
-            raise ValueError(f"state has negative entries (min {np.min(comps):.3e})")
+        _check_nonnegative(float(np.min(comps)))
         object.__setattr__(self, "components", np.maximum(comps, 0.0))
+
+    @classmethod
+    def _trusted(cls, t: float, components: np.ndarray) -> "State":
+        """State from a (K, n) float block already checked and clamped by the caller."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "t", t)
+        object.__setattr__(state, "components", components)
+        return state
+
+
+def _check_nonnegative(worst: float) -> None:
+    if worst < -NEGATIVITY_TOLERANCE:
+        raise ValueError(f"state has negative entries (min {worst:.3e})")
 
 
 @dataclass
@@ -127,11 +149,16 @@ class DiffusionSolver:
         ab[0, 1:] = sym_upper
         ab[1, :] = diag
         self._factor = cholesky_banded(ab, lower=False)
+        (self._pbtrs,) = get_lapack_funcs(("pbtrs",), (self._factor,))
         self._sqrt_w = sqrt_w
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        z = cho_solve_banded((self._factor, False), self._sqrt_w * y)
-        return z / self._sqrt_w
+        """Solution for a finite right-hand side y (the caller checks finiteness)."""
+        z, info = self._pbtrs(self._factor, self._sqrt_w * y, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+        z /= self._sqrt_w
+        return z
 
 
 class ImexStepper:
@@ -156,17 +183,23 @@ class ImexStepper:
 
     def step(self, state: State) -> State:
         comps = state.components
-        stage = comps + self.dt * reaction_rhs(self.kind, self.params, self.coeffs, comps)
-        worst = float(np.min(stage))
+        stage = reaction_rhs(self.kind, self.params, self.coeffs, comps)
+        stage *= self.dt
+        stage += comps
+        worst = float(stage.min())
         if worst < -NEGATIVITY_TOLERANCE:
             raise StepOvershootError(
                 f"dt={self.dt} too large: explicit stage reached {worst:.3e}"
             )
-        stage = np.maximum(stage, 0.0)
+        if not np.isfinite(stage).all():
+            raise ValueError("explicit stage contains infs or NaNs")
+        np.maximum(stage, 0.0, out=stage)
         new = np.empty_like(stage)
         for i, solver in enumerate(self.solvers):
             new[i] = solver.solve(stage[i])
-        return State(t=state.t + self.dt, components=new)
+        _check_nonnegative(float(new.min()))
+        np.maximum(new, 0.0, out=new)
+        return State._trusted(state.t + self.dt, new)
 
 
 def step_imex(
@@ -187,9 +220,14 @@ def rhs_residual(
     grid: Grid,
     coeffs: Coefficients,
     comps: np.ndarray,
+    lap: Optional[NeumannLaplacian] = None,
 ) -> float:
-    """Sup-norm of diffusion plus reaction at the given fields."""
-    lap = assemble_neumann_laplacian(grid)
+    """Sup-norm of diffusion plus reaction at the given fields.
+
+    lap is the grid's Neumann Laplacian, assembled here when not given.
+    """
+    if lap is None:
+        lap = assemble_neumann_laplacian(grid)
     g = reaction_rhs(kind, params, coeffs, comps)
     worst = 0.0
     for i, d in enumerate(kind_diffusions(kind, params)):
@@ -220,11 +258,12 @@ def integrate_to_steady(
     log = TrajectoryLog(grid=grid, fields=[] if opts.store_fields else None)
     log.record(initial)
     stepper = ImexStepper(kind, params, grid, opts.dt, coeffs)
+    lap = assemble_neumann_laplacian(grid)
     state = initial
     steps = 0
     halvings = 0
     next_sample = initial.t + opts.sample_every
-    residual = rhs_residual(kind, params, grid, coeffs, state.components)
+    residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
     converged = residual <= opts.tol
     while not converged and state.t < opts.t_max - 1e-12:
         try:
@@ -241,10 +280,10 @@ def integrate_to_steady(
             while next_sample <= state.t + 1e-12:
                 next_sample += opts.sample_every
         if steps % opts.check_every == 0:
-            residual = rhs_residual(kind, params, grid, coeffs, state.components)
+            residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
             if residual <= opts.tol:
                 converged = True
-    residual = rhs_residual(kind, params, grid, coeffs, state.components)
+    residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
     converged = residual <= opts.tol
     log.record(state)
 

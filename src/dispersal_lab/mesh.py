@@ -18,14 +18,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform mesh on [a, b] with trapezoid quadrature weights."""
+    """Uniform mesh on [a, b] with trapezoid quadrature weights.
+
+    Grids compare and hash on (a, b, n); the other fields follow from them.
+    """
 
     a: float
     b: float
     n: int
-    h: float = field(init=False)
-    nodes: np.ndarray = field(init=False)
-    quadrature_weights: np.ndarray = field(init=False)
+    h: float = field(init=False, compare=False)
+    nodes: np.ndarray = field(init=False, compare=False)
+    quadrature_weights: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 3:

@@ -159,28 +159,37 @@ def reaction_rhs(
             f"({kind.n_components}, {coeffs.grid.n}) for kind {kind.value!r}"
         )
     al, be, m = coeffs.alpha, coeffs.beta, coeffs.m
+    out = np.empty_like(comps)
     if kind is SystemKind.LOGISTIC:
         w = comps[0]
-        return (w * (m - w))[None, :]
+        np.multiply(w, m - w, out=out[0])
+        return out
     if kind is SystemKind.TWO_SPECIES_GENERAL:
         u, v = comps
-        g1 = (m - al - u) * u + (be - params.b * u) * v
-        g2 = (m - be - v) * v + (al - params.c * v) * u
-        return np.stack([g1, g2])
+        out[0] = (m - al - u) * u + (be - params.b * u) * v
+        out[1] = (m - be - v) * v + (al - params.c * v) * u
+        return out
     if kind is SystemKind.SUBMODEL:
         u, v = comps
         shared = m - u - v
-        g1 = -al * u + be * v + u * shared
-        g2 = al * u - be * v + v * shared
-        return np.stack([g1, g2])
-    if kind is SystemKind.THREE_COMPONENT:
+    elif kind is SystemKind.THREE_COMPONENT:
         u, v, w = comps
         shared = m - u - v - w
-        g1 = -al * u + be * v + u * shared
-        g2 = al * u - be * v + v * shared
-        g3 = w * shared
-        return np.stack([g1, g2, g3])
-    raise ValueError(f"unknown system kind: {kind}")
+        np.multiply(w, shared, out=out[2])
+    else:
+        raise ValueError(f"unknown system kind: {kind}")
+    # The operations of g1 = -al*u + be*v + u*shared and
+    # g2 = al*u - be*v + v*shared, in that order; -(al*u) == (-al)*u bit
+    # for bit, signed zeros included.
+    g1, g2 = out[0], out[1]
+    np.multiply(al, u, out=g2)
+    np.negative(g2, out=g1)
+    be_v = be * v
+    g1 += be_v
+    g1 += u * shared
+    g2 -= be_v
+    g2 += v * shared
+    return out
 
 
 def reaction_terms(

@@ -3,10 +3,12 @@ import pytest
 from dataclasses import replace
 
 from dispersal_lab.mesh import build_grid
+from dispersal_lab import analysis
 from dispersal_lab.model import (
     CoefficientSpec,
     HypothesisError,
     ModelParams,
+    SystemKind,
     sample_coefficients,
 )
 from dispersal_lab.analysis import (
@@ -165,3 +167,17 @@ def test_sweep_end_members(params):
             assert p.lambda_00w < 1e-6 and p.lambda_uv0 > -1e-6
         if p.outcome == "uv_wins":
             assert p.lambda_uv0 < 1e-6 and p.lambda_00w > -1e-6
+
+
+def test_sweep_propagates_programming_errors(params, monkeypatch):
+    """Only numerical failures become 'undetermined' rows; a TypeError escapes."""
+    integrate = analysis.integrate_to_steady
+
+    def broken_race(kind, *args, **kwargs):
+        if kind is SystemKind.THREE_COMPONENT:
+            raise TypeError("bug in the race simulation")
+        return integrate(kind, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "integrate_to_steady", broken_race)
+    with pytest.raises(TypeError, match="bug in the race"):
+        sweep_outcomes(params, build_grid(0, 1, 31), "d3", [0.05])

@@ -216,9 +216,32 @@ def test_sweep_task_writes_schema(tmp_path):
     artifacts = run_scenario(config)
     assert artifacts.exit_status == EXIT_OK
     lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
-    assert lines[0] == "value,lambda_uv0,lambda_00w,outcome,floor_u,floor_v,floor_w"
+    assert lines[0] == (
+        "value,lambda_uv0,lambda_00w,outcome,floor_u,floor_v,floor_w,converged,residual,steps"
+    )
     assert len(lines) == 3
     assert (tmp_path / "out" / "sweep.svg").exists()
+
+
+def test_sweep_task_flags_unconverged_points(tmp_path):
+    data = base_config(
+        tmp_path,
+        task={"name": "sweep", "parameter": "d3", "values": [0.05, 1.5]},
+    )
+    data["grid"]["n"] = 61
+    data["solver"] = {"dt": 0.05, "t_max": 1.0, "sample_every": 10.0}
+    artifacts = run_scenario(parse_config(data))
+    assert artifacts.exit_status == EXIT_OK
+    rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
+    for row in rows[1:]:
+        converged, residual, steps = row.split(",")[-3:]
+        assert converged == "False"
+        assert float(residual) > 1e-9
+        assert steps == "20"
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert report[-1] == "status: PARTIAL"
+    flagged = [line for line in report if line.startswith("not converged: value ")]
+    assert len(flagged) == 2
 
 
 def test_mu_zero_threshold_task(tmp_path):

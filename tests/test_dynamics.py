@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from dispersal_lab.mesh import build_grid
+from dispersal_lab.mesh import assemble_neumann_laplacian, build_grid
 from dispersal_lab.model import (
     CoefficientSpec,
     ModelParams,
@@ -9,11 +10,14 @@ from dispersal_lab.model import (
     sample_coefficients,
 )
 from dispersal_lab.dynamics import (
+    NEGATIVITY_TOLERANCE,
+    ImexStepper,
     SolverOptions,
     State,
     StepOvershootError,
     constant_state,
     integrate_to_steady,
+    kind_diffusions,
     monitor_lyapunov,
     persistence_floor,
     random_state,
@@ -197,3 +201,96 @@ def test_random_state_is_seeded(grid):
 def test_state_rejects_negative_entries(grid):
     with pytest.raises(ValueError):
         State(t=0.0, components=-0.5 * np.ones((2, grid.n)))
+
+
+def reference_reaction(kind, params, coeffs, comps):
+    """Reaction terms as separate arrays joined by np.stack."""
+    al, be, m = coeffs.alpha, coeffs.beta, coeffs.m
+    if kind is SystemKind.LOGISTIC:
+        w = comps[0]
+        return (w * (m - w))[None, :]
+    if kind is SystemKind.TWO_SPECIES_GENERAL:
+        u, v = comps
+        g1 = (m - al - u) * u + (be - params.b * u) * v
+        g2 = (m - be - v) * v + (al - params.c * v) * u
+        return np.stack([g1, g2])
+    if kind is SystemKind.SUBMODEL:
+        u, v = comps
+        shared = m - u - v
+        return np.stack([-al * u + be * v + u * shared, al * u - be * v + v * shared])
+    u, v, w = comps
+    shared = m - u - v - w
+    return np.stack([-al * u + be * v + u * shared, al * u - be * v + v * shared, w * shared])
+
+
+class ReferenceStepper:
+    """The IMEX step through cho_solve_banded and the validating State(...)."""
+
+    def __init__(self, kind, params, grid, dt):
+        self.kind, self.params, self.dt = kind, params, dt
+        self.coeffs = sample_coefficients(params, grid)
+        self.sqrt_w = np.sqrt(grid.quadrature_weights)
+        self.factors = []
+        for d in kind_diffusions(kind, params):
+            r = dt * d / grid.h**2
+            upper = np.full(grid.n - 1, -r)
+            upper[0] = -2.0 * r
+            ab = np.zeros((2, grid.n))
+            ab[0, 1:] = upper * self.sqrt_w[:-1] / self.sqrt_w[1:]
+            ab[1, :] = 1.0 + 2.0 * r
+            self.factors.append(cholesky_banded(ab, lower=False))
+
+    def step(self, state):
+        comps = state.components
+        stage = comps + self.dt * reference_reaction(self.kind, self.params, self.coeffs, comps)
+        worst = float(np.min(stage))
+        if worst < -NEGATIVITY_TOLERANCE:
+            raise StepOvershootError(f"explicit stage reached {worst:.3e}")
+        stage = np.maximum(stage, 0.0)
+        new = np.empty_like(stage)
+        for i, factor in enumerate(self.factors):
+            z = cho_solve_banded((factor, False), self.sqrt_w * stage[i])
+            new[i] = z / self.sqrt_w
+        return State(t=state.t + self.dt, components=new)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+def test_step_is_bit_identical_to_reference(grid, kind):
+    params = scenario_params(b=0.7, c=1.3, m=CoefficientSpec.cosine(0.2, 0.6, 1))
+    dt = 0.02
+    fast = ImexStepper(kind, params, grid, dt)
+    slow = ReferenceStepper(kind, params, grid, dt)
+    start = random_state(kind, grid, 0.0, 0.8, seed=3)
+    comps = start.components.copy()
+    comps[-1, ::7] = 0.0  # exact zeros, as in a component near extinction
+    a = b = State(t=0.0, components=comps)
+    for _ in range(200):
+        a, b = fast.step(a), slow.step(b)
+        assert a.t == b.t
+        assert same_bits(a.components, b.components)
+
+
+def test_step_rejects_nonfinite_stage(grid):
+    params = scenario_params()
+    stepper = ImexStepper(SystemKind.SUBMODEL, params, grid, 0.01)
+    comps = np.full((2, grid.n), 0.3)
+    with np.errstate(invalid="ignore"):
+        for bad in (np.nan, np.inf):
+            comps[1, 17] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                stepper.step(State(t=0.0, components=comps))
+
+
+def test_residual_with_shared_laplacian_matches_fresh(grid):
+    params = scenario_params()
+    coeffs = sample_coefficients(params, grid)
+    lap = assemble_neumann_laplacian(grid)
+    for kind in SystemKind:
+        comps = random_state(kind, grid, 0.0, 1.0, seed=5).components
+        shared = rhs_residual(kind, params, grid, coeffs, comps, lap)
+        assert shared == rhs_residual(kind, params, grid, coeffs, comps)
+        assert rhs_residual(kind, params, grid, coeffs, comps, lap) == shared

@@ -99,3 +99,14 @@ def test_dirichlet_energy_integration_by_parts():
         energy = dirichlet_energy(g, f)
         pairing = -inner_product(g, f, lap.apply(f))
         assert abs(energy - pairing) <= 1e-10 * max(energy, 1.0)
+
+
+def test_grid_equality_and_hash_use_a_b_n():
+    g = build_grid(0, 1, 11)
+    assert g == build_grid(0.0, 1.0, 11)
+    assert hash(g) == hash(build_grid(0.0, 1.0, 11))
+    assert g != build_grid(0, 1, 12)
+    assert g != build_grid(0, 2, 11)
+    assert g in {build_grid(0, 1, 11)}
+    assert build_grid(0, 1, 12) not in {g}
+    assert len({g, build_grid(0, 1, 11), build_grid(0, 1, 21)}) == 2
