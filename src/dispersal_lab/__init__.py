@@ -11,7 +11,6 @@ from .mesh import (
     assemble_neumann_laplacian,
     build_grid,
     dirichlet_energy,
-    inner_product,
     integrate,
 )
 from .model import (

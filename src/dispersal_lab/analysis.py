@@ -13,7 +13,7 @@ outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,12 +42,21 @@ from .spectral import (
     ThresholdResult,
     bisect_curve,
     dense_rightmost,
+    find_mu_roots,
+    lambda_of_mu,
+    mu_star_scalar,
     principal_eigen,
     scalar_eigenvalue,
+    scan_roots,
     switching_problem,
 )
 
 MARGINAL_BAND = 1e-8
+
+# Lattice of the d_0 scan.  It warm-starts w* from point to point, so the
+# curve is path-dependent at about 1e-9; with 16 points the bisection
+# stalls on configs/threshold_dc.json at n = 401.
+D0_SCAN_POINTS = 17
 
 EQUILIBRIUM_TAGS = ("trivial", "uv_zero", "w_only", "positive_pair")
 
@@ -251,6 +260,147 @@ def _check_section5_setting(params: ModelParams, coeffs: Coefficients, size_boun
     return alpha, beta
 
 
+@dataclass(frozen=True)
+class ThresholdCurve:
+    """A threshold's eigenvalue curve, built once, and roots() that finds every root in order.
+
+    curve and bracket are set when the bracket is a verified sign bracket
+    whose one root is bisected (d_c, beta_c, alpha_c); the other
+    thresholds scan a lattice.
+    """
+
+    roots: Callable[[], list[ThresholdResult]]
+    curve: Optional[Callable[[float], float]] = None
+    bracket: Optional[tuple[float, float]] = None
+
+
+def _bisected(name: str, curve: Callable[[float], float], lo: float, hi: float,
+              f_lo: float, f_hi: float, residual_tol: float) -> ThresholdCurve:
+    return ThresholdCurve(lambda: [bisect_curve(curve, lo, hi, f_lo, f_hi, name=name,
+                                                residual_tol=residual_tol)], curve, (lo, hi))
+
+
+def _scanned(find: Callable[[], list[ThresholdResult]], error: type[Exception],
+             message: str) -> ThresholdCurve:
+    def roots() -> list[ThresholdResult]:
+        found = find()
+        if not found:
+            raise error(message)
+        return found
+    return ThresholdCurve(roots)
+
+
+def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
+         scan_points: int, residual_tol: float) -> ThresholdCurve:
+    """Zero of the scalar invasion eigenvalue at (u*, v*, 0) in d3 on (d1, weighted average)."""
+    check_hypothesis_h(params, grid, coeffs)
+    alpha, beta = _constant_rates(params)
+    lo, hi = params.d1, weighted_average_diffusion(params, alpha, beta)
+    u, v = subsystem_steady(params, grid, opts, coeffs).state.components
+    potential = coeffs.m - u - v
+    if float(np.max(potential)) - float(np.min(potential)) <= 1e-6:
+        raise HypothesisError("m - u* - v* is numerically constant; bracket theory void")
+    curve = lambda d3: scalar_eigenvalue(grid, d3, potential).lam
+    f_lo, f_hi = curve(lo), curve(hi)
+    if not (f_lo > 0 > f_hi):
+        raise HypothesisError(
+            f"endpoint signs violate the d_c bracket: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
+        )
+    return _bisected("d_c", curve, lo, hi, f_lo, f_hi, residual_tol)
+
+
+def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
+         scan_points: int, residual_tol: float) -> ThresholdCurve:
+    """Every zero of lambda2(d3) on the D0_SCAN_POINTS lattice (scan_points is not used)."""
+    return _scanned(lambda: lambda2_sign_changes(params, grid, opts, residual_tol=residual_tol),
+                    ConvergenceError, "no sign change of the invasion eigenvalue found for d_0")
+
+
+def _rate_curve(params: ModelParams, grid: Grid, coeffs: Coefficients,
+                opts: Optional[SolverOptions], rate: str) -> Callable[[float], float]:
+    """lambda2 at (0, 0, w*) as the constant switching rate `rate` varies, w* held fixed."""
+    growth = coeffs.m - logistic_steady(params, grid, opts, coeffs).state.components[0]
+
+    def curve(value: float) -> float:
+        rates = {"alpha": coeffs.alpha, "beta": coeffs.beta, rate: np.full(grid.n, value)}
+        return principal_eigen(switching_problem(grid, params.d1, params.d2, rates["alpha"],
+                                                 rates["beta"], growth)).lam
+    return curve
+
+
+def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
+            scan_points: int, residual_tol: float) -> ThresholdCurve:
+    """Zero of lambda2(beta) on (1e-4 hi, hi), hi = (d2 - d3) / (d3 - d1) * alpha."""
+    check_hypothesis_h(params, grid, coeffs)
+    alpha, _ = _check_section5_setting(params, coeffs, "alpha")
+    curve = _rate_curve(params, grid, coeffs, opts, "beta")
+    hi = (params.d2 - params.d3) / (params.d3 - params.d1) * alpha
+    lo = 1e-4 * hi
+    f_lo, f_hi = curve(lo), curve(hi)
+    if not (f_lo < 0 < f_hi):
+        raise HypothesisError(f"endpoint signs violate the beta_c bracket: "
+                              f"f({lo:.3e})={f_lo:.3e}, f({hi:.3e})={f_hi:.3e}")
+    return _bisected("beta_c", curve, lo, hi, f_lo, f_hi, residual_tol)
+
+
+def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
+             scan_points: int, residual_tol: float) -> ThresholdCurve:
+    """Zero of lambda2(alpha) above lo = (d3 - d1) / (d2 - d3) * beta; hi by doubling."""
+    check_hypothesis_h(params, grid, coeffs)
+    _, beta = _check_section5_setting(params, coeffs, "beta")
+    curve = _rate_curve(params, grid, coeffs, opts, "alpha")
+    lo = (params.d3 - params.d1) / (params.d2 - params.d3) * beta
+    f_lo = curve(lo)
+    if f_lo <= 0:
+        raise HypothesisError(f"lambda2 at the lower alpha bound is not positive: {f_lo:.3e}")
+    hi, f_hi = lo, f_lo
+    for _ in range(40):
+        hi *= 2.0
+        f_hi = curve(hi)
+        if f_hi < 0:
+            break
+    else:
+        raise HypothesisError("lambda2(alpha) never became negative while doubling alpha")
+    return _bisected("alpha_c", curve, lo, hi, f_lo, f_hi, residual_tol)
+
+
+def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
+             scan_points: int, residual_tol: float) -> ThresholdCurve:
+    """mu* = 1/d* at the zero of the scalar eigenvalue in d (spectral.mu_star_scalar)."""
+    return ThresholdCurve(lambda: [mu_star_scalar(grid, coeffs.m, scan_points=scan_points,
+                                                  residual_tol=residual_tol)])
+
+
+def _mu_zero(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
+             scan_points: int, residual_tol: float) -> ThresholdCurve:
+    """Every zero of the pair eigenvalue with growth mu*m, for mu in (1e-2, 1e2)."""
+    curve = lambda mu: lambda_of_mu(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta,
+                                    coeffs.m, mu)
+    return _scanned(lambda: find_mu_roots(curve, (1e-2, 1e2), name="mu_zero",
+                                          scan_points=scan_points, residual_tol=residual_tol),
+                    HypothesisError,
+                    "no critical growth scaling found; the mean growth may already be favorable")
+
+
+# The one definition of each threshold.  Each entry computes the steady state
+# once and returns the curve; it checks the preconditions itself or, for d_0
+# and mu_star, leaves them to the function that finds the roots.
+THRESHOLDS: dict[str, Callable[..., ThresholdCurve]] = {
+    "d_c": _d_c, "d_0": _d_0, "beta_c": _beta_c,
+    "alpha_c": _alpha_c, "mu_star": _mu_star, "mu_zero": _mu_zero,
+}
+
+
+def threshold_curve(name: str, params: ModelParams, grid: Grid,
+                    opts: Optional[SolverOptions] = None, scan_points: int = 64,
+                    residual_tol: float = 1e-9) -> ThresholdCurve:
+    """The named threshold's curve from THRESHOLDS; see find_threshold."""
+    if name not in THRESHOLDS:
+        raise ValueError(f"unknown threshold name {name!r}")
+    return THRESHOLDS[name](params, grid, sample_coefficients(params, grid), opts, scan_points,
+                            residual_tol)
+
+
 def find_threshold(
     name: str,
     params: ModelParams,
@@ -259,88 +409,21 @@ def find_threshold(
     scan_points: int = 64,
     residual_tol: float = 1e-9,
 ) -> ThresholdResult:
-    """Locate one of the named thresholds inside its proved bracket.
+    """First root of one of the six thresholds, each defined once in THRESHOLDS.
 
-    d_c: zero of the scalar invasion eigenvalue at (u*, v*, 0) as d3
-    varies over (d1, weighted average); the pair equilibrium does not
-    depend on d3 and is computed once.  d_0: first zero of lambda2(d3)
-    on the same bracket, with w* recomputed per candidate (all sign
-    changes are available from lambda2_sign_changes).  beta_c / alpha_c:
-    zeros of lambda2 as a switching rate varies at fixed d3, with w*
-    held fixed.  Endpoint signs are verified before bisecting.
+    d_c, beta_c and alpha_c bisect a verified sign bracket.  d_0 scans
+    lambda2(d3) on a fixed 17-point lattice (lambda2_sign_changes gives
+    every root); mu_star and mu_zero scan log lattices of scan_points
+    points and do not need the growth hypothesis.
     """
-    coeffs = sample_coefficients(params, grid)
-    check_hypothesis_h(params, grid, coeffs)
-
-    if name == "d_c":
-        alpha, beta = _constant_rates(params)
-        bracket = (params.d1, weighted_average_diffusion(params, alpha, beta))
-        pair = subsystem_steady(params, grid, opts, coeffs)
-        u, v = pair.state.components
-        potential = coeffs.m - u - v
-        if float(np.max(potential)) - float(np.min(potential)) <= 1e-6:
-            raise HypothesisError("m - u* - v* is numerically constant; bracket theory void")
-        curve = lambda d3: scalar_eigenvalue(grid, d3, potential).lam
-        f_lo, f_hi = curve(bracket[0]), curve(bracket[1])
-        if not (f_lo > 0 > f_hi):
-            raise HypothesisError(
-                f"endpoint signs violate the d_c bracket: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
-            )
-        return bisect_curve(curve, *bracket, f_lo, f_hi, name="d_c", residual_tol=residual_tol)
-
-    if name == "d_0":
-        roots = lambda2_sign_changes(params, grid, opts, scan_points=max(scan_points // 4, 9),
-                                     residual_tol=residual_tol)
-        if not roots:
-            raise HypothesisError("no sign change of lambda2(d3) found inside the bracket")
-        return roots[0]
-
-    if name in ("beta_c", "alpha_c"):
-        size_bound = "alpha" if name == "beta_c" else "beta"
-        alpha, beta = _check_section5_setting(params, coeffs, size_bound)
-        w_star = logistic_steady(params, grid, opts, coeffs).state.components[0]
-        growth = coeffs.m - w_star
-        if name == "beta_c":
-            hi = (params.d2 - params.d3) / (params.d3 - params.d1) * alpha
-            curve = lambda b_val: principal_eigen(
-                switching_problem(grid, params.d1, params.d2, coeffs.alpha,
-                                  np.full(grid.n, b_val), growth)
-            ).lam
-            lo = 1e-4 * hi
-            f_lo, f_hi = curve(lo), curve(hi)
-            if not (f_lo < 0 < f_hi):
-                raise HypothesisError(
-                    f"endpoint signs violate the beta_c bracket: f({lo:.3e})={f_lo:.3e}, "
-                    f"f({hi:.3e})={f_hi:.3e}"
-                )
-            return bisect_curve(curve, lo, hi, f_lo, f_hi, name="beta_c",
-                                residual_tol=residual_tol)
-        lo = (params.d3 - params.d1) / (params.d2 - params.d3) * beta
-        curve = lambda a_val: principal_eigen(
-            switching_problem(grid, params.d1, params.d2, np.full(grid.n, a_val),
-                              coeffs.beta, growth)
-        ).lam
-        f_lo = curve(lo)
-        if f_lo <= 0:
-            raise HypothesisError(f"lambda2 at the lower alpha bound is not positive: {f_lo:.3e}")
-        hi, f_hi = lo, f_lo
-        for _ in range(40):
-            hi *= 2.0
-            f_hi = curve(hi)
-            if f_hi < 0:
-                break
-        else:
-            raise HypothesisError("lambda2(alpha) never became negative while doubling alpha")
-        return bisect_curve(curve, lo, hi, f_lo, f_hi, name="alpha_c", residual_tol=residual_tol)
-
-    raise ValueError(f"unknown threshold name {name!r}")
+    return threshold_curve(name, params, grid, opts, scan_points, residual_tol).roots()[0]
 
 
 def lambda2_sign_changes(
     params: ModelParams,
     grid: Grid,
     opts: Optional[SolverOptions] = None,
-    scan_points: int = 17,
+    scan_points: int = D0_SCAN_POINTS,
     residual_tol: float = 1e-9,
 ) -> list[ThresholdResult]:
     """All zeros of lambda2(d3) on the bracket lattice (uniqueness is not assumed).
@@ -360,16 +443,7 @@ def lambda2_sign_changes(
         warm["w"] = w_res.state.components[0]
         return lambda2_eigenpair(local, grid, warm["w"], coeffs).lam
 
-    lattice = np.linspace(bracket[0], bracket[1], scan_points)
-    values = [curve(x) for x in lattice]
-    roots: list[ThresholdResult] = []
-    for i in range(len(lattice) - 1):
-        if values[i] != 0.0 and values[i] * values[i + 1] < 0:
-            roots.append(
-                bisect_curve(curve, lattice[i], lattice[i + 1], values[i], values[i + 1],
-                             name="d_0", residual_tol=residual_tol)
-            )
-    return roots
+    return scan_roots(curve, np.linspace(*bracket, scan_points), "d_0", residual_tol)
 
 
 def lambda2_sensitivity(

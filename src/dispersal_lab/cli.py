@@ -39,7 +39,6 @@ from .dynamics import (
 from .spectral import (
     ConvergenceError,
     principal_eigen,
-    scalar_eigenvalue,
     scalar_problem,
     switching_problem,
 )
@@ -149,13 +148,11 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     if solver.dt <= 0 or solver.tol <= 0 or solver.t_max <= 0:
         raise ConfigError("solver dt, tol, t_max must all be positive")
 
-    threshold_name = task_spec.get("threshold_name") or task_spec.get("name_of_threshold")
-    if task == "threshold":
-        if threshold_name not in ("d_c", "d_0", "beta_c", "alpha_c", "mu_star", "mu_zero"):
-            raise ConfigError(
-                "threshold task needs threshold_name in "
-                "{d_c, d_0, beta_c, alpha_c, mu_star, mu_zero}"
-            )
+    threshold_name = task_spec.get("threshold_name")
+    if task == "threshold" and threshold_name not in an.THRESHOLDS:
+        raise ConfigError(
+            f"threshold task needs threshold_name in {{{', '.join(an.THRESHOLDS)}}}"
+        )
     sweep_parameter = task_spec.get("parameter")
     sweep_values = task_spec.get("values")
     if task == "sweep":
@@ -367,48 +364,22 @@ def _task_evolve(config: ScenarioConfig, out: Path, demand_steady: bool) -> RunA
 
 def _task_threshold(config: ScenarioConfig, out: Path) -> RunArtifacts:
     name = config.threshold_name
-    coeffs = sample_coefficients(config.params, config.grid)
-    results = []
-    if name == "d_0":
-        results = an.lambda2_sign_changes(config.params, config.grid)
-        if not results:
-            raise ConvergenceError("no sign change of the invasion eigenvalue found for d_0")
-    elif name == "mu_star":
-        from .spectral import mu_star_scalar
-
-        results = [mu_star_scalar(config.grid, coeffs.m)]
-    elif name == "mu_zero":
-        from .spectral import find_mu_roots, lambda_of_mu
-
-        curve = lambda mu: lambda_of_mu(
-            config.grid, config.params.d1, config.params.d2,
-            coeffs.alpha, coeffs.beta, coeffs.m, mu,
-        )
-        results = find_mu_roots(curve, (1e-2, 1e2), name="mu_zero",
-                                scan_points=config.scan_points)
-        if not results:
-            raise HypothesisError(
-                "no critical growth scaling found; the mean growth may already be favorable"
-            )
-    else:
-        results = [an.find_threshold(name, config.params, config.grid,
-                                     scan_points=config.scan_points)]
+    threshold = an.threshold_curve(name, config.params, config.grid,
+                                   scan_points=config.scan_points)
+    results = threshold.roots()
     csv_path = _write_csv(
         out / "threshold.csv",
         ["name", "lo", "hi", "root", "residual"],
         [[r.name, r.bracket[0], r.bracket[1], r.root, r.residual] for r in results],
     )
     svgs = []
-    main = results[0]
-    lo, hi = main.bracket
-    if name in ("d_c", "beta_c", "alpha_c"):
-        lattice = np.linspace(lo if lo > 0 else hi * 1e-4, hi, 17)
-        curve_vals = _threshold_curve_samples(config, coeffs, name, lattice)
+    if threshold.bracket is not None:
+        lattice = np.linspace(*threshold.bracket, 17)
         svgs.append(
             svgplot.line_plot(
                 out / "threshold_curve.svg",
                 lattice,
-                [curve_vals],
+                [[threshold.curve(x) for x in lattice]],
                 ["principal eigenvalue"],
                 title=f"Eigenvalue curve near {name}",
                 xlabel=name.split("_")[0],
@@ -426,30 +397,6 @@ def _task_threshold(config: ScenarioConfig, out: Path) -> RunArtifacts:
         + ["status: OK"],
     )
     return RunArtifacts([csv_path], svgs, report, EXIT_OK)
-
-
-def _threshold_curve_samples(config, coeffs, name, lattice) -> list[float]:
-    params = config.params
-    grid = config.grid
-    if name == "d_c":
-        pair = an.subsystem_steady(params, grid)
-        u, v = pair.state.components
-        pot = coeffs.m - u - v
-        return [scalar_eigenvalue(grid, d, pot).lam for d in lattice]
-    w_star = an.logistic_steady(params, grid).state.components[0]
-    growth = coeffs.m - w_star
-    vals = []
-    for val in lattice:
-        if name == "beta_c":
-            problem = switching_problem(
-                grid, params.d1, params.d2, coeffs.alpha, np.full(grid.n, val), growth
-            )
-        else:
-            problem = switching_problem(
-                grid, params.d1, params.d2, np.full(grid.n, val), coeffs.beta, growth
-            )
-        vals.append(principal_eigen(problem).lam)
-    return vals
 
 
 def _task_sweep(config: ScenarioConfig, out: Path) -> RunArtifacts:

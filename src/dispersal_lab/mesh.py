@@ -93,12 +93,6 @@ class NeumannLaplacian:
         dense[np.arange(1, n), np.arange(n - 1)] = self.lower
         return dense
 
-    def row_sums(self) -> np.ndarray:
-        sums = self.diag.copy()
-        sums[:-1] += self.upper
-        sums[1:] += self.lower
-        return sums
-
 
 def assemble_neumann_laplacian(grid: Grid) -> NeumannLaplacian:
     """Central second differences, ghost-node closure at both ends."""
@@ -116,13 +110,6 @@ def integrate(grid: Grid, f: np.ndarray) -> float:
     """Trapezoid quadrature of f over the interval."""
     f = grid.check_field(f)
     return float(grid.quadrature_weights @ f)
-
-
-def inner_product(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
-    """Weighted inner product sum_i w_i f_i g_i."""
-    f = grid.check_field(f)
-    g = grid.check_field(g)
-    return float(np.sum(grid.quadrature_weights * f * g))
 
 
 def dirichlet_energy(grid: Grid, f: np.ndarray) -> float:

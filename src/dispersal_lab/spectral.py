@@ -442,6 +442,30 @@ def bisect_curve(
     )
 
 
+def scan_roots(curve: Callable[[float], float], lattice: np.ndarray, name: str,
+               residual_tol: float = 1e-9) -> list[ThresholdResult]:
+    """Every sign change of a curve on a lattice, in lattice order.
+
+    The lattice is evaluated in order first (a curve may warm-start from
+    its previous point), then each cell with a sign change is bisected.
+    An interior lattice point where the curve is exactly zero, between
+    neighbours of opposite sign, is a root as it stands.
+    """
+    values = [curve(x) for x in lattice]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("curve returned a non-finite value on the scan lattice")
+    roots: list[ThresholdResult] = []
+    for i in range(len(lattice) - 1):
+        f_lo, f_hi = values[i], values[i + 1]
+        if f_lo * f_hi < 0:
+            roots.append(bisect_curve(curve, lattice[i], lattice[i + 1], f_lo, f_hi, name=name,
+                                      residual_tol=residual_tol))
+        elif f_hi == 0.0 and i + 2 < len(lattice) and f_lo * values[i + 2] < 0:
+            roots.append(ThresholdResult(name, (lattice[i], lattice[i + 2]), lattice[i + 1], 0.0,
+                                         int(np.sign(f_lo)), int(np.sign(values[i + 2]))))
+    return roots
+
+
 def find_mu_roots(
     curve: Callable[[float], float],
     bracket: tuple[float, float],
@@ -457,32 +481,11 @@ def find_mu_roots(
     returned, and exceeding max_roots raises.
     """
     lo, hi = bracket
-    if not 0 < lo < hi:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-    lattice = np.geomspace(lo, hi, scan_points)
-    values = np.array([curve(x) for x in lattice])
-    if not np.all(np.isfinite(values)):
-        raise ValueError("curve returned a non-finite value on the scan lattice")
-    roots: list[ThresholdResult] = []
-    for i in range(len(lattice) - 1):
-        f_lo, f_hi = values[i], values[i + 1]
-        if f_lo == 0.0:
-            # Lattice point is a root to within solver accuracy already.
-            continue
-        if f_lo * f_hi < 0:
-            roots.append(
-                bisect_curve(
-                    curve,
-                    lattice[i],
-                    lattice[i + 1],
-                    f_lo,
-                    f_hi,
-                    name=name,
-                    residual_tol=residual_tol,
-                )
-            )
-            if len(roots) > max_roots:
-                raise ConvergenceError(f"more than {max_roots} roots found for {name}")
+    if not 0 < lo < hi or scan_points < 2:
+        raise ValueError(f"need 0 < lo < hi and scan_points >= 2, got {bracket}, {scan_points}")
+    roots = scan_roots(curve, np.geomspace(lo, hi, scan_points), name, residual_tol)
+    if len(roots) > max_roots:
+        raise ConvergenceError(f"more than {max_roots} roots found for {name}")
     return roots
 
 

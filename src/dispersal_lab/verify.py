@@ -723,16 +723,10 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
         return [_skip(group, "all", "needs max m <= alpha and max m <= beta")]
     out = []
     w_star = ctx.w_steady(ctx.n_eigen, params.d3).state.components[0]
-    growth = coeffs.m - w_star
-    alpha_const = float(np.max(coeffs.alpha))
-    beta_const = float(np.max(coeffs.beta))
 
-    hi_beta = (params.d2 - params.d3) / (params.d3 - params.d1) * alpha_const
-    beta_curve = lambda b_val: principal_eigen(
-        switching_problem(g, params.d1, params.d2, coeffs.alpha, np.full(g.n, b_val), growth)
-    ).lam
-    lattice_roots = find_mu_roots(beta_curve, (1e-4 * hi_beta, hi_beta), name="beta_c",
-                                  scan_points=64)
+    beta = an.threshold_curve("beta_c", params, g)
+    hi_beta = beta.bracket[1]
+    lattice_roots = find_mu_roots(beta.curve, beta.bracket, name="beta_c", scan_points=64)
     out.append(
         _check(
             group,
@@ -741,7 +735,7 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
             f"{len(lattice_roots)} sign change(s) on the 64-point lattice",
         )
     )
-    beta_c = an.find_threshold("beta_c", params, g)
+    beta_c = beta.roots()[0]
     out.append(
         _check(
             group,
@@ -751,15 +745,15 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
         )
     )
 
-    def beta_slope(b_val: float) -> float:
-        local = replace(params, beta=CoefficientSpec.constant(b_val))
+    def rate_slope(rate: str, value: float) -> float:
+        local = replace(params, **{rate: CoefficientSpec.constant(value)})
         eig = an.lambda2_eigenpair(local, g, w_star)
-        return an.lambda2_sensitivity(local, g, "beta", w_star=w_star, eig=eig)
+        return an.lambda2_sensitivity(local, g, rate, w_star=w_star, eig=eig)
 
     h = 1e-3
     probe = 1.0
-    fd = (beta_curve(probe + h) - beta_curve(probe - h)) / (2.0 * h)
-    slope = beta_slope(probe)
+    fd = (beta.curve(probe + h) - beta.curve(probe - h)) / (2.0 * h)
+    slope = rate_slope("beta", probe)
     out.append(
         _check(
             group,
@@ -768,14 +762,15 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
             f"formula {slope:.7f} vs difference {fd:.7f}",
         )
     )
-    slope_at_root = beta_slope(beta_c.root)
+    slope_at_root = rate_slope("beta", beta_c.root)
     out.append(
         _check(group, "beta-derivative-positive-at-root", slope_at_root > 0,
                f"slope {slope_at_root:.6f}")
     )
 
-    lo_alpha = (params.d3 - params.d1) / (params.d2 - params.d3) * beta_const
-    alpha_c = an.find_threshold("alpha_c", params, g)
+    alpha = an.threshold_curve("alpha_c", params, g)
+    lo_alpha = alpha.bracket[0]
+    alpha_c = alpha.roots()[0]
     out.append(
         _check(
             group,
@@ -785,16 +780,8 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
         )
     )
 
-    def alpha_slope(a_val: float) -> float:
-        local = replace(params, alpha=CoefficientSpec.constant(a_val))
-        eig = an.lambda2_eigenpair(local, g, w_star)
-        return an.lambda2_sensitivity(local, g, "alpha", w_star=w_star, eig=eig)
-
-    alpha_curve = lambda a_val: principal_eigen(
-        switching_problem(g, params.d1, params.d2, np.full(g.n, a_val), coeffs.beta, growth)
-    ).lam
-    fd_a = (alpha_curve(probe + h) - alpha_curve(probe - h)) / (2.0 * h)
-    slope_a = alpha_slope(probe)
+    fd_a = (alpha.curve(probe + h) - alpha.curve(probe - h)) / (2.0 * h)
+    slope_a = rate_slope("alpha", probe)
     out.append(
         _check(
             group,
@@ -803,7 +790,7 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
             f"formula {slope_a:.7f} vs difference {fd_a:.7f}",
         )
     )
-    slope_a_root = alpha_slope(alpha_c.root)
+    slope_a_root = rate_slope("alpha", alpha_c.root)
     out.append(
         _check(group, "alpha-derivative-negative-at-root", slope_a_root < 0,
                f"slope {slope_a_root:.6f}")

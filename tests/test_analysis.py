@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -22,6 +25,7 @@ from dispersal_lab.analysis import (
     sweep_outcomes,
     weighted_average_diffusion,
 )
+from dispersal_lab.cli import EXIT_OK, parse_config, run_scenario
 from dispersal_lab.spectral import principal_eigen, switching_problem
 
 
@@ -106,6 +110,20 @@ def test_beta_c_and_guard(params, grid):
     bad = replace(params, d3=1.5)
     with pytest.raises(HypothesisError):
         find_threshold("beta_c", bad, grid)
+
+
+def test_d_0_matches_cli_first_root(tmp_path):
+    # On a 16-point lattice this bisection stalls at |f| = 1.05e-9 (see D0_SCAN_POINTS).
+    path = Path(__file__).resolve().parents[1] / "configs" / "threshold_dc.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["task"] = {"name": "threshold", "threshold_name": "d_0"}
+    data["output"] = str(tmp_path)
+    config = parse_config(data)
+    assert config.grid.n == 401
+    assert run_scenario(config).exit_status == EXIT_OK
+    row = (tmp_path / "threshold.csv").read_text().splitlines()[1].split(",")
+    result = find_threshold("d_0", config.params, config.grid)
+    assert format(result.root, ".17g") == row[3]
 
 
 def test_threshold_requires_growth_hypothesis(grid, params):

@@ -64,6 +64,40 @@ def test_parse_rejects_bad_threshold_name(tmp_path):
         parse_config(base_config(tmp_path, task={"name": "threshold", "threshold_name": "zeta"}))
 
 
+def test_name_of_threshold_alias_is_rejected(tmp_path):
+    data = base_config(tmp_path, task={"name": "threshold", "name_of_threshold": "d_c"})
+    path = write_config(tmp_path, data)
+    assert main(["threshold", "--config", str(path)]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("name,solver", [("d_c", "subsystem_steady"),
+                                         ("beta_c", "logistic_steady")])
+def test_threshold_task_solves_its_steady_state_once(tmp_path, monkeypatch, name, solver):
+    import dispersal_lab.analysis as analysis_mod
+
+    calls = []
+    original = getattr(analysis_mod, solver)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, solver, counted)
+    data = base_config(tmp_path, task={"name": "threshold", "threshold_name": name})
+    artifacts = run_scenario(parse_config(data))
+    assert artifacts.exit_status == EXIT_OK
+    assert (tmp_path / "out" / "threshold_curve.svg").is_file()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["mu_star", "mu_zero"])
+def test_scan_lattice_without_a_cell_is_a_validation_error(tmp_path, name):
+    data = base_config(tmp_path, task={"name": "threshold", "threshold_name": name})
+    data["params"]["m"] = {"kind": "cosine_profile", "mean": -0.1, "amplitude": 0.3}
+    data["solver"] = {"scan_points": 1}
+    assert run_scenario(parse_config(data)).exit_status == EXIT_VALIDATION
+
+
 def test_parse_rejects_empty_sweep(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(base_config(tmp_path, task={"name": "sweep", "parameter": "d3", "values": []}))

@@ -5,7 +5,6 @@ from dispersal_lab.mesh import (
     assemble_neumann_laplacian,
     build_grid,
     dirichlet_energy,
-    inner_product,
     integrate,
 )
 
@@ -38,7 +37,6 @@ def test_laplacian_kills_constants(n):
     g = build_grid(0, 1, n)
     lap = assemble_neumann_laplacian(g)
     assert np.max(np.abs(lap.apply(np.ones(n)))) == 0.0
-    assert np.max(np.abs(lap.row_sums())) == 0.0
 
 
 def test_laplacian_second_order_on_cosine():
@@ -65,8 +63,8 @@ def test_laplacian_self_adjoint_in_weighted_product():
     lap = assemble_neumann_laplacian(g)
     rng = np.random.default_rng(3)
     f, h = rng.normal(size=g.n), rng.normal(size=g.n)
-    lhs = inner_product(g, lap.apply(f), h)
-    rhs = inner_product(g, f, lap.apply(h))
+    lhs = integrate(g, lap.apply(f) * h)
+    rhs = integrate(g, f * lap.apply(h))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -97,7 +95,7 @@ def test_dirichlet_energy_integration_by_parts():
     for _ in range(5):
         f = rng.normal(size=g.n)
         energy = dirichlet_energy(g, f)
-        pairing = -inner_product(g, f, lap.apply(f))
+        pairing = -integrate(g, f * lap.apply(f))
         assert abs(energy - pairing) <= 1e-10 * max(energy, 1.0)
 
 

@@ -201,6 +201,16 @@ def test_find_mu_roots_no_sign_change(grid):
     assert find_mu_roots(curve, (0.05, 20.0), scan_points=16) == []
 
 
+def test_find_mu_roots_keeps_root_on_lattice_point():
+    lattice = np.geomspace(1e-2, 1e2, 64)
+    roots = find_mu_roots(lambda x: x - lattice[20], (1e-2, 1e2))
+    assert len(roots) == 1
+    assert roots[0].root == lattice[20]
+    assert roots[0].bracket == (lattice[19], lattice[21])
+    assert roots[0].residual == 0.0
+    assert (roots[0].sign_left, roots[0].sign_right) == (-1, 1)
+
+
 def test_mu_star_sign_law():
     g = build_grid(0, 1, 401)
     e = np.cos(2 * np.pi * g.nodes) - 0.1
