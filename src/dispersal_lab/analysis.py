@@ -262,31 +262,27 @@ def _check_section5_setting(params: ModelParams, coeffs: Coefficients, size_boun
 
 @dataclass(frozen=True)
 class ThresholdCurve:
-    """A threshold's eigenvalue curve, built once, and roots() that finds every root in order.
+    """A threshold's eigenvalue curve, built once, and every root of it in order.
 
     curve and bracket are set when the bracket is a verified sign bracket
     whose one root is bisected (d_c, beta_c, alpha_c); the other
     thresholds scan a lattice.
     """
 
-    roots: Callable[[], list[ThresholdResult]]
+    roots: list[ThresholdResult]
     curve: Optional[Callable[[float], float]] = None
     bracket: Optional[tuple[float, float]] = None
 
 
 def _bisected(name: str, curve: Callable[[float], float], lo: float, hi: float,
               f_lo: float, f_hi: float, residual_tol: float) -> ThresholdCurve:
-    return ThresholdCurve(lambda: [bisect_curve(curve, lo, hi, f_lo, f_hi, name=name,
-                                                residual_tol=residual_tol)], curve, (lo, hi))
+    root = bisect_curve(curve, lo, hi, f_lo, f_hi, name=name, residual_tol=residual_tol)
+    return ThresholdCurve([root], curve, (lo, hi))
 
 
-def _scanned(find: Callable[[], list[ThresholdResult]], error: type[Exception],
-             message: str) -> ThresholdCurve:
-    def roots() -> list[ThresholdResult]:
-        found = find()
-        if not found:
-            raise error(message)
-        return found
+def _scanned(roots: list[ThresholdResult], error: type[Exception], message: str) -> ThresholdCurve:
+    if not roots:
+        raise error(message)
     return ThresholdCurve(roots)
 
 
@@ -311,8 +307,8 @@ def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[S
 
 def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
          scan_points: int, residual_tol: float) -> ThresholdCurve:
-    """Every zero of lambda2(d3) on the D0_SCAN_POINTS lattice (scan_points is not used)."""
-    return _scanned(lambda: lambda2_sign_changes(params, grid, opts, residual_tol=residual_tol),
+    """Every zero of lambda2(d3) on the D0_SCAN_POINTS lattice."""
+    return _scanned(lambda2_sign_changes(params, grid, opts, coeffs, residual_tol),
                     ConvergenceError, "no sign change of the invasion eigenvalue found for d_0")
 
 
@@ -367,8 +363,8 @@ def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Option
 def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
              scan_points: int, residual_tol: float) -> ThresholdCurve:
     """mu* = 1/d* at the zero of the scalar eigenvalue in d (spectral.mu_star_scalar)."""
-    return ThresholdCurve(lambda: [mu_star_scalar(grid, coeffs.m, scan_points=scan_points,
-                                                  residual_tol=residual_tol)])
+    return ThresholdCurve([mu_star_scalar(grid, coeffs.m, scan_points=scan_points,
+                                          residual_tol=residual_tol)])
 
 
 def _mu_zero(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
@@ -376,15 +372,18 @@ def _mu_zero(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Option
     """Every zero of the pair eigenvalue with growth mu*m, for mu in (1e-2, 1e2)."""
     curve = lambda mu: lambda_of_mu(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta,
                                     coeffs.m, mu)
-    return _scanned(lambda: find_mu_roots(curve, (1e-2, 1e2), name="mu_zero",
-                                          scan_points=scan_points, residual_tol=residual_tol),
+    return _scanned(find_mu_roots(curve, (1e-2, 1e2), name="mu_zero",
+                                  scan_points=scan_points, residual_tol=residual_tol),
                     HypothesisError,
                     "no critical growth scaling found; the mean growth may already be favorable")
 
 
 # The one definition of each threshold.  Each entry computes the steady state
-# once and returns the curve; it checks the preconditions itself or, for d_0
-# and mu_star, leaves them to the function that finds the roots.
+# once and returns the curve with its roots; it checks the preconditions itself
+# or, for d_0 and mu_star, leaves them to the function that finds the roots.
+# All take (params, grid, coeffs, opts, scan_points, residual_tol); only
+# mu_star and mu_zero read scan_points, and mu_star and mu_zero solve no
+# steady state, so they ignore opts.
 THRESHOLDS: dict[str, Callable[..., ThresholdCurve]] = {
     "d_c": _d_c, "d_0": _d_0, "beta_c": _beta_c,
     "alpha_c": _alpha_c, "mu_star": _mu_star, "mu_zero": _mu_zero,
@@ -414,24 +413,26 @@ def find_threshold(
     d_c, beta_c and alpha_c bisect a verified sign bracket.  d_0 scans
     lambda2(d3) on a fixed 17-point lattice (lambda2_sign_changes gives
     every root); mu_star and mu_zero scan log lattices of scan_points
-    points and do not need the growth hypothesis.
+    points and do not need the growth hypothesis.  scan_points sizes
+    those two lattices only: the other four names ignore it.
     """
-    return threshold_curve(name, params, grid, opts, scan_points, residual_tol).roots()[0]
+    return threshold_curve(name, params, grid, opts, scan_points, residual_tol).roots[0]
 
 
 def lambda2_sign_changes(
     params: ModelParams,
     grid: Grid,
     opts: Optional[SolverOptions] = None,
-    scan_points: int = D0_SCAN_POINTS,
+    coeffs: Optional[Coefficients] = None,
     residual_tol: float = 1e-9,
 ) -> list[ThresholdResult]:
-    """All zeros of lambda2(d3) on the bracket lattice (uniqueness is not assumed).
+    """All zeros of lambda2(d3) on D0_SCAN_POINTS points of the bracket (uniqueness is not assumed).
 
     w* is recomputed at every candidate d3, warm-started from the
     previous one.
     """
-    coeffs = sample_coefficients(params, grid)
+    if coeffs is None:
+        coeffs = sample_coefficients(params, grid)
     check_hypothesis_h(params, grid, coeffs)
     alpha, beta = _constant_rates(params)
     bracket = (params.d1, weighted_average_diffusion(params, alpha, beta))
@@ -443,7 +444,7 @@ def lambda2_sign_changes(
         warm["w"] = w_res.state.components[0]
         return lambda2_eigenpair(local, grid, warm["w"], coeffs).lam
 
-    return scan_roots(curve, np.linspace(*bracket, scan_points), "d_0", residual_tol)
+    return scan_roots(curve, np.linspace(*bracket, D0_SCAN_POINTS), "d_0", residual_tol)
 
 
 def lambda2_sensitivity(

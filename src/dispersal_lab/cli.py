@@ -366,7 +366,7 @@ def _task_threshold(config: ScenarioConfig, out: Path) -> RunArtifacts:
     name = config.threshold_name
     threshold = an.threshold_curve(name, config.params, config.grid,
                                    scan_points=config.scan_points)
-    results = threshold.roots()
+    results = threshold.roots
     csv_path = _write_csv(
         out / "threshold.csv",
         ["name", "lo", "hi", "root", "residual"],

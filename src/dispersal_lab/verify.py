@@ -735,7 +735,7 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
             f"{len(lattice_roots)} sign change(s) on the 64-point lattice",
         )
     )
-    beta_c = beta.roots()[0]
+    beta_c = beta.roots[0]
     out.append(
         _check(
             group,
@@ -770,7 +770,7 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
 
     alpha = an.threshold_curve("alpha_c", params, g)
     lo_alpha = alpha.bracket[0]
-    alpha_c = alpha.roots()[0]
+    alpha_c = alpha.roots[0]
     out.append(
         _check(
             group,
