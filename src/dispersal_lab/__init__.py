@@ -10,7 +10,6 @@ from .mesh import (
     NeumannLaplacian,
     assemble_neumann_laplacian,
     build_grid,
-    dirichlet_energy,
     integrate,
 )
 from .model import (
@@ -24,9 +23,7 @@ from .model import (
     check_hypothesis_h,
     classify_regime,
     hypothesis_h_holds,
-    invariant_rectangle,
     reaction_rhs,
-    reaction_terms,
     sample_coefficient,
     sample_coefficients,
 )
@@ -59,16 +56,13 @@ from .dynamics import (
     monitor_lyapunov,
     persistence_floor,
     random_state,
-    step_imex,
 )
 from .analysis import (
-    StabilityReport,
     SweepReport,
     find_threshold,
     lambda2_eigenpair,
     lambda2_sensitivity,
     lambda2_sign_changes,
-    linearized_stability,
     logistic_steady,
     subsystem_steady,
     sweep_outcomes,

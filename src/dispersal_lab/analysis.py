@@ -1,4 +1,4 @@
-"""Stability of semi-trivial equilibria, threshold root-finds, and sweeps.
+"""Semi-trivial equilibria, their invasion eigenvalues, threshold root-finds, and sweeps.
 
 For the three-component competition the two semi-trivial states are
 (u*, v*, 0) — the switching pair alone — and (0, 0, w*) — the single
@@ -41,7 +41,6 @@ from .spectral import (
     EigenResult,
     ThresholdResult,
     bisect_curve,
-    dense_rightmost,
     find_mu_roots,
     lambda_of_mu,
     mu_star_scalar,
@@ -51,31 +50,13 @@ from .spectral import (
     switching_problem,
 )
 
-MARGINAL_BAND = 1e-8
-
 # Lattice of the d_0 scan.  It warm-starts w* from point to point, so the
 # curve is path-dependent at about 1e-9; with 16 points the bisection
 # stalls on configs/threshold_dc.json at n = 401.
 D0_SCAN_POINTS = 17
 
-EQUILIBRIUM_TAGS = ("trivial", "uv_zero", "w_only", "positive_pair")
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    equilibrium: str
-    principal_eigenvalue: float
-    classification: str
-
-    @staticmethod
-    def from_eigenvalue(tag: str, lam: float) -> "StabilityReport":
-        if abs(lam) <= MARGINAL_BAND:
-            cls = "marginal"
-        elif lam < 0:
-            cls = "linearly_stable"
-        else:
-            cls = "linearly_unstable"
-        return StabilityReport(equilibrium=tag, principal_eigenvalue=lam, classification=cls)
+# Time stepping of the pair and logistic steady states.
+STEADY_OPTS = SolverOptions(dt=0.05, sample_every=10.0, store_fields=False)
 
 
 @dataclass(frozen=True)
@@ -109,20 +90,18 @@ def weighted_average_diffusion(params: ModelParams, alpha: float, beta: float) -
 def logistic_steady(
     params: ModelParams,
     grid: Grid,
-    opts: Optional[SolverOptions] = None,
     coeffs: Optional[Coefficients] = None,
     warm_start: Optional[np.ndarray] = None,
 ) -> SteadyResult:
     """Positive steady state of the single-species logistic equation at rate d3."""
     if coeffs is None:
         coeffs = sample_coefficients(params, grid)
-    opts = opts or SolverOptions(dt=0.05, sample_every=10.0, store_fields=False)
     if warm_start is not None:
         init = State(t=0.0, components=np.maximum(warm_start, 1e-8)[None, :])
     else:
         level = 0.5 * float(np.max(coeffs.m))
         init = constant_state(SystemKind.LOGISTIC, grid, [max(level, 1e-3)])
-    result = integrate_to_steady(SystemKind.LOGISTIC, params, grid, init, opts, coeffs)
+    result = integrate_to_steady(SystemKind.LOGISTIC, params, grid, init, STEADY_OPTS, coeffs)
     if not result.converged:
         raise HypothesisError(
             "logistic equation did not settle; growth rate may not sustain a positive state"
@@ -131,19 +110,15 @@ def logistic_steady(
 
 
 def subsystem_steady(
-    params: ModelParams,
-    grid: Grid,
-    opts: Optional[SolverOptions] = None,
-    coeffs: Optional[Coefficients] = None,
+    params: ModelParams, grid: Grid, coeffs: Optional[Coefficients] = None
 ) -> SteadyResult:
     """Positive steady state (u*, v*) of the switching pair with shared density."""
     if coeffs is None:
         coeffs = sample_coefficients(params, grid)
-    opts = opts or SolverOptions(dt=0.05, sample_every=10.0, store_fields=False)
     beta_hi = float(np.max(coeffs.beta))
     alpha_hi = float(np.max(coeffs.alpha))
     init = constant_state(SystemKind.SUBMODEL, grid, [0.25 * beta_hi, 0.25 * alpha_hi])
-    result = integrate_to_steady(SystemKind.SUBMODEL, params, grid, init, opts, coeffs)
+    result = integrate_to_steady(SystemKind.SUBMODEL, params, grid, init, STEADY_OPTS, coeffs)
     if not result.converged:
         raise HypothesisError("switching pair did not reach a steady state")
     if float(np.min(result.state.components)) <= 0:
@@ -174,72 +149,14 @@ def pair_linearization_dense(
 
 
 def lambda2_eigenpair(
-    params: ModelParams,
-    grid: Grid,
-    w_star: np.ndarray,
-    coeffs: Optional[Coefficients] = None,
-    alpha: Optional[np.ndarray] = None,
-    beta: Optional[np.ndarray] = None,
+    params: ModelParams, grid: Grid, w_star: np.ndarray, coeffs: Optional[Coefficients] = None
 ) -> EigenResult:
     """Invasion eigenpair of the switching pair at (0, 0, w*)."""
     if coeffs is None:
         coeffs = sample_coefficients(params, grid)
-    alpha = coeffs.alpha if alpha is None else alpha
-    beta = coeffs.beta if beta is None else beta
-    problem = switching_problem(grid, params.d1, params.d2, alpha, beta, coeffs.m - w_star)
+    problem = switching_problem(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta,
+                                coeffs.m - w_star)
     return principal_eigen(problem)
-
-
-def linearized_stability(
-    kind: SystemKind,
-    params: ModelParams,
-    grid: Grid,
-    equilibrium: Optional[SteadyResult],
-    which: str,
-    coeffs: Optional[Coefficients] = None,
-    w_star: Optional[np.ndarray] = None,
-) -> StabilityReport:
-    """Classify an equilibrium by its invading principal eigenvalue.
-
-    which = 'uv_zero' reduces to the scalar problem at diffusion d3 with
-    potential m - u* - v*; 'w_only' is the coupled pair problem with
-    growth m - w*; 'positive_pair' is the full non-cooperative
-    linearization at a positive two-species state, solved densely;
-    'trivial' is the growth eigenvalue of the pair at the origin.
-    """
-    if which not in EQUILIBRIUM_TAGS:
-        raise ValueError(f"unknown equilibrium tag {which!r}; expected one of {EQUILIBRIUM_TAGS}")
-    if coeffs is None:
-        coeffs = sample_coefficients(params, grid)
-    if which == "trivial":
-        problem = switching_problem(
-            grid, params.d1, params.d2, coeffs.alpha, coeffs.beta, coeffs.m
-        )
-        return StabilityReport.from_eigenvalue("trivial", principal_eigen(problem).lam)
-    if which == "uv_zero":
-        check_hypothesis_h(params, grid, coeffs)
-        if equilibrium is None or not equilibrium.converged:
-            raise ValueError("uv_zero stability needs a converged pair equilibrium")
-        u, v = equilibrium.state.components
-        lam = scalar_eigenvalue(grid, params.d3, coeffs.m - u - v).lam
-        return StabilityReport.from_eigenvalue("uv_zero", lam)
-    if which == "w_only":
-        check_hypothesis_h(params, grid, coeffs)
-        if w_star is None:
-            if equilibrium is None or not equilibrium.converged:
-                raise ValueError("w_only stability needs w* or a converged logistic equilibrium")
-            w_star = equilibrium.state.components[0]
-        return StabilityReport.from_eigenvalue(
-            "w_only", lambda2_eigenpair(params, grid, w_star, coeffs).lam
-        )
-    # positive_pair
-    if equilibrium is None or not equilibrium.converged:
-        raise ValueError("positive_pair stability needs a converged positive state")
-    u, v = equilibrium.state.components
-    if float(np.min(u)) <= 0 or float(np.min(v)) <= 0:
-        raise ValueError("positive_pair stability needs a componentwise positive state")
-    lam, _ = dense_rightmost(pair_linearization_dense(params, grid, coeffs, u, v))
-    return StabilityReport.from_eigenvalue("positive_pair", float(lam.real))
 
 
 def _constant_rates(params: ModelParams) -> tuple[float, float]:
@@ -275,9 +192,8 @@ class ThresholdCurve:
 
 
 def _bisected(name: str, curve: Callable[[float], float], lo: float, hi: float,
-              f_lo: float, f_hi: float, residual_tol: float) -> ThresholdCurve:
-    root = bisect_curve(curve, lo, hi, f_lo, f_hi, name=name, residual_tol=residual_tol)
-    return ThresholdCurve([root], curve, (lo, hi))
+              f_lo: float, f_hi: float) -> ThresholdCurve:
+    return ThresholdCurve([bisect_curve(curve, lo, hi, f_lo, f_hi, name=name)], curve, (lo, hi))
 
 
 def _scanned(roots: list[ThresholdResult], error: type[Exception], message: str) -> ThresholdCurve:
@@ -286,13 +202,15 @@ def _scanned(roots: list[ThresholdResult], error: type[Exception], message: str)
     return ThresholdCurve(roots)
 
 
-def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
-         scan_points: int, residual_tol: float) -> ThresholdCurve:
+def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
+         steady: Optional[np.ndarray]) -> ThresholdCurve:
     """Zero of the scalar invasion eigenvalue at (u*, v*, 0) in d3 on (d1, weighted average)."""
     check_hypothesis_h(params, grid, coeffs)
     alpha, beta = _constant_rates(params)
     lo, hi = params.d1, weighted_average_diffusion(params, alpha, beta)
-    u, v = subsystem_steady(params, grid, opts, coeffs).state.components
+    if steady is None:
+        steady = subsystem_steady(params, grid, coeffs).state.components
+    u, v = steady
     potential = coeffs.m - u - v
     if float(np.max(potential)) - float(np.min(potential)) <= 1e-6:
         raise HypothesisError("m - u* - v* is numerically constant; bracket theory void")
@@ -302,20 +220,23 @@ def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[S
         raise HypothesisError(
             f"endpoint signs violate the d_c bracket: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
         )
-    return _bisected("d_c", curve, lo, hi, f_lo, f_hi, residual_tol)
+    return _bisected("d_c", curve, lo, hi, f_lo, f_hi)
 
 
-def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
-         scan_points: int, residual_tol: float) -> ThresholdCurve:
+def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
+         steady: Optional[np.ndarray]) -> ThresholdCurve:
     """Every zero of lambda2(d3) on the D0_SCAN_POINTS lattice."""
-    return _scanned(lambda2_sign_changes(params, grid, opts, coeffs, residual_tol),
+    return _scanned(lambda2_sign_changes(params, grid, coeffs),
                     ConvergenceError, "no sign change of the invasion eigenvalue found for d_0")
 
 
-def _rate_curve(params: ModelParams, grid: Grid, coeffs: Coefficients,
-                opts: Optional[SolverOptions], rate: str) -> Callable[[float], float]:
+def _rate_curve(params: ModelParams, grid: Grid, coeffs: Coefficients, rate: str,
+                steady: Optional[np.ndarray]) -> Callable[[float], float]:
     """lambda2 at (0, 0, w*) as the constant switching rate `rate` varies, w* held fixed."""
-    growth = coeffs.m - logistic_steady(params, grid, opts, coeffs).state.components[0]
+    if steady is None:
+        steady = logistic_steady(params, grid, coeffs).state.components
+    (w_star,) = steady
+    growth = coeffs.m - w_star
 
     def curve(value: float) -> float:
         rates = {"alpha": coeffs.alpha, "beta": coeffs.beta, rate: np.full(grid.n, value)}
@@ -324,27 +245,27 @@ def _rate_curve(params: ModelParams, grid: Grid, coeffs: Coefficients,
     return curve
 
 
-def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
-            scan_points: int, residual_tol: float) -> ThresholdCurve:
+def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
+            steady: Optional[np.ndarray]) -> ThresholdCurve:
     """Zero of lambda2(beta) on (1e-4 hi, hi), hi = (d2 - d3) / (d3 - d1) * alpha."""
     check_hypothesis_h(params, grid, coeffs)
     alpha, _ = _check_section5_setting(params, coeffs, "alpha")
-    curve = _rate_curve(params, grid, coeffs, opts, "beta")
+    curve = _rate_curve(params, grid, coeffs, "beta", steady)
     hi = (params.d2 - params.d3) / (params.d3 - params.d1) * alpha
     lo = 1e-4 * hi
     f_lo, f_hi = curve(lo), curve(hi)
     if not (f_lo < 0 < f_hi):
         raise HypothesisError(f"endpoint signs violate the beta_c bracket: "
                               f"f({lo:.3e})={f_lo:.3e}, f({hi:.3e})={f_hi:.3e}")
-    return _bisected("beta_c", curve, lo, hi, f_lo, f_hi, residual_tol)
+    return _bisected("beta_c", curve, lo, hi, f_lo, f_hi)
 
 
-def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
-             scan_points: int, residual_tol: float) -> ThresholdCurve:
+def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
+             steady: Optional[np.ndarray]) -> ThresholdCurve:
     """Zero of lambda2(alpha) above lo = (d3 - d1) / (d2 - d3) * beta; hi by doubling."""
     check_hypothesis_h(params, grid, coeffs)
     _, beta = _check_section5_setting(params, coeffs, "beta")
-    curve = _rate_curve(params, grid, coeffs, opts, "alpha")
+    curve = _rate_curve(params, grid, coeffs, "alpha", steady)
     lo = (params.d3 - params.d1) / (params.d2 - params.d3) * beta
     f_lo = curve(lo)
     if f_lo <= 0:
@@ -357,57 +278,52 @@ def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Option
             break
     else:
         raise HypothesisError("lambda2(alpha) never became negative while doubling alpha")
-    return _bisected("alpha_c", curve, lo, hi, f_lo, f_hi, residual_tol)
+    return _bisected("alpha_c", curve, lo, hi, f_lo, f_hi)
 
 
-def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
-             scan_points: int, residual_tol: float) -> ThresholdCurve:
+def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
+             steady: Optional[np.ndarray]) -> ThresholdCurve:
     """mu* = 1/d* at the zero of the scalar eigenvalue in d (spectral.mu_star_scalar)."""
-    return ThresholdCurve([mu_star_scalar(grid, coeffs.m, scan_points=scan_points,
-                                          residual_tol=residual_tol)])
+    return ThresholdCurve([mu_star_scalar(grid, coeffs.m, scan_points=scan_points)])
 
 
-def _mu_zero(params: ModelParams, grid: Grid, coeffs: Coefficients, opts: Optional[SolverOptions],
-             scan_points: int, residual_tol: float) -> ThresholdCurve:
+def _mu_zero(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
+             steady: Optional[np.ndarray]) -> ThresholdCurve:
     """Every zero of the pair eigenvalue with growth mu*m, for mu in (1e-2, 1e2)."""
     curve = lambda mu: lambda_of_mu(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta,
                                     coeffs.m, mu)
-    return _scanned(find_mu_roots(curve, (1e-2, 1e2), name="mu_zero",
-                                  scan_points=scan_points, residual_tol=residual_tol),
+    return _scanned(find_mu_roots(curve, (1e-2, 1e2), name="mu_zero", scan_points=scan_points),
                     HypothesisError,
                     "no critical growth scaling found; the mean growth may already be favorable")
 
 
-# The one definition of each threshold.  Each entry computes the steady state
-# once and returns the curve with its roots; it checks the preconditions itself
-# or, for d_0 and mu_star, leaves them to the function that finds the roots.
-# All take (params, grid, coeffs, opts, scan_points, residual_tol); only
-# mu_star and mu_zero read scan_points, and mu_star and mu_zero solve no
-# steady state, so they ignore opts.
+# The one definition of each threshold.  Each entry computes its steady state
+# once, unless the caller passes it, and returns the curve with its roots; it
+# checks the preconditions itself or, for d_0 and mu_star, leaves them to the
+# function that finds the roots.  All take (params, grid, coeffs, scan_points,
+# steady); only mu_star and mu_zero read scan_points, and only d_c, beta_c and
+# alpha_c read steady.
 THRESHOLDS: dict[str, Callable[..., ThresholdCurve]] = {
     "d_c": _d_c, "d_0": _d_0, "beta_c": _beta_c,
     "alpha_c": _alpha_c, "mu_star": _mu_star, "mu_zero": _mu_zero,
 }
 
 
-def threshold_curve(name: str, params: ModelParams, grid: Grid,
-                    opts: Optional[SolverOptions] = None, scan_points: int = 64,
-                    residual_tol: float = 1e-9) -> ThresholdCurve:
-    """The named threshold's curve from THRESHOLDS; see find_threshold."""
+def threshold_curve(name: str, params: ModelParams, grid: Grid, scan_points: int = 64,
+                    steady: Optional[np.ndarray] = None) -> ThresholdCurve:
+    """The named threshold's curve from THRESHOLDS; see find_threshold.
+
+    steady is the steady state the caller may already hold, as a (K, n)
+    component array: (u*, v*) for d_c and (w*,) for beta_c and alpha_c.
+    When it is None those builders solve it; the other names ignore it.
+    """
     if name not in THRESHOLDS:
         raise ValueError(f"unknown threshold name {name!r}")
-    return THRESHOLDS[name](params, grid, sample_coefficients(params, grid), opts, scan_points,
-                            residual_tol)
+    return THRESHOLDS[name](params, grid, sample_coefficients(params, grid), scan_points, steady)
 
 
-def find_threshold(
-    name: str,
-    params: ModelParams,
-    grid: Grid,
-    opts: Optional[SolverOptions] = None,
-    scan_points: int = 64,
-    residual_tol: float = 1e-9,
-) -> ThresholdResult:
+def find_threshold(name: str, params: ModelParams, grid: Grid,
+                   scan_points: int = 64) -> ThresholdResult:
     """First root of one of the six thresholds, each defined once in THRESHOLDS.
 
     d_c, beta_c and alpha_c bisect a verified sign bracket.  d_0 scans
@@ -416,15 +332,11 @@ def find_threshold(
     points and do not need the growth hypothesis.  scan_points sizes
     those two lattices only: the other four names ignore it.
     """
-    return threshold_curve(name, params, grid, opts, scan_points, residual_tol).roots[0]
+    return threshold_curve(name, params, grid, scan_points).roots[0]
 
 
 def lambda2_sign_changes(
-    params: ModelParams,
-    grid: Grid,
-    opts: Optional[SolverOptions] = None,
-    coeffs: Optional[Coefficients] = None,
-    residual_tol: float = 1e-9,
+    params: ModelParams, grid: Grid, coeffs: Optional[Coefficients] = None
 ) -> list[ThresholdResult]:
     """All zeros of lambda2(d3) on D0_SCAN_POINTS points of the bracket (uniqueness is not assumed).
 
@@ -440,11 +352,11 @@ def lambda2_sign_changes(
 
     def curve(d3: float) -> float:
         local = replace(params, d3=d3)
-        w_res = logistic_steady(local, grid, opts, coeffs, warm_start=warm["w"])
+        w_res = logistic_steady(local, grid, coeffs, warm_start=warm["w"])
         warm["w"] = w_res.state.components[0]
         return lambda2_eigenpair(local, grid, warm["w"], coeffs).lam
 
-    return scan_roots(curve, np.linspace(*bracket, D0_SCAN_POINTS), "d_0", residual_tol)
+    return scan_roots(curve, np.linspace(*bracket, D0_SCAN_POINTS), "d_0")
 
 
 def lambda2_sensitivity(
@@ -453,7 +365,6 @@ def lambda2_sensitivity(
     wrt: str,
     w_star: Optional[np.ndarray] = None,
     eig: Optional[EigenResult] = None,
-    opts: Optional[SolverOptions] = None,
 ) -> float:
     """Derivative of lambda2 with respect to a constant switching rate.
 
@@ -468,7 +379,7 @@ def lambda2_sensitivity(
     alpha, beta = _constant_rates(params)
     if eig is None:
         if w_star is None:
-            w_star = logistic_steady(params, grid, opts, coeffs).state.components[0]
+            w_star = logistic_steady(params, grid, coeffs).state.components[0]
         eig = lambda2_eigenpair(params, grid, w_star, coeffs)
     phi1, phi2 = eig.eigenfunctions
     denom = integrate(grid, alpha * phi1**2 + beta * phi2**2)
@@ -499,7 +410,6 @@ def sweep_outcomes(
     parameter: str,
     values: list[float],
     opts: Optional[SolverOptions] = None,
-    initial: Optional[State] = None,
 ) -> SweepReport:
     """Eigenvalue signs and simulated outcome of the three-species race.
 
@@ -535,12 +445,12 @@ def sweep_outcomes(
         if parameter == "d3" and pair_cache is not None:
             pair = pair_cache
         else:
-            pair = subsystem_steady(local, grid, None, coeffs)
+            pair = subsystem_steady(local, grid, coeffs)
             pair_cache = pair
         if parameter != "d3" and w_cache is not None:
             w_res = w_cache
         else:
-            w_res = logistic_steady(local, grid, None, coeffs)
+            w_res = logistic_steady(local, grid, coeffs)
             w_cache = w_res
         u, v = pair.state.components
         w_star = w_res.state.components[0]
@@ -548,11 +458,8 @@ def sweep_outcomes(
         lam_00w = lambda2_eigenpair(local, grid, w_star, coeffs).lam
 
         note = ""
-        if initial is None:
-            level = 0.2 * float(np.max(coeffs.m))
-            start = constant_state(SystemKind.THREE_COMPONENT, grid, [level, level, level])
-        else:
-            start = initial
+        level = 0.2 * float(np.max(coeffs.m))
+        start = constant_state(SystemKind.THREE_COMPONENT, grid, [level, level, level])
         try:
             sim = integrate_to_steady(
                 SystemKind.THREE_COMPONENT, local, grid, start, sim_opts, coeffs

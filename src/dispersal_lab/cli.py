@@ -138,16 +138,8 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     task = task_spec["name"]
 
     solver_spec = data.get("solver", {})
-    solver = SolverOptions(
-        dt=float(solver_spec.get("dt", 0.01)),
-        tol=float(solver_spec.get("tol", 1e-9)),
-        t_max=float(solver_spec.get("t_max", 2000.0)),
-        sample_every=float(solver_spec.get("sample_every", 1.0)),
-        store_fields=bool(solver_spec.get("store_fields", True)),
-    )
-    if solver.dt <= 0 or solver.tol <= 0 or solver.t_max <= 0:
-        raise ConfigError("solver dt, tol, t_max must all be positive")
-
+    if not isinstance(solver_spec, dict):
+        raise ConfigError("solver section must be an object")
     threshold_name = task_spec.get("threshold_name")
     if task == "threshold" and threshold_name not in an.THRESHOLDS:
         raise ConfigError(
@@ -160,7 +152,24 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
             raise ConfigError("sweep task needs parameter in {d3, beta, alpha}")
         if not isinstance(sweep_values, list) or not sweep_values:
             raise ConfigError("sweep task needs a non-empty list of values")
-        sweep_values = [float(v) for v in sweep_values]
+    try:
+        solver = SolverOptions(
+            dt=float(solver_spec.get("dt", 0.01)),
+            tol=float(solver_spec.get("tol", 1e-9)),
+            t_max=float(solver_spec.get("t_max", 2000.0)),
+            sample_every=float(solver_spec.get("sample_every", 1.0)),
+            store_fields=bool(solver_spec.get("store_fields", True)),
+        )
+        scan_points = int(solver_spec.get("scan_points", 64))
+        seed = int(data.get("seed", 0))
+        if task == "sweep":
+            sweep_values = [float(v) for v in sweep_values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"solver settings, seed and sweep values must be numbers: {exc}"
+        ) from exc
+    if not all(x > 0 for x in (solver.dt, solver.tol, solver.t_max, solver.sample_every)):
+        raise ConfigError("solver dt, tol, t_max, sample_every must all be positive")
 
     verify_groups = task_spec.get("groups")
     if verify_groups is not None:
@@ -176,6 +185,8 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         or initial.get("kind") not in ("constant", "random", "eigenfunction")
     ):
         raise ConfigError("initial data kind must be constant, random, or eigenfunction")
+    if initial is not None and initial["kind"] == "constant" and "values" not in initial:
+        raise ConfigError("constant initial data needs per-component values")
 
     out_dir = Path(data.get("output", "out"))
     if not out_dir.is_absolute():
@@ -186,13 +197,13 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         system=system,
         task=task,
         output_dir=out_dir,
-        seed=int(data.get("seed", 0)),
+        seed=seed,
         solver=solver,
         threshold_name=threshold_name,
         sweep_parameter=sweep_parameter,
         sweep_values=sweep_values,
         initial=initial,
-        scan_points=int(solver_spec.get("scan_points", 64)),
+        scan_points=scan_points,
         verify_groups=verify_groups,
     )
 
@@ -246,13 +257,7 @@ def _initial_state(config: ScenarioConfig) -> State:
         )
     if kind.n_components != 2:
         raise ConfigError("eigenfunction initial data is only defined for two-component systems")
-    coeffs = sample_coefficients(config.params, config.grid)
-    eig = principal_eigen(
-        switching_problem(
-            config.grid, config.params.d1, config.params.d2,
-            coeffs.alpha, coeffs.beta, coeffs.m,
-        )
-    )
+    eig = principal_eigen(_eigen_problem(config))
     return eigenfunction_state(eig, float(spec.get("scale", 0.1)))
 
 

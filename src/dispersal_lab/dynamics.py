@@ -37,6 +37,9 @@ from .model import (
 from .spectral import EigenResult
 
 NEGATIVITY_TOLERANCE = 1e-13
+CHECK_EVERY = 10  # steps between residual checks
+MAX_DT_HALVINGS = 4
+TRANSIENT_FRACTION = 0.5  # share of a run that persistence_floor skips
 
 
 class StepOvershootError(RuntimeError):
@@ -116,8 +119,6 @@ class SolverOptions:
     t_max: float = 2000.0
     sample_every: float = 1.0
     store_fields: bool = True
-    check_every: int = 10
-    max_dt_halvings: int = 4
 
 
 def kind_diffusions(kind: SystemKind, params: ModelParams) -> tuple[float, ...]:
@@ -202,32 +203,15 @@ class ImexStepper:
         return State._trusted(state.t + self.dt, new)
 
 
-def step_imex(
-    kind: SystemKind,
-    params: ModelParams,
-    grid: Grid,
-    state: State,
-    dt: float,
-    coeffs: Optional[Coefficients] = None,
-) -> State:
-    """Single IMEX step (builds and discards the factorization)."""
-    return ImexStepper(kind, params, grid, dt, coeffs).step(state)
-
-
 def rhs_residual(
     kind: SystemKind,
     params: ModelParams,
     grid: Grid,
     coeffs: Coefficients,
     comps: np.ndarray,
-    lap: Optional[NeumannLaplacian] = None,
+    lap: NeumannLaplacian,
 ) -> float:
-    """Sup-norm of diffusion plus reaction at the given fields.
-
-    lap is the grid's Neumann Laplacian, assembled here when not given.
-    """
-    if lap is None:
-        lap = assemble_neumann_laplacian(grid)
+    """Sup-norm of diffusion plus reaction at the given fields, lap the grid's Laplacian."""
     g = reaction_rhs(kind, params, coeffs, comps)
     worst = 0.0
     for i, d in enumerate(kind_diffusions(kind, params)):
@@ -246,7 +230,7 @@ def integrate_to_steady(
     """Step until the right-hand side is below tol or t_max is reached.
 
     Overshoots of the explicit stage halve dt (rebuilding the
-    factorizations) up to opts.max_dt_halvings times.  Non-convergence
+    factorizations) up to MAX_DT_HALVINGS times.  Non-convergence
     by t_max is reported through the converged flag, not an exception.
     """
     if coeffs is None:
@@ -270,7 +254,7 @@ def integrate_to_steady(
             state = stepper.step(state)
         except StepOvershootError:
             halvings += 1
-            if halvings > opts.max_dt_halvings:
+            if halvings > MAX_DT_HALVINGS:
                 raise
             stepper = ImexStepper(kind, params, grid, stepper.dt / 2.0, coeffs)
             continue
@@ -279,7 +263,7 @@ def integrate_to_steady(
             log.record(state)
             while next_sample <= state.t + 1e-12:
                 next_sample += opts.sample_every
-        if steps % opts.check_every == 0:
+        if steps % CHECK_EVERY == 0:
             residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
             if residual <= opts.tol:
                 converged = True
@@ -327,7 +311,6 @@ def lyapunov_identity(
     state: State,
     dt: float,
     adjoint: EigenResult,
-    coeffs: Optional[Coefficients] = None,
 ) -> tuple[float, float]:
     """One-step check of the decay identity for the adjoint-weighted mass.
 
@@ -337,8 +320,6 @@ def lyapunov_identity(
     """
     if kind.n_components != 2:
         raise ValueError("the decay identity applies to the two-component systems")
-    if coeffs is None:
-        coeffs = sample_coefficients(params, grid)
     b = params.b if kind is SystemKind.TWO_SPECIES_GENERAL else 1.0
     c = params.c if kind is SystemKind.TWO_SPECIES_GENERAL else 1.0
     w = grid.quadrature_weights
@@ -346,29 +327,27 @@ def lyapunov_identity(
     u, v = state.components
     before = float(np.sum(w * (psi1 * u + psi2 * v)))
     sink = -float(np.sum(w * (psi1 * u * (u + b * v) + psi2 * v * (c * u + v))))
-    after_state = step_imex(kind, params, grid, state, dt, coeffs)
+    after_state = ImexStepper(kind, params, grid, dt).step(state)
     ua, va = after_state.components
     after = float(np.sum(w * (psi1 * ua + psi2 * va)))
     return (after - before) / dt, sink
 
 
-def persistence_floor(trajectory: TrajectoryLog, transient_fraction: float = 0.5) -> float:
+def persistence_floor(trajectory: TrajectoryLog) -> float:
     """Worst spatial minimum over all components after the transient window."""
     times = trajectory.times
     if len(times) == 0:
         raise ValueError("empty trajectory")
-    cutoff = times[0] + transient_fraction * (times[-1] - times[0])
+    cutoff = times[0] + TRANSIENT_FRACTION * (times[-1] - times[0])
     tail = [m for t, m in zip(times, trajectory.mins) if t >= cutoff - 1e-12]
-    if not tail:
-        raise ValueError("post-transient window is empty; extend the run or lower the fraction")
     return float(np.min(np.asarray(tail)))
 
 
-def constant_state(kind: SystemKind, grid: Grid, values: Sequence[float], t: float = 0.0) -> State:
+def constant_state(kind: SystemKind, grid: Grid, values: Sequence[float]) -> State:
     values = np.asarray(values, dtype=float)
     if values.shape != (kind.n_components,):
         raise ValueError(f"need {kind.n_components} component values, got {values.shape}")
-    return State(t=t, components=np.tile(values[:, None], (1, grid.n)))
+    return State(t=0.0, components=np.tile(values[:, None], (1, grid.n)))
 
 
 def random_state(
@@ -377,17 +356,16 @@ def random_state(
     low: float,
     high: float,
     seed: int,
-    t: float = 0.0,
 ) -> State:
     if not 0 <= low < high:
         raise ValueError(f"need 0 <= low < high, got ({low}, {high})")
     rng = np.random.default_rng(seed)
     comps = rng.uniform(low, high, size=(kind.n_components, grid.n))
-    return State(t=t, components=comps)
+    return State(t=0.0, components=comps)
 
 
-def eigenfunction_state(eig: EigenResult, scale: float, t: float = 0.0) -> State:
+def eigenfunction_state(eig: EigenResult, scale: float) -> State:
     """Positive eigenfunction scaled to a given amplitude, as initial data."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    return State(t=t, components=scale * eig.eigenfunctions)
+    return State(t=0.0, components=scale * eig.eigenfunctions)

@@ -3,7 +3,7 @@
 Everything downstream (eigenvalue solves, time stepping, variational
 identities) is built on the three objects here: a uniform grid with
 trapezoid weights, the second-difference Laplacian closed with mirror
-(ghost-node) rows at the boundary, and quadrature helpers.  The mirror
+(ghost-node) rows at the boundary, and trapezoid quadrature.  The mirror
 closure is chosen so that the operator kills constants and is
 self-adjoint under the trapezoid inner product, which makes the discrete
 integration-by-parts identity exact up to rounding.
@@ -74,10 +74,6 @@ class NeumannLaplacian:
     diag: np.ndarray  # entry (i, i), length n
     upper: np.ndarray  # entry (i, i+1), length n-1
 
-    @property
-    def dim(self) -> int:
-        return self.grid.n
-
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = self.grid.check_field(f)
         out = self.diag * f
@@ -86,7 +82,7 @@ class NeumannLaplacian:
         return out
 
     def to_dense(self) -> np.ndarray:
-        n = self.dim
+        n = self.grid.n
         dense = np.zeros((n, n))
         dense[np.arange(n), np.arange(n)] = self.diag
         dense[np.arange(n - 1), np.arange(1, n)] = self.upper
@@ -111,14 +107,3 @@ def integrate(grid: Grid, f: np.ndarray) -> float:
     f = grid.check_field(f)
     return float(grid.quadrature_weights @ f)
 
-
-def dirichlet_energy(grid: Grid, f: np.ndarray) -> float:
-    """Integral of |grad f|^2 from per-cell one-sided differences.
-
-    Uses the cell-midpoint gradient so that the identity
-    dirichlet_energy(f) == -<f, L f> holds to rounding against the
-    assembled Neumann Laplacian L.
-    """
-    f = grid.check_field(f)
-    jumps = np.diff(f)
-    return float(np.sum(jumps * jumps) / grid.h)

@@ -6,8 +6,8 @@ diffuser v (rate d2) exchanging members at per-capita rates alpha(x)
 pressure controlled by b, c.  Depending on coefficient sizes the coupled
 system is eventually competitive (large growth, small switching) or
 eventually cooperative (switching dominates growth); ``classify_regime``
-evaluates the explicit sufficient conditions for each case and
-``invariant_rectangle`` produces absorbing state-space boxes.
+evaluates the explicit sufficient conditions for each case and returns
+the absorbing state-space box that each one proves.
 """
 
 from __future__ import annotations
@@ -192,42 +192,6 @@ def reaction_rhs(
     return out
 
 
-def reaction_terms(
-    kind: SystemKind,
-    params: ModelParams,
-    coeffs: Coefficients,
-    state_values: Sequence[float],
-    node: int,
-) -> tuple[float, ...]:
-    """Reaction terms at a single node (scalar version of reaction_rhs)."""
-    values = np.asarray(state_values, dtype=float)
-    if values.shape != (kind.n_components,):
-        raise ValueError(
-            f"expected {kind.n_components} components for {kind.value!r}, got {values.shape}"
-        )
-    al, be, m = coeffs.alpha[node], coeffs.beta[node], coeffs.m[node]
-    if kind is SystemKind.LOGISTIC:
-        w = values[0]
-        return (float(w * (m - w)),)
-    if kind is SystemKind.TWO_SPECIES_GENERAL:
-        u, v = values
-        return (
-            float((m - al - u) * u + (be - params.b * u) * v),
-            float((m - be - v) * v + (al - params.c * v) * u),
-        )
-    if kind is SystemKind.SUBMODEL:
-        u, v = values
-        shared = m - u - v
-        return (float(-al * u + be * v + u * shared), float(al * u - be * v + v * shared))
-    u, v, w = values
-    shared = m - u - v - w
-    return (
-        float(-al * u + be * v + u * shared),
-        float(al * u - be * v + v * shared),
-        float(w * shared),
-    )
-
-
 @dataclass(frozen=True)
 class Rectangle:
     """Product box [lower] x [upper] in (u, v) state space."""
@@ -239,14 +203,6 @@ class Rectangle:
         for lo, hi in zip(self.lower, self.upper):
             if not (0.0 <= lo < hi):
                 raise ValueError(f"degenerate rectangle bounds: lower={self.lower}, upper={self.upper}")
-
-    def contains(self, u: np.ndarray, v: np.ndarray, slack: float = 0.0) -> bool:
-        return bool(
-            np.all(u >= self.lower[0] - slack)
-            and np.all(u <= self.upper[0] + slack)
-            and np.all(v >= self.lower[1] - slack)
-            and np.all(v <= self.upper[1] + slack)
-        )
 
 
 @dataclass(frozen=True)
@@ -277,7 +233,6 @@ def classify_regime(
     grid: Grid,
     coeffs: Optional[Coefficients] = None,
     test_s1: bool = True,
-    test_s2: bool = True,
 ) -> RegimeReport:
     """Evaluate the eventual-competition and eventual-cooperation tests.
 
@@ -314,14 +269,13 @@ def classify_regime(
 
     in_s2 = False
     cooperative = None
-    if test_s2 and min(a_lo, b_lo) >= 0:
-        x, y = b_lo / b_, a_lo / c_
-        if np.isfinite(k1) and k1 < 1.0 + k0 and x > 0 and y > 0:
-            s2_first = m_hi - x + (b_ * (k1 - 1.0) - c_) * y < 0.0
-            s2_second = m_hi - y + (c_ * (k1 - 1.0) - b_) * x < 0.0
-            in_s2 = bool(s2_first and s2_second)
-            if in_s2:
-                cooperative = Rectangle(lower=(0.0, 0.0), upper=(x, y))
+    x, y = b_lo / b_, a_lo / c_
+    if np.isfinite(k1) and k1 < 1.0 + k0 and x > 0 and y > 0:
+        s2_first = m_hi - x + (b_ * (k1 - 1.0) - c_) * y < 0.0
+        s2_second = m_hi - y + (c_ * (k1 - 1.0) - b_) * x < 0.0
+        in_s2 = bool(s2_first and s2_second)
+        if in_s2:
+            cooperative = Rectangle(lower=(0.0, 0.0), upper=(x, y))
 
     return RegimeReport(
         k=k,
@@ -332,66 +286,6 @@ def classify_regime(
         competitive_rectangle=competitive,
         cooperative_rectangle=cooperative,
     )
-
-
-def upper_bounds_absorb(
-    coeffs: Coefficients, b: float, c: float, upper_u: float, upper_v: float
-) -> bool:
-    """True when both reaction terms point inward on the top edges of the box.
-
-    Checks g1(x, B1, v) < 0 for all v in [0, B2] and symmetrically for
-    g2; linear dependence on the opposite component means only the
-    endpoints v in {0, B2} matter, with the sign of its coefficient
-    deciding which endpoint is worst.
-    """
-    al, be, m = coeffs.alpha, coeffs.beta, coeffs.m
-    g1_worst = (m - al - upper_u) * upper_u + np.maximum(be - b * upper_u, 0.0) * upper_v
-    g2_worst = (m - be - upper_v) * upper_v + np.maximum(al - c * upper_v, 0.0) * upper_u
-    return bool(np.max(g1_worst) < 0.0 and np.max(g2_worst) < 0.0)
-
-
-def invariant_rectangle(
-    params: ModelParams, grid: Grid, coeffs: Optional[Coefficients] = None
-) -> Rectangle:
-    """Absorbing box for the two-species system.
-
-    In the competitive regime the box from the classification is used
-    directly (upper corner at max m).  Otherwise upper bounds are found
-    by doubling from a crude a-priori estimate and then shrunk by
-    bisection on a common scale, so the returned box is near-minimal on
-    that one-parameter family.
-    """
-    if coeffs is None:
-        coeffs = sample_coefficients(params, grid)
-    lower = (0.0, 0.0)
-    try:
-        regime = classify_regime(params, grid, coeffs)
-        if regime.in_s1 and regime.competitive_rectangle is not None:
-            return regime.competitive_rectangle
-    except HypothesisError:
-        pass
-
-    m_hi = float(np.max(coeffs.m))
-    a_hi = float(np.max(coeffs.alpha))
-    b_hi = float(np.max(coeffs.beta))
-    start = m_hi + (a_hi + b_hi) / min(params.b if params.b > 0 else 1.0,
-                                       params.c if params.c > 0 else 1.0,
-                                       1.0)
-    scale = start
-    for _ in range(60):
-        if upper_bounds_absorb(coeffs, params.b, params.c, scale, scale):
-            break
-        scale *= 2.0
-    else:
-        raise RuntimeError("no absorbing upper bound found on the doubling lattice")
-    lo_scale, hi_scale = 0.0, scale
-    for _ in range(50):
-        mid = 0.5 * (lo_scale + hi_scale)
-        if mid > 0 and upper_bounds_absorb(coeffs, params.b, params.c, mid, mid):
-            hi_scale = mid
-        else:
-            lo_scale = mid
-    return Rectangle(lower=lower, upper=(hi_scale, hi_scale))
 
 
 def hypothesis_h_holds(params: ModelParams, grid: Grid, coeffs: Optional[Coefficients] = None) -> bool:

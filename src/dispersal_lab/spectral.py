@@ -21,6 +21,14 @@ from scipy.linalg import solve_banded
 from .mesh import Grid, assemble_neumann_laplacian, integrate
 from .model import HypothesisError
 
+EIGEN_TOL = 1e-10  # eigenvalue stabilization, and the least residual floor
+EIGEN_MAX_ITER = 200
+ADJOINT_MATCH_TOL = 1e-8  # relative primal/adjoint eigenvalue agreement
+RESIDUAL_TOL = 1e-9  # |curve| at which a bisection accepts a root
+BISECT_MAX_ITER = 200
+MAX_ROOTS = 8  # per log-lattice scan
+D_BRACKET = (1e-3, 1e3)  # diffusion rates scanned for mu*
+
 
 class CooperativityError(ValueError):
     """Off-diagonal coupling is negative or the coupling graph is reducible."""
@@ -229,11 +237,7 @@ class EigenResult:
     iterations: int
 
 
-def principal_eigen(
-    problem: EigenProblem,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> EigenResult:
+def principal_eigen(problem: EigenProblem) -> EigenResult:
     """Rightmost eigenpair via inverse iteration on the shifted resolvent.
 
     The shift stays above the principal eigenvalue (Collatz-Wielandt
@@ -241,13 +245,13 @@ def principal_eigen(
     afterwards), so every iterate is an inverse M-matrix image of a
     positive vector and stays positive.  Stops when the eigenpair
     residual reaches the rounding floor of the operator norm and the
-    eigenvalue estimate has stabilized to tol.
+    eigenvalue estimate has stabilized to EIGEN_TOL.
     """
     A = assemble_banded(problem)
     K, n = problem.n_components, problem.grid.n
     w_big = component_weights(problem.grid, K)
     anorm = A.inf_norm()
-    resid_floor = max(tol, 40.0 * np.finfo(float).eps * anorm)
+    resid_floor = max(EIGEN_TOL, 40.0 * np.finfo(float).eps * anorm)
 
     v = np.ones(A.size)
     y = A.matvec(v)
@@ -262,7 +266,7 @@ def principal_eigen(
     backoff = max(up - lo, 1e-6 * (1.0 + abs(up)))
     failures = 0
     lam_prev = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, EIGEN_MAX_ITER + 1):
         try:
             x = A.solve_shifted(sigma, v)
         except np.linalg.LinAlgError:
@@ -283,13 +287,13 @@ def principal_eigen(
         y = A.matvec(v)
         lam = float((w_big @ (v * y)) / (w_big @ (v * v)))
         residual = float(np.max(np.abs(y - lam * v)))
-        if residual <= resid_floor and abs(lam - lam_prev) <= tol * (1.0 + abs(lam)):
+        if residual <= resid_floor and abs(lam - lam_prev) <= EIGEN_TOL * (1.0 + abs(lam)):
             return _finish(problem, v, lam, residual, it)
         lam_prev = lam
         backoff = max(10.0 * residual, 1e-12 * (1.0 + abs(lam)))
         sigma = lam + max(3.0 * residual, 1e-12 * (1.0 + abs(lam)))
     raise ConvergenceError(
-        f"principal eigenvalue iteration did not converge in {max_iter} steps "
+        f"principal eigenvalue iteration did not converge in {EIGEN_MAX_ITER} steps "
         f"(last residual {residual:.3e}, floor {resid_floor:.3e})"
     )
 
@@ -303,32 +307,26 @@ def _finish(problem: EigenProblem, v: np.ndarray, lam: float, residual: float, i
 
 
 def adjoint_principal_eigen(
-    problem: EigenProblem,
-    primal: Optional[EigenResult] = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    match_tol: float = 1e-8,
+    problem: EigenProblem, primal: Optional[EigenResult] = None
 ) -> EigenResult:
     """Positive eigenpair of the quadrature-adjoint operator.
 
     The adjoint eigenvalue must agree with the primal one; a mismatch
-    beyond match_tol (relative) signals a solver failure.
+    beyond ADJOINT_MATCH_TOL (relative) signals a solver failure.
     """
     if primal is None:
-        primal = principal_eigen(problem, tol=tol, max_iter=max_iter)
-    result = principal_eigen(problem.adjoint(), tol=tol, max_iter=max_iter)
-    if abs(result.lam - primal.lam) > match_tol * (1.0 + abs(primal.lam)):
+        primal = principal_eigen(problem)
+    result = principal_eigen(problem.adjoint())
+    if abs(result.lam - primal.lam) > ADJOINT_MATCH_TOL * (1.0 + abs(primal.lam)):
         raise ConvergenceError(
             f"adjoint eigenvalue {result.lam:.12e} does not match primal {primal.lam:.12e}"
         )
     return result
 
 
-def scalar_eigenvalue(
-    grid: Grid, d: float, potential: np.ndarray, tol: float = 1e-10, max_iter: int = 200
-) -> EigenResult:
+def scalar_eigenvalue(grid: Grid, d: float, potential: np.ndarray) -> EigenResult:
     """Principal eigenpair of d*L + potential(x)."""
-    return principal_eigen(scalar_problem(grid, d, potential), tol=tol, max_iter=max_iter)
+    return principal_eigen(scalar_problem(grid, d, potential))
 
 
 def lambda_of_mu(
@@ -339,11 +337,10 @@ def lambda_of_mu(
     beta: np.ndarray,
     m: np.ndarray,
     mu: float,
-    tol: float = 1e-10,
 ) -> float:
     """Principal eigenvalue of the switching pair with growth scaled by mu."""
     problem = switching_problem(grid, d1, d2, alpha, beta, mu * np.asarray(m, dtype=float))
-    return principal_eigen(problem, tol=tol).lam
+    return principal_eigen(problem).lam
 
 
 def lambda_prime_at_zero(
@@ -412,17 +409,15 @@ def bisect_curve(
     f_lo: float,
     f_hi: float,
     name: str,
-    residual_tol: float = 1e-9,
-    max_iter: int = 200,
 ) -> ThresholdResult:
     if f_lo == 0.0 or f_hi == 0.0 or f_lo * f_hi > 0:
         raise ValueError(f"endpoints do not bracket a sign change: f({lo})={f_lo}, f({hi})={f_hi}")
     a, b, fa = lo, hi, f_lo
     mid, f_mid = 0.5 * (lo + hi), np.inf
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (a + b)
         f_mid = curve(mid)
-        if abs(f_mid) <= residual_tol:
+        if abs(f_mid) <= RESIDUAL_TOL:
             break
         if fa * f_mid < 0:
             b = mid
@@ -430,7 +425,7 @@ def bisect_curve(
             a, fa = mid, f_mid
     else:
         raise ConvergenceError(
-            f"bisection for {name} stalled: |f({mid})| = {abs(f_mid):.3e} > {residual_tol:.1e}"
+            f"bisection for {name} stalled: |f({mid})| = {abs(f_mid):.3e} > {RESIDUAL_TOL:.1e}"
         )
     return ThresholdResult(
         name=name,
@@ -442,8 +437,8 @@ def bisect_curve(
     )
 
 
-def scan_roots(curve: Callable[[float], float], lattice: np.ndarray, name: str,
-               residual_tol: float = 1e-9) -> list[ThresholdResult]:
+def scan_roots(curve: Callable[[float], float], lattice: np.ndarray,
+               name: str) -> list[ThresholdResult]:
     """Every sign change of a curve on a lattice, in lattice order.
 
     The lattice is evaluated in order first (a curve may warm-start from
@@ -458,8 +453,7 @@ def scan_roots(curve: Callable[[float], float], lattice: np.ndarray, name: str,
     for i in range(len(lattice) - 1):
         f_lo, f_hi = values[i], values[i + 1]
         if f_lo * f_hi < 0:
-            roots.append(bisect_curve(curve, lattice[i], lattice[i + 1], f_lo, f_hi, name=name,
-                                      residual_tol=residual_tol))
+            roots.append(bisect_curve(curve, lattice[i], lattice[i + 1], f_lo, f_hi, name=name))
         elif f_hi == 0.0 and i + 2 < len(lattice) and f_lo * values[i + 2] < 0:
             roots.append(ThresholdResult(name, (lattice[i], lattice[i + 2]), lattice[i + 1], 0.0,
                                          int(np.sign(f_lo)), int(np.sign(values[i + 2]))))
@@ -471,31 +465,23 @@ def find_mu_roots(
     bracket: tuple[float, float],
     name: str = "mu_star",
     scan_points: int = 64,
-    residual_tol: float = 1e-9,
-    max_roots: int = 8,
 ) -> list[ThresholdResult]:
     """All sign changes of a curve on a log-spaced lattice, refined by bisection.
 
     An empty list is a valid outcome (no sign change on the bracket).
     Uniqueness is not assumed: every detected crossing is refined and
-    returned, and exceeding max_roots raises.
+    returned, and exceeding MAX_ROOTS raises.
     """
     lo, hi = bracket
     if not 0 < lo < hi or scan_points < 2:
         raise ValueError(f"need 0 < lo < hi and scan_points >= 2, got {bracket}, {scan_points}")
-    roots = scan_roots(curve, np.geomspace(lo, hi, scan_points), name, residual_tol)
-    if len(roots) > max_roots:
-        raise ConvergenceError(f"more than {max_roots} roots found for {name}")
+    roots = scan_roots(curve, np.geomspace(lo, hi, scan_points), name)
+    if len(roots) > MAX_ROOTS:
+        raise ConvergenceError(f"more than {MAX_ROOTS} roots found for {name}")
     return roots
 
 
-def mu_star_scalar(
-    grid: Grid,
-    e: np.ndarray,
-    d_bracket: tuple[float, float] = (1e-3, 1e3),
-    scan_points: int = 64,
-    residual_tol: float = 1e-9,
-) -> ThresholdResult:
+def mu_star_scalar(grid: Grid, e: np.ndarray, scan_points: int = 64) -> ThresholdResult:
     """Critical scaling mu* for a sign-changing potential with negative mean.
 
     Located through the unique diffusion rate d* where the scalar
@@ -508,8 +494,7 @@ def mu_star_scalar(
     if integrate(grid, e) >= 0:
         raise HypothesisError("mu* requires a potential with negative integral")
     curve = lambda d: scalar_eigenvalue(grid, d, e).lam
-    roots = find_mu_roots(curve, d_bracket, name="d_root", scan_points=scan_points,
-                          residual_tol=residual_tol)
+    roots = find_mu_roots(curve, D_BRACKET, name="d_root", scan_points=scan_points)
     if len(roots) != 1:
         raise ConvergenceError(
             f"expected exactly one zero crossing in d for mu*, found {len(roots)}"

@@ -73,10 +73,6 @@ class CheckResult:
     status: str  # PASS | FAIL | SKIP
     detail: str
 
-    @property
-    def passed(self) -> bool:
-        return self.status != "FAIL"
-
 
 def _check(group: str, name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(group=group, name=name, status="PASS" if ok else "FAIL", detail=detail)
@@ -611,7 +607,7 @@ def check_invasion_brackets(ctx: VerifyContext) -> list[CheckResult]:
             f"lambda({params.d1})={lam_lo:.5f}, lambda({d_avg})={lam_hi:.5f}",
         )
     )
-    dc = an.find_threshold("d_c", params, g)
+    dc = an.threshold_curve("d_c", params, g, steady=pair.state.components).roots[0]
     out.append(
         _check(
             group,
@@ -722,9 +718,10 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
     if float(np.max(coeffs.m)) > min(np.min(coeffs.alpha), np.min(coeffs.beta)):
         return [_skip(group, "all", "needs max m <= alpha and max m <= beta")]
     out = []
-    w_star = ctx.w_steady(ctx.n_eigen, params.d3).state.components[0]
+    w_steady = ctx.w_steady(ctx.n_eigen, params.d3).state.components
+    w_star = w_steady[0]
 
-    beta = an.threshold_curve("beta_c", params, g)
+    beta = an.threshold_curve("beta_c", params, g, steady=w_steady)
     hi_beta = beta.bracket[1]
     lattice_roots = find_mu_roots(beta.curve, beta.bracket, name="beta_c", scan_points=64)
     out.append(
@@ -768,7 +765,7 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
                f"slope {slope_at_root:.6f}")
     )
 
-    alpha = an.threshold_curve("alpha_c", params, g)
+    alpha = an.threshold_curve("alpha_c", params, g, steady=w_steady)
     lo_alpha = alpha.bracket[0]
     alpha_c = alpha.roots[0]
     out.append(

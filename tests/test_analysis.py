@@ -19,14 +19,19 @@ from dispersal_lab.analysis import (
     find_threshold,
     lambda2_eigenpair,
     lambda2_sensitivity,
-    linearized_stability,
     logistic_steady,
+    pair_linearization_dense,
     subsystem_steady,
     sweep_outcomes,
     weighted_average_diffusion,
 )
 from dispersal_lab.cli import EXIT_OK, parse_config, run_scenario
-from dispersal_lab.spectral import principal_eigen, switching_problem
+from dispersal_lab.spectral import (
+    dense_rightmost,
+    principal_eigen,
+    scalar_eigenvalue,
+    switching_problem,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,19 +61,21 @@ def w_star(params, grid):
     return logistic_steady(params, grid)
 
 
+# The invading principal eigenvalue decides the stability of an equilibrium;
+# |lambda| > 1e-8 keeps each sign clear of rounding.
+
+
 def test_pair_state_unstable_at_slow_rate(params, grid, pair):
-    local = replace(params, d3=params.d1)
-    report = linearized_stability(None, local, grid, pair, "uv_zero")
-    assert report.classification == "linearly_unstable"
-    assert report.principal_eigenvalue > 1e-9
+    # w invades (u*, v*, 0) at d3 = d1: scalar eigenvalue with potential m - u* - v*.
+    u, v = pair.state.components
+    coeffs = sample_coefficients(params, grid)
+    assert scalar_eigenvalue(grid, params.d1, coeffs.m - u - v).lam > 1e-8
 
 
 def test_single_state_stable_at_slow_rate(params, grid):
     local = replace(params, d3=params.d1)
-    w_slow = logistic_steady(local, grid)
-    report = linearized_stability(None, local, grid, w_slow, "w_only")
-    assert report.classification == "linearly_stable"
-    assert report.principal_eigenvalue < -1e-9
+    w_slow = logistic_steady(local, grid).state.components[0]
+    assert lambda2_eigenpair(local, grid, w_slow).lam < -1e-8
 
 
 def test_positive_pair_stable_in_competitive_regime(grid):
@@ -87,13 +94,17 @@ def test_positive_pair_stable_in_competitive_regime(grid):
         SolverOptions(dt=0.02, sample_every=10.0, store_fields=False),
     )
     assert steady.converged
-    report = linearized_stability(None, competitive, grid, steady, "positive_pair")
-    assert report.classification == "linearly_stable"
+    u, v = steady.state.components
+    assert np.min(u) > 0 and np.min(v) > 0
+    coeffs = sample_coefficients(competitive, grid)
+    lam, _ = dense_rightmost(pair_linearization_dense(competitive, grid, coeffs, u, v))
+    assert lam.real < -1e-8
 
 
 def test_trivial_state_classification(params, grid):
-    report = linearized_stability(None, params, grid, None, "trivial")
-    assert report.classification == "linearly_unstable"
+    coeffs = sample_coefficients(params, grid)
+    problem = switching_problem(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta, coeffs.m)
+    assert principal_eigen(problem).lam > 1e-8
 
 
 def test_d_c_inside_proved_bracket(params, grid):

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from dispersal_lab.cli import (
     EXIT_CHECK_FAILED,
@@ -18,7 +20,8 @@ from dispersal_lab.cli import (
 from dispersal_lab.mesh import build_grid
 from dispersal_lab.spectral import scalar_eigenvalue
 from dispersal_lab.model import CoefficientSpec, ModelParams, sample_coefficients
-from dispersal_lab.analysis import subsystem_steady
+from dispersal_lab.analysis import THRESHOLDS, subsystem_steady
+from dispersal_lab.verify import GROUPS
 
 
 def base_config(tmp_path: Path, **overrides) -> dict:
@@ -296,3 +299,125 @@ def test_mu_star_needs_negative_mean_growth(tmp_path):
     config = parse_config(data)
     artifacts = run_scenario(config)
     assert artifacts.exit_status == EXIT_HYPOTHESIS
+
+
+@pytest.mark.parametrize("overrides", [
+    {"initial": {"kind": "constant"}},  # no values: a KeyError out of run_scenario
+    {"solver": {"sample_every": 0}},  # the sampling loop would never advance
+], ids=["constant_initial_without_values", "sample_every_zero"])
+def test_malformed_config_is_a_validation_error(tmp_path, overrides):
+    data = base_config(tmp_path, task={"name": "steady"}, **overrides)
+    with pytest.raises(ConfigError):
+        parse_config(data)
+    assert main(["steady", "--config", str(write_config(tmp_path, data))]) == EXIT_VALIDATION
+
+
+# Property tests: few examples each, since every one parses a config or runs main.
+PROPERTY = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+finite = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    a = draw(finite(-2.0, 1.0))
+    d1 = draw(finite(0.01, 1.0))
+    task = draw(st.sampled_from(["eigen", "steady", "threshold", "sweep", "verify"]))
+    task_spec = {"name": task}
+    if task == "threshold":
+        task_spec["threshold_name"] = draw(st.sampled_from(list(THRESHOLDS)))
+    elif task == "sweep":
+        task_spec["parameter"] = draw(st.sampled_from(["d3", "beta", "alpha"]))
+        task_spec["values"] = draw(st.lists(finite(0.01, 5.0), min_size=1, max_size=4))
+    elif task == "verify":
+        task_spec["groups"] = draw(st.lists(st.sampled_from(GROUPS), max_size=3, unique=True))
+    return {
+        "grid": {"a": a, "b": a + draw(finite(0.1, 3.0)), "n": draw(st.integers(3, 2001))},
+        "params": {
+            "d1": d1, "d2": d1 * draw(finite(1.0, 20.0)), "d3": draw(finite(0.01, 5.0)),
+            "b": draw(finite(0.0, 3.0)), "c": draw(finite(0.0, 3.0)),
+            "alpha": {"kind": "constant", "value": draw(finite(0.1, 3.0))},
+            "beta": {"kind": "constant", "value": draw(finite(0.1, 3.0))},
+            "m": {"kind": "cosine_profile", "mean": draw(finite(-1.0, 1.0)),
+                  "amplitude": draw(finite(0.0, 1.0)), "frequency": draw(st.integers(1, 4))},
+        },
+        "system": draw(st.sampled_from(["submodel", "two_species_general", "logistic",
+                                        "three_component"])),
+        "task": task_spec,
+        "solver": draw(st.fixed_dictionaries({}, optional={
+            "dt": finite(1e-4, 1.0), "tol": finite(1e-12, 1e-3), "t_max": finite(1.0, 1e4),
+            "sample_every": finite(0.1, 10.0), "store_fields": st.booleans(),
+            "scan_points": st.integers(2, 200),
+        })),
+        "seed": draw(st.integers(0, 2**31)),
+        "output": "out",
+    }
+
+
+@PROPERTY
+@given(data=valid_configs())
+def test_valid_configs_round_trip(data):
+    config = parse_config(data, base_dir=Path("base"))
+    solver, params, task = data["solver"], data["params"], data["task"]
+    assert (config.grid.a, config.grid.b, config.grid.n) == tuple(data["grid"].values())
+    assert (config.params.d1, config.params.d2, config.params.d3, config.params.b,
+            config.params.c) == tuple(params[k] for k in ("d1", "d2", "d3", "b", "c"))
+    assert config.params.alpha.value == params["alpha"]["value"]
+    assert config.params.m.mean == params["m"]["mean"]
+    assert config.system.value == data["system"]
+    assert config.task == task["name"]
+    assert config.output_dir == Path("base") / "out"
+    assert config.seed == data["seed"]
+    assert config.scan_points == solver.get("scan_points", 64)
+    assert config.solver.dt == solver.get("dt", 0.01)
+    assert config.solver.tol == solver.get("tol", 1e-9)
+    assert config.solver.t_max == solver.get("t_max", 2000.0)
+    assert config.solver.sample_every == solver.get("sample_every", 1.0)
+    assert config.solver.store_fields == solver.get("store_fields", True)
+    assert config.threshold_name == task.get("threshold_name")
+    assert config.sweep_parameter == task.get("parameter")
+    assert config.sweep_values == task.get("values")
+    assert config.verify_groups == task.get("groups")
+
+
+def converts(convert, value):
+    try:
+        convert(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+# Mostly values that float() and int() cannot convert: text, lists, objects, null.
+junk = st.one_of(st.text(max_size=6), st.lists(st.integers(), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(), max_size=2), st.none())
+
+
+@PROPERTY
+@given(field=st.sampled_from(["dt", "tol", "t_max", "sample_every", "scan_points", "seed",
+                              "sweep_value"]),
+       value=junk)
+@example(field="dt", value="abc")
+@example(field="seed", value="x")
+@example(field="scan_points", value="x")
+@example(field="sweep_value", value="a")
+def test_malformed_number_exits_with_validation_code(tmp_path, field, value):
+    assume(not converts(int if field in ("seed", "scan_points") else float, value))
+    data = base_config(tmp_path)
+    if field == "seed":
+        data["seed"] = value
+    elif field == "sweep_value":
+        data["task"] = {"name": "sweep", "parameter": "d3", "values": [0.1, value]}
+    else:
+        data["solver"] = {field: value}
+    path = write_config(tmp_path, data)
+    assert main([data["task"]["name"], "--config", str(path)]) == EXIT_VALIDATION
+
+
+@PROPERTY
+@given(value=st.one_of(junk, st.integers(), finite(-1e3, 1e3)))
+@example(value=5)
+def test_solver_section_that_is_not_an_object_exits_with_validation_code(tmp_path, value):
+    assume(not isinstance(value, dict))
+    path = write_config(tmp_path, base_config(tmp_path, solver=value))
+    assert main(["eigen", "--config", str(path)]) == EXIT_VALIDATION

