@@ -2,12 +2,12 @@
 
 For the three-component competition the two semi-trivial states are
 (u*, v*, 0) — the switching pair alone — and (0, 0, w*) — the single
-diffuser alone.  Invasion of w into the pair is governed by the scalar
-eigenvalue at diffusion d3 with potential m - u* - v*; invasion of the
-pair into w is governed by the coupled eigenvalue lambda2 with growth
-m - w*.  The threshold finders bisect these curves inside their proved
-sign brackets; sweeps cross-check eigenvalue signs against simulated
-outcomes.
+diffuser alone, both found by dynamics.newton_steady.  Invasion of w
+into the pair is governed by the scalar eigenvalue at diffusion d3 with
+potential m - u* - v*; invasion of the pair into w is governed by the
+coupled eigenvalue lambda2 with growth m - w*.  The threshold finders
+bisect these curves inside their proved sign brackets; sweeps
+cross-check eigenvalue signs against simulated outcomes.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ from .model import (
 from .dynamics import (
     SolverOptions,
     State,
+    NEWTON_ROUNDING,
     SteadyResult,
     StepOvershootError,
     constant_state,
     integrate_to_steady,
+    newton_steady,
 )
 from .spectral import (
     ConvergenceError,
@@ -50,13 +52,10 @@ from .spectral import (
     switching_problem,
 )
 
-# Lattice of the d_0 scan.  It warm-starts w* from point to point, so the
-# curve is path-dependent at about 1e-9; with 16 points the bisection
-# stalls on configs/threshold_dc.json at n = 401.
+# Lattice of the d_0 scan.  It warm-starts w* from point to point, so the curve
+# is path-dependent: at 5e-12 on configs/threshold_dc.json (n = 401 and 801),
+# against 4e-9 when w* was time-stepped and 16 points stalled the bisection.
 D0_SCAN_POINTS = 17
-
-# Time stepping of the pair and logistic steady states.
-STEADY_OPTS = SolverOptions(dt=0.05, sample_every=10.0, store_fields=False)
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,21 @@ def weighted_average_diffusion(params: ModelParams, alpha: float, beta: float) -
     return (beta * params.d1 + alpha * params.d2) / (alpha + beta)
 
 
+def _positive_steady(result: SteadyResult, system: str) -> SteadyResult:
+    """The result if it is a strictly positive steady state, else HypothesisError.
+
+    Where no positive state exists, Newton from a positive start converges
+    to zero, to within NEWTON_ROUNDING.
+    """
+    comps = result.state.components
+    if not result.converged:
+        raise HypothesisError(f"{system} did not reach a steady state")
+    if float(np.min(comps)) <= 0 or float(np.max(comps)) <= NEWTON_ROUNDING:
+        raise HypothesisError(f"{system} settled on a non-positive state; "
+                              "the growth rate may not sustain a positive one")
+    return result
+
+
 def logistic_steady(
     params: ModelParams,
     grid: Grid,
@@ -101,12 +115,8 @@ def logistic_steady(
     else:
         level = 0.5 * float(np.max(coeffs.m))
         init = constant_state(SystemKind.LOGISTIC, grid, [max(level, 1e-3)])
-    result = integrate_to_steady(SystemKind.LOGISTIC, params, grid, init, STEADY_OPTS, coeffs)
-    if not result.converged:
-        raise HypothesisError(
-            "logistic equation did not settle; growth rate may not sustain a positive state"
-        )
-    return result
+    return _positive_steady(newton_steady(SystemKind.LOGISTIC, params, grid, init, coeffs),
+                            "logistic equation")
 
 
 def subsystem_steady(
@@ -115,15 +125,10 @@ def subsystem_steady(
     """Positive steady state (u*, v*) of the switching pair with shared density."""
     if coeffs is None:
         coeffs = sample_coefficients(params, grid)
-    beta_hi = float(np.max(coeffs.beta))
-    alpha_hi = float(np.max(coeffs.alpha))
-    init = constant_state(SystemKind.SUBMODEL, grid, [0.25 * beta_hi, 0.25 * alpha_hi])
-    result = integrate_to_steady(SystemKind.SUBMODEL, params, grid, init, STEADY_OPTS, coeffs)
-    if not result.converged:
-        raise HypothesisError("switching pair did not reach a steady state")
-    if float(np.min(result.state.components)) <= 0:
-        raise HypothesisError("switching pair settled on a non-positive state")
-    return result
+    init = constant_state(SystemKind.SUBMODEL, grid,
+                          [0.25 * np.max(coeffs.beta), 0.25 * np.max(coeffs.alpha)])
+    return _positive_steady(newton_steady(SystemKind.SUBMODEL, params, grid, init, coeffs),
+                            "switching pair")
 
 
 def pair_linearization_dense(

@@ -187,6 +187,13 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         raise ConfigError("initial data kind must be constant, random, or eigenfunction")
     if initial is not None and initial["kind"] == "constant" and "values" not in initial:
         raise ConfigError("constant initial data needs per-component values")
+    numeric = {"random": {"low": float, "high": float, "seed": int},
+               "eigenfunction": {"scale": float}}.get(initial["kind"] if initial else "", {})
+    try:
+        for key, convert in numeric.items():
+            convert(initial.get(key, 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"initial data fields {list(numeric)} must be numbers: {exc}") from exc
 
     out_dir = Path(data.get("output", "out"))
     if not out_dir.is_absolute():

@@ -1,6 +1,6 @@
-"""Time integration of the population systems to steady state.
+"""Steady states of the population systems, by time integration or by Newton.
 
-First-order IMEX scheme: diffusion is backward Euler (one banded
+``integrate_to_steady`` steps any system with a first-order IMEX scheme: diffusion is backward Euler (one banded
 Cholesky factorization per component, reused every step), the reaction
 is explicit.  Fixed points of the scheme satisfy the discrete
 steady-state equation exactly, so the stopping criterion is the
@@ -15,6 +15,9 @@ second validation pass.  The floating-point operations and their order
 are those of the public ``State`` and ``cho_solve_banded`` path, so
 results are bit-identical to it.  ``integrate_to_steady`` assembles the
 Laplacian once per run for its residual checks.
+
+``newton_steady`` finds the logistic and the switching-pair steady states
+by pseudo-transient Newton on the banded layout of the eigensolver.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
+from scipy.linalg import cholesky_banded, get_lapack_funcs, solve_banded
 
 from .mesh import Grid, NeumannLaplacian, assemble_neumann_laplacian
 from .model import (
@@ -34,12 +37,16 @@ from .model import (
     reaction_rhs,
     sample_coefficients,
 )
-from .spectral import EigenResult
+from .spectral import EigenResult, assemble_banded
 
 NEGATIVITY_TOLERANCE = 1e-13
 CHECK_EVERY = 10  # steps between residual checks
 MAX_DT_HALVINGS = 4
 TRANSIENT_FRACTION = 0.5  # share of a run that persistence_floor skips
+STEADY_TOL = 1e-9  # rhs_residual at which newton_steady calls a state steady
+NEWTON_MAX_ITER = 100
+TAU_NEWTON = 1e8  # pseudo-time step from which a rounding-level step ends newton_steady
+NEWTON_ROUNDING = 1e-12  # a step no larger than this times max(1, |x|) is at rounding level
 
 
 class StepOvershootError(RuntimeError):
@@ -108,7 +115,7 @@ class SteadyResult:
     state: State
     residual: float
     converged: bool
-    steps: int
+    steps: int  # IMEX steps, or Newton iterations for newton_steady
     trajectory: TrajectoryLog
 
 
@@ -203,20 +210,17 @@ class ImexStepper:
         return State._trusted(state.t + self.dt, new)
 
 
-def rhs_residual(
-    kind: SystemKind,
-    params: ModelParams,
-    grid: Grid,
-    coeffs: Coefficients,
-    comps: np.ndarray,
-    lap: NeumannLaplacian,
-) -> float:
-    """Sup-norm of diffusion plus reaction at the given fields, lap the grid's Laplacian."""
+def _steady_rhs(kind, params, coeffs, comps, lap) -> np.ndarray:
     g = reaction_rhs(kind, params, coeffs, comps)
-    worst = 0.0
     for i, d in enumerate(kind_diffusions(kind, params)):
-        worst = max(worst, float(np.max(np.abs(d * lap.apply(comps[i]) + g[i]))))
-    return worst
+        g[i] += d * lap.apply(comps[i])
+    return g
+
+
+def rhs_residual(kind: SystemKind, params: ModelParams, grid: Grid, coeffs: Coefficients,
+                 comps: np.ndarray, lap: NeumannLaplacian) -> float:
+    """Sup-norm of diffusion plus reaction at the given fields, lap the grid's Laplacian."""
+    return float(np.max(np.abs(_steady_rhs(kind, params, coeffs, comps, lap))))
 
 
 def integrate_to_steady(
@@ -271,22 +275,76 @@ def integrate_to_steady(
     converged = residual <= opts.tol
     log.record(state)
 
-    if (
-        converged
-        and kind is SystemKind.SUBMODEL
-        and hypothesis_h_holds(params, grid, coeffs)
-    ):
-        u, v = state.components
-        beta_hi = float(np.max(coeffs.beta))
-        alpha_hi = float(np.max(coeffs.alpha))
-        slack = 1e-8 * max(1.0, beta_hi, alpha_hi)
-        if np.max(u) > beta_hi + slack or np.max(v) > alpha_hi + slack:
-            raise RuntimeError(
-                "steady state escaped the contracting box [0, max beta] x [0, max alpha]"
-            )
+    if converged:
+        _check_contracting_box(kind, params, grid, coeffs, state.components)
     return SteadyResult(
         state=state, residual=residual, converged=converged, steps=steps, trajectory=log
     )
+
+
+def _check_contracting_box(kind: SystemKind, params: ModelParams, grid: Grid,
+                           coeffs: Coefficients, comps: np.ndarray) -> None:
+    """Under hypothesis H a pair steady state lies in [0, max beta] x [0, max alpha]."""
+    if kind is SystemKind.SUBMODEL and hypothesis_h_holds(params, grid, coeffs):
+        beta_hi, alpha_hi = float(np.max(coeffs.beta)), float(np.max(coeffs.alpha))
+        slack = 1e-8 * max(1.0, beta_hi, alpha_hi)
+        if np.max(comps[0]) > beta_hi + slack or np.max(comps[1]) > alpha_hi + slack:
+            raise RuntimeError(
+                "steady state escaped the contracting box [0, max beta] x [0, max alpha]"
+            )
+
+
+def _jacobian_coupling(kind: SystemKind, coeffs: Coefficients, comps: np.ndarray) -> np.ndarray:
+    """Reaction part of the steady-state Jacobian as a (K, K, n) coupling field."""
+    if kind is SystemKind.LOGISTIC:
+        return (coeffs.m - 2.0 * comps)[None]
+    (u, v), al, be = comps, coeffs.alpha, coeffs.beta
+    s = coeffs.m - u - v
+    return np.array([[s - al - u, be - u], [al - v, s - be - v]])
+
+
+def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: State,
+                  coeffs: Optional[Coefficients] = None) -> SteadyResult:
+    """Steady state of the logistic equation or the switching pair by pseudo-transient Newton.
+
+    Each iteration solves (I/tau - J) dx = F, F the right-hand side and J
+    its Jacobian, on the layout of spectral.assemble_banded.  tau starts
+    at 1, so early iterates follow the flow, and grows by the ratio of
+    successive residuals (switched evolution relaxation).  The run stops
+    once tau >= TAU_NEWTON and the step is at rounding level; it has
+    converged if the residual is then at most STEADY_TOL and the state
+    is nonnegative.
+    """
+    if kind not in (SystemKind.LOGISTIC, SystemKind.SUBMODEL):
+        raise ValueError(f"newton_steady solves the logistic and pair systems, not {kind}")
+    if coeffs is None:
+        coeffs = sample_coefficients(params, grid)
+    K, n = kind.n_components, grid.n
+    lap = assemble_neumann_laplacian(grid)
+    x = initial.components.copy()
+    f = _steady_rhs(kind, params, coeffs, x, lap)
+    f_norm, tau, stopped = float(np.max(np.abs(f))), 1.0, False
+    for steps in range(1, NEWTON_MAX_ITER + 1):
+        jac = assemble_banded(grid, kind_diffusions(kind, params), _jacobian_coupling(kind, coeffs, x))
+        dx = solve_banded((K, K), jac.shifted_bands(1.0 / tau), f.T.ravel(), overwrite_ab=True,
+                          check_finite=False).reshape(n, K).T
+        x += dx
+        f = _steady_rhs(kind, params, coeffs, x, lap)
+        new_norm = float(np.max(np.abs(f)))
+        step_limit = NEWTON_ROUNDING * max(1.0, float(np.max(np.abs(x))))
+        if tau >= TAU_NEWTON and float(np.max(np.abs(dx))) <= step_limit:
+            stopped = True
+            break
+        tau = min(1e14, tau * max(2.0, f_norm / max(new_norm, 1e-300)))
+        f_norm = new_norm
+    state = State._trusted(initial.t, np.maximum(x, 0.0))
+    residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
+    converged = stopped and residual <= STEADY_TOL and float(np.min(x)) >= -NEGATIVITY_TOLERANCE
+    if converged:
+        _check_contracting_box(kind, params, grid, coeffs, state.components)
+    log = TrajectoryLog(grid=grid)
+    log.record(state)
+    return SteadyResult(state, residual, converged, steps, log)
 
 
 def monitor_lyapunov(trajectory: TrajectoryLog, adjoint: EigenResult) -> np.ndarray:

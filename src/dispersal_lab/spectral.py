@@ -1,12 +1,12 @@
 """Principal eigenvalues of cooperative elliptic operators on the grid.
 
 The discrete operators are blocks d_i * L + multiplication couplings,
-assembled in a node-interleaved banded layout.  Off-diagonal couplings
-are required to be nonnegative (cooperativity): then a shifted resolvent
-(sigma*I - A)^{-1} with sigma above the principal eigenvalue is an
-inverse M-matrix, hence entrywise positive, and power iteration on it
-converges to the unique eigenpair with a componentwise positive
-eigenfunction.  Shifts are updated from Collatz-Wielandt / residual
+assembled in a node-interleaved banded layout that dynamics also uses for
+its Newton steps.  An EigenProblem requires nonnegative off-diagonal
+couplings (cooperativity): then a shifted resolvent (sigma*I - A)^{-1}
+with sigma above the principal eigenvalue is an inverse M-matrix, hence
+entrywise positive, and power iteration on it converges to the unique
+positive eigenpair.  Shifts are updated from Collatz-Wielandt / residual
 information, so convergence is superlinear in practice.
 """
 
@@ -132,89 +132,68 @@ def family_problem(
 
 
 class BandedOperator:
-    """Square matrix stored as a few diagonals, offsets -k..k."""
+    """Square matrix in LAPACK band storage: ab[u + i - j, j] = A[i, j], u the half-bandwidth."""
 
-    def __init__(self, size: int, halfband: int):
-        self.size = size
-        self.halfband = halfband
-        self.bands: dict[int, np.ndarray] = {}
+    def __init__(self, ab: np.ndarray):
+        self.ab = ab
+        self.halfband, self.size = (ab.shape[0] - 1) // 2, ab.shape[1]
 
-    def set_band(self, offset: int, values: np.ndarray) -> None:
-        if len(values) != self.size - abs(offset):
-            raise ValueError("band length mismatch")
-        self.bands[offset] = np.asarray(values, dtype=float)
+    def _bands(self):
+        """(offset, diagonal) pairs: the main diagonal, then offsets +-u down to +-1."""
+        u, size = self.halfband, self.size
+        yield 0, self.ab[u]
+        for k in range(u, 0, -1):
+            yield k, self.ab[u - k, k:]
+            yield -k, self.ab[u + k, : size - k]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = np.zeros_like(x)
-        for k, band in self.bands.items():
+        for k, band in self._bands():
             if k >= 0:
                 y[: self.size - k] += band * x[k:]
             else:
-                p = -k
-                y[p:] += band * x[: self.size - p]
+                y[-k:] += band * x[: self.size + k]
         return y
 
     def inf_norm(self) -> float:
-        acc = np.zeros(self.size)
-        for k, band in self.bands.items():
-            if k >= 0:
-                acc[: self.size - k] += np.abs(band)
-            else:
-                acc[-k:] += np.abs(band)
-        return float(np.max(acc))
+        return float(np.max(BandedOperator(np.abs(self.ab)).matvec(np.ones(self.size))))
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.size, self.size))
-        for k, band in self.bands.items():
-            if k >= 0:
-                dense[np.arange(self.size - k), np.arange(k, self.size)] = band
-            else:
-                p = -k
-                dense[np.arange(p, self.size), np.arange(self.size - p)] = band
-        return dense
+        return np.column_stack([self.matvec(e) for e in np.eye(self.size)])
+
+    def shifted_bands(self, sigma: float) -> np.ndarray:
+        """Band storage of sigma*I - A, as scipy.linalg.solve_banded takes it."""
+        ab = -self.ab
+        ab[self.halfband] += sigma
+        return ab
 
     def solve_shifted(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (sigma*I - A) x = rhs with a banded LAPACK call."""
         u = self.halfband
-        ab = np.zeros((2 * u + 1, self.size))
-        for k, band in self.bands.items():
-            if k >= 0:
-                ab[u - k, k:] = -band
-            else:
-                p = -k
-                ab[u + p, : self.size - p] = -band
-        ab[u, :] += sigma
-        return solve_banded((u, u), ab, rhs)
+        return solve_banded((u, u), self.shifted_bands(sigma), rhs)
 
 
-def assemble_banded(problem: EigenProblem) -> BandedOperator:
-    """Node-interleaved banded form: unknown index = K*node + component."""
-    K, n = problem.n_components, problem.grid.n
-    lap = assemble_neumann_laplacian(problem.grid)
-    op = BandedOperator(K * n, K)
+def assemble_banded(grid: Grid, diffusions: tuple[float, ...], coupling: np.ndarray) -> BandedOperator:
+    """Node-interleaved band form of diag(d_i L) + coupling: unknown index = K*node + component.
 
-    diag = np.zeros(K * n)
-    upper = np.zeros(K * (n - 1))
-    lower = np.zeros(K * (n - 1))
-    for c, d in enumerate(problem.diffusions):
-        diag.reshape(n, K)[:, c] = d * lap.diag + problem.coupling[c, c]
-        upper.reshape(n - 1, K)[:, c] = d * lap.upper
-        lower.reshape(n - 1, K)[:, c] = d * lap.lower
-    op.set_band(0, diag)
-    op.set_band(K, upper)
-    op.set_band(-K, lower)
+    coupling has shape (K, K, n), K = 1 or 2, and may have any signs: the
+    cooperativity check belongs to EigenProblem, not to the layout.
+    """
+    K, n = len(diffusions), grid.n
+    lap = assemble_neumann_laplacian(grid)
+    ab = np.zeros((2 * K + 1, K * n))
+    for c, d in enumerate(diffusions):
+        ab[K, c::K] = d * lap.diag + coupling[c, c]
+        ab[0, K + c::K] = d * lap.upper
+        ab[2 * K, c : K * (n - 1) : K] = d * lap.lower
     if K == 2:
-        up1 = np.zeros(2 * n - 1)
-        lo1 = np.zeros(2 * n - 1)
-        up1[0::2] = problem.coupling[0, 1]
-        lo1[0::2] = problem.coupling[1, 0]
-        op.set_band(1, up1)
-        op.set_band(-1, lo1)
-    return op
+        ab[1, 1::2] = coupling[0, 1]
+        ab[3, 0::2] = coupling[1, 0]
+    return BandedOperator(ab)
 
 
 def assemble_dense(problem: EigenProblem) -> np.ndarray:
-    return assemble_banded(problem).to_dense()
+    return assemble_banded(problem.grid, problem.diffusions, problem.coupling).to_dense()
 
 
 def component_weights(grid: Grid, n_components: int) -> np.ndarray:
@@ -247,7 +226,7 @@ def principal_eigen(problem: EigenProblem) -> EigenResult:
     residual reaches the rounding floor of the operator norm and the
     eigenvalue estimate has stabilized to EIGEN_TOL.
     """
-    A = assemble_banded(problem)
+    A = assemble_banded(problem.grid, problem.diffusions, problem.coupling)
     K, n = problem.n_components, problem.grid.n
     w_big = component_weights(problem.grid, K)
     anorm = A.inf_norm()

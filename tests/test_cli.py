@@ -393,21 +393,35 @@ junk = st.one_of(st.text(max_size=6), st.lists(st.integers(), max_size=2),
                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2), st.none())
 
 
+INITIAL_FIELDS = {"random_low": ("random", "low"), "random_high": ("random", "high"),
+                  "random_seed": ("random", "seed"), "eigenfunction_scale": ("eigenfunction", "scale")}
+
+
 @PROPERTY
 @given(field=st.sampled_from(["dt", "tol", "t_max", "sample_every", "scan_points", "seed",
-                              "sweep_value"]),
+                              "sweep_value", *INITIAL_FIELDS]),
        value=junk)
 @example(field="dt", value="abc")
 @example(field="seed", value="x")
 @example(field="scan_points", value="x")
 @example(field="sweep_value", value="a")
+@example(field="random_seed", value=None)
+@example(field="random_low", value=[1])
+@example(field="random_high", value="x")
+@example(field="eigenfunction_scale", value={})
 def test_malformed_number_exits_with_validation_code(tmp_path, field, value):
-    assume(not converts(int if field in ("seed", "scan_points") else float, value))
+    integral = field in ("seed", "scan_points", "random_seed")
+    assume(not converts(int if integral else float, value))
     data = base_config(tmp_path)
     if field == "seed":
         data["seed"] = value
     elif field == "sweep_value":
         data["task"] = {"name": "sweep", "parameter": "d3", "values": [0.1, value]}
+    elif field in INITIAL_FIELDS:
+        kind, key = INITIAL_FIELDS[field]
+        data["task"] = {"name": "simulate"}
+        data["solver"] = {"t_max": 0.05}
+        data["initial"] = {"kind": kind, key: value}
     else:
         data["solver"] = {field: value}
     path = write_config(tmp_path, data)

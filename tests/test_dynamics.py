@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from dispersal_lab.mesh import assemble_neumann_laplacian, build_grid
 from dispersal_lab.model import (
     CoefficientSpec,
+    HypothesisError,
     ModelParams,
     SystemKind,
+    hypothesis_h_holds,
     sample_coefficients,
 )
 from dispersal_lab.dynamics import (
@@ -19,6 +23,7 @@ from dispersal_lab.dynamics import (
     integrate_to_steady,
     kind_diffusions,
     monitor_lyapunov,
+    newton_steady,
     persistence_floor,
     random_state,
     rhs_residual,
@@ -109,6 +114,51 @@ def test_pair_steady_under_growth_hypothesis(grid):
     u, v = result.state.components
     assert np.min(u) > 0 and np.min(v) > 0
     assert np.max(u) < 1.0 and np.max(v) < 1.0
+
+
+def test_steady_helpers_reject_extinction(grid):
+    # sign-changing growth with negative mean: zero is the stable state of both systems
+    params = scenario_params(m=CoefficientSpec.cosine(-0.1, 0.3, 1))
+    with pytest.raises(HypothesisError, match="non-positive"):
+        logistic_steady(params, grid)
+    with pytest.raises(HypothesisError, match="non-positive"):
+        subsystem_steady(params, grid)
+
+
+# The time stepping the steady helpers used before Newton, kept as a reference.
+IMEX_STEADY = SolverOptions(dt=0.05, sample_every=10.0, store_fields=False)
+# IMEX stops at a residual of 1e-9, within 1e-9/gamma of the root, gamma the
+# decay rate of the linearization there; with mean growth >= 0.1, gamma stayed
+# above 0.08 on 40 random habitats of this kind, so 1e-7 leaves a margin of 8.
+IMEX_AGREEMENT = 1e-7
+
+
+@settings(max_examples=6, deadline=None)
+@given(mean=st.floats(0.1, 0.6), amplitude=st.floats(0.05, 0.6), frequency=st.integers(1, 3),
+       alpha=st.floats(0.3, 2.0), beta=st.floats(0.3, 2.0), d1=st.floats(0.02, 0.3),
+       ratio=st.floats(1.0, 20.0), d3=st.floats(0.02, 2.0))
+def test_newton_steady_matches_imex_reference(mean, amplitude, frequency, alpha, beta, d1,
+                                             ratio, d3):
+    grid = build_grid(0, 1, 41)
+    params = ModelParams(d1=d1, d2=d1 * ratio, d3=d3, alpha=CoefficientSpec.constant(alpha),
+                         beta=CoefficientSpec.constant(beta),
+                         m=CoefficientSpec.cosine(mean, amplitude, frequency))
+    coeffs = sample_coefficients(params, grid)
+    assume(hypothesis_h_holds(params, grid, coeffs))
+    lap = assemble_neumann_laplacian(grid)
+    for kind, start, box in (
+        (SystemKind.LOGISTIC, [0.5 * np.max(coeffs.m)], [np.max(coeffs.m)]),
+        (SystemKind.SUBMODEL, [0.25 * beta, 0.25 * alpha], [beta, alpha]),
+    ):
+        initial = constant_state(kind, grid, start)
+        newton = newton_steady(kind, params, grid, initial, coeffs)
+        imex = integrate_to_steady(kind, params, grid, initial, IMEX_STEADY, coeffs)
+        assert newton.converged and imex.converged
+        comps = newton.state.components
+        assert np.max(np.abs(comps - imex.state.components)) <= IMEX_AGREEMENT
+        assert np.min(comps) > 0
+        assert np.all(comps.max(axis=1) <= np.array(box) + 1e-12)
+        assert rhs_residual(kind, params, grid, coeffs, comps, lap) <= 1e-10
 
 
 def test_pair_steady_resolution_robustness(grid):
