@@ -34,7 +34,6 @@ from .spectral import (
     EigenResult,
     ThresholdResult,
     adjoint_principal_eigen,
-    family_problem,
     find_mu_roots,
     lambda_of_mu,
     lambda_prime_at_zero,

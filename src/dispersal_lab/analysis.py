@@ -57,6 +57,9 @@ from .spectral import (
 # against 4e-9 when w* was time-stepped and 16 points stalled the bisection.
 D0_SCAN_POINTS = 17
 
+# The parameters a sweep can vary, for sweep_outcomes and the CLI's sweep task.
+SWEEP_PARAMETERS = ("d3", "beta", "alpha")
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -425,7 +428,7 @@ def sweep_outcomes(
     the largest prefix / smallest suffix of the sorted lattice on which
     the winner is uniform.
     """
-    if parameter not in ("d3", "beta", "alpha"):
+    if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"sweep parameter must be d3, beta or alpha, got {parameter!r}")
     base_coeffs = sample_coefficients(params, grid)
     check_hypothesis_h(params, grid, base_coeffs)

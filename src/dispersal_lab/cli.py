@@ -1,8 +1,7 @@
 """Batch front door: JSON scenario configs in, CSV/SVG/report files out.
 
-Subcommands mirror the tasks: eigen, steady, simulate, threshold,
-sweep, verify.  Exit codes: 0 success, 1 verify-check failure,
-2 validation error, 3 numerical failure, 4 hypothesis violation.
+Subcommands mirror the tasks in TASKS.  Exit codes: 0 success, 1 verify-check
+failure, 2 validation error, 3 numerical failure, 4 hypothesis violation.
 Identical config and seed produce byte-identical CSV output.
 """
 
@@ -13,8 +12,9 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,15 +44,13 @@ from .spectral import (
 )
 from . import analysis as an
 from . import svgplot
-from .verify import GROUPS, VerifyContext, run_battery
+from .verify import CHECKERS, VerifyContext, run_battery
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_HYPOTHESIS = 4
-
-TASKS = ("eigen", "steady", "simulate", "threshold", "sweep", "verify")
 
 
 class ConfigError(ValueError):
@@ -133,8 +131,9 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     task_spec = data.get("task")
     if isinstance(task_spec, str):
         task_spec = {"name": task_spec}
-    if not isinstance(task_spec, dict) or task_spec.get("name") not in TASKS:
-        raise ConfigError(f"task must name one of {TASKS}")
+    # Names are matched against tuples, so an unhashable one is rejected, not raised on.
+    if not isinstance(task_spec, dict) or task_spec.get("name") not in tuple(TASKS):
+        raise ConfigError(f"task must name one of {tuple(TASKS)}")
     task = task_spec["name"]
 
     solver_spec = data.get("solver", {})
@@ -148,17 +147,18 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     sweep_parameter = task_spec.get("parameter")
     sweep_values = task_spec.get("values")
     if task == "sweep":
-        if sweep_parameter not in ("d3", "beta", "alpha"):
-            raise ConfigError("sweep task needs parameter in {d3, beta, alpha}")
+        if sweep_parameter not in an.SWEEP_PARAMETERS:
+            raise ConfigError(f"sweep task needs parameter in {{{', '.join(an.SWEEP_PARAMETERS)}}}")
         if not isinstance(sweep_values, list) or not sweep_values:
             raise ConfigError("sweep task needs a non-empty list of values")
+    defaults = SolverOptions()
     try:
         solver = SolverOptions(
-            dt=float(solver_spec.get("dt", 0.01)),
-            tol=float(solver_spec.get("tol", 1e-9)),
-            t_max=float(solver_spec.get("t_max", 2000.0)),
-            sample_every=float(solver_spec.get("sample_every", 1.0)),
-            store_fields=bool(solver_spec.get("store_fields", True)),
+            dt=float(solver_spec.get("dt", defaults.dt)),
+            tol=float(solver_spec.get("tol", defaults.tol)),
+            t_max=float(solver_spec.get("t_max", defaults.t_max)),
+            sample_every=float(solver_spec.get("sample_every", defaults.sample_every)),
+            store_fields=False,  # the outputs use the sampled summaries, never stored fields
         )
         scan_points = int(solver_spec.get("scan_points", 64))
         seed = int(data.get("seed", 0))
@@ -175,9 +175,9 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     if verify_groups is not None:
         if not isinstance(verify_groups, list):
             raise ConfigError("verify groups must be a list of group names")
-        unknown = [gname for gname in verify_groups if gname not in GROUPS]
+        unknown = [gname for gname in verify_groups if gname not in tuple(CHECKERS)]
         if unknown:
-            raise ConfigError(f"unknown verify groups: {unknown}; available: {list(GROUPS)}")
+            raise ConfigError(f"unknown verify groups: {unknown}; available: {list(CHECKERS)}")
 
     initial = data.get("initial")
     if initial is not None and (
@@ -249,6 +249,17 @@ def _write_report(path: Path, lines: list[str]) -> Path:
     return path
 
 
+def _write_fields(out: Path, stem: str, grid: Grid, fields: np.ndarray, title: str,
+                  ylabel: str) -> tuple[Path, Path]:
+    """stem.csv with one column per component over the nodes, and its plot stem.svg."""
+    comps = [f"component_{k + 1}" for k in range(len(fields))]
+    rows = [[node, *values] for node, values in zip(grid.nodes, fields.T)]
+    csv_path = _write_csv(out / f"{stem}.csv", ["x"] + comps, rows)
+    svg = svgplot.line_plot(out / f"{stem}.svg", grid.nodes, list(fields), comps, title=title,
+                            xlabel="x", ylabel=ylabel)
+    return csv_path, svg
+
+
 def _initial_state(config: ScenarioConfig) -> State:
     kind = config.system
     spec = config.initial or {"kind": "random", "low": 0.1, "high": 0.5}
@@ -284,20 +295,8 @@ def _task_eigen(config: ScenarioConfig, out: Path) -> RunArtifacts:
         ["lambda", "residual", "iterations"],
         [[result.lam, result.residual, result.iterations]],
     )
-    rows = []
-    for i, node in enumerate(config.grid.nodes):
-        rows.append([node] + [result.eigenfunctions[k][i] for k in range(result.eigenfunctions.shape[0])])
-    comps = [f"component_{k + 1}" for k in range(result.eigenfunctions.shape[0])]
-    fun_path = _write_csv(out / "eigenfunctions.csv", ["x"] + comps, rows)
-    svg = svgplot.line_plot(
-        out / "eigenfunctions.svg",
-        config.grid.nodes,
-        list(result.eigenfunctions),
-        comps,
-        title="Principal eigenfunction",
-        xlabel="x",
-        ylabel="amplitude",
-    )
+    fun_path, svg = _write_fields(out, "eigenfunctions", config.grid, result.eigenfunctions,
+                                  "Principal eigenfunction", "amplitude")
     report = _write_report(
         out / "report.txt",
         [
@@ -330,21 +329,11 @@ def _task_evolve(config: ScenarioConfig, out: Path, demand_steady: bool) -> RunA
     traj_path = _write_csv(
         out / "trajectory.csv", ["t", "comp", "min", "max", "mass"], _trajectory_rows(log)
     )
-    rows = []
-    for i, node in enumerate(config.grid.nodes):
-        rows.append([node] + [result.state.components[k][i] for k in range(config.system.n_components)])
+    state_path, state_svg = _write_fields(out, "state", config.grid, result.state.components,
+                                          "Final state", "density")
     comps = [f"component_{k + 1}" for k in range(config.system.n_components)]
-    state_path = _write_csv(out / "state.csv", ["x"] + comps, rows)
     svgs = [
-        svgplot.line_plot(
-            out / "state.svg",
-            config.grid.nodes,
-            list(result.state.components),
-            comps,
-            title="Final state",
-            xlabel="x",
-            ylabel="density",
-        ),
+        state_svg,
         svgplot.line_plot(
             out / "trajectory.svg",
             log.times,
@@ -417,7 +406,7 @@ def _task_sweep(config: ScenarioConfig, out: Path) -> RunArtifacts:
         config.grid,
         config.sweep_parameter,
         config.sweep_values,
-        opts=replace(config.solver, store_fields=False),
+        opts=config.solver,
     )
     rows = []
     for p in report_obj.points:
@@ -467,15 +456,7 @@ def _task_sweep(config: ScenarioConfig, out: Path) -> RunArtifacts:
 
 
 def _task_verify(config: ScenarioConfig, out: Path) -> RunArtifacts:
-    n_dyn = config.grid.n
-    ctx = VerifyContext(
-        params=config.params,
-        n_dynamics=n_dyn,
-        n_eigen=2 * n_dyn - 1,
-        n_fine=4 * n_dyn - 3,
-        domain=(config.grid.a, config.grid.b),
-        seed=config.seed,
-    )
+    ctx = VerifyContext(params=config.params, grid=config.grid, seed=config.seed)
     results = run_battery(ctx, groups=config.verify_groups)
     csv_path = _write_csv(
         out / "verify_results.csv",
@@ -483,7 +464,6 @@ def _task_verify(config: ScenarioConfig, out: Path) -> RunArtifacts:
         [[r.group, r.name, r.status, r.detail] for r in results],
     )
     lines = ["verification report", "==================="]
-    failed = 0
     for gname in dict.fromkeys(r.group for r in results):
         lines.append("")
         lines.append(f"[{gname}]")
@@ -491,10 +471,9 @@ def _task_verify(config: ScenarioConfig, out: Path) -> RunArtifacts:
             if r.group != gname:
                 continue
             lines.append(f"  {r.status:4s} {r.name}: {r.detail}")
-            if r.status == "FAIL":
-                failed += 1
     lines.append("")
     n_pass = sum(1 for r in results if r.status == "PASS")
+    failed = sum(1 for r in results if r.status == "FAIL")
     n_skip = sum(1 for r in results if r.status == "SKIP")
     lines.append(f"summary: {n_pass} passed, {failed} failed, {n_skip} skipped")
     if any("discretization" in r.detail for r in results if r.status == "FAIL"):
@@ -503,40 +482,35 @@ def _task_verify(config: ScenarioConfig, out: Path) -> RunArtifacts:
     return RunArtifacts([csv_path], [], report, EXIT_OK if failed == 0 else EXIT_CHECK_FAILED)
 
 
+# The one list of tasks: name -> task function of (config, output directory).
+TASKS: dict[str, Callable[[ScenarioConfig, Path], RunArtifacts]] = {
+    "eigen": _task_eigen,
+    "steady": partial(_task_evolve, demand_steady=True),
+    "simulate": partial(_task_evolve, demand_steady=False),
+    "threshold": _task_threshold,
+    "sweep": _task_sweep,
+    "verify": _task_verify,
+}
+
+
+def _failed(config: ScenarioConfig, out: Path, status: str, exit_status: int) -> RunArtifacts:
+    """The report of a task that stopped with an exception; no other files."""
+    report = _write_report(out / "report.txt", [f"task: {config.task}", f"status: {status}"])
+    return RunArtifacts([], [], report, exit_status)
+
+
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     """Execute the configured task, writing all artifacts to the output directory."""
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if config.task == "eigen":
-            return _task_eigen(config, out)
-        if config.task == "steady":
-            return _task_evolve(config, out, demand_steady=True)
-        if config.task == "simulate":
-            return _task_evolve(config, out, demand_steady=False)
-        if config.task == "threshold":
-            return _task_threshold(config, out)
-        if config.task == "sweep":
-            return _task_sweep(config, out)
-        return _task_verify(config, out)
+        return TASKS[config.task](config, out)
     except HypothesisError as exc:
-        report = _write_report(
-            out / "report.txt",
-            [f"task: {config.task}", f"status: FAILED precondition '{exc}'"],
-        )
-        return RunArtifacts([], [], report, EXIT_HYPOTHESIS)
+        return _failed(config, out, f"FAILED precondition '{exc}'", EXIT_HYPOTHESIS)
     except (ConvergenceError, StepOvershootError, np.linalg.LinAlgError) as exc:
-        report = _write_report(
-            out / "report.txt",
-            [f"task: {config.task}", f"status: NUMERICAL FAILURE '{exc}'"],
-        )
-        return RunArtifacts([], [], report, EXIT_NUMERICAL)
+        return _failed(config, out, f"NUMERICAL FAILURE '{exc}'", EXIT_NUMERICAL)
     except (ConfigError, ValueError) as exc:
-        report = _write_report(
-            out / "report.txt",
-            [f"task: {config.task}", f"status: INVALID '{exc}'"],
-        )
-        return RunArtifacts([], [], report, EXIT_VALIDATION)
+        return _failed(config, out, f"INVALID '{exc}'", EXIT_VALIDATION)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

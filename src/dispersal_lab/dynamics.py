@@ -325,7 +325,7 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
     f = _steady_rhs(kind, params, coeffs, x, lap)
     f_norm, tau, stopped = float(np.max(np.abs(f))), 1.0, False
     for steps in range(1, NEWTON_MAX_ITER + 1):
-        jac = assemble_banded(grid, kind_diffusions(kind, params), _jacobian_coupling(kind, coeffs, x))
+        jac = assemble_banded(lap, kind_diffusions(kind, params), _jacobian_coupling(kind, coeffs, x))
         dx = solve_banded((K, K), jac.shifted_bands(1.0 / tau), f.T.ravel(), overwrite_ab=True,
                           check_finite=False).reshape(n, K).T
         x += dx

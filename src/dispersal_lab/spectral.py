@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .mesh import Grid, assemble_neumann_laplacian, integrate
+from .mesh import Grid, NeumannLaplacian, assemble_neumann_laplacian, integrate
 from .model import HypothesisError
 
 EIGEN_TOL = 1e-10  # eigenvalue stabilization, and the least residual floor
@@ -114,23 +114,6 @@ def switching_problem(
     return EigenProblem(grid=grid, diffusions=(float(d1), float(d2)), coupling=coupling)
 
 
-def family_problem(
-    grid: Grid,
-    d: float,
-    d0: float,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    m: np.ndarray,
-    mu: float,
-) -> EigenProblem:
-    """Common-scaling family d*diag(L, d0*L) + mu*M with M the switching matrix."""
-    alpha = grid.check_field(alpha)
-    beta = grid.check_field(beta)
-    m = grid.check_field(m)
-    coupling = mu * np.stack([np.stack([m - alpha, beta]), np.stack([alpha, m - beta])])
-    return EigenProblem(grid=grid, diffusions=(float(d), float(d * d0)), coupling=coupling)
-
-
 class BandedOperator:
     """Square matrix in LAPACK band storage: ab[u + i - j, j] = A[i, j], u the half-bandwidth."""
 
@@ -173,14 +156,15 @@ class BandedOperator:
         return solve_banded((u, u), self.shifted_bands(sigma), rhs)
 
 
-def assemble_banded(grid: Grid, diffusions: tuple[float, ...], coupling: np.ndarray) -> BandedOperator:
+def assemble_banded(lap: NeumannLaplacian, diffusions: tuple[float, ...],
+                    coupling: np.ndarray) -> BandedOperator:
     """Node-interleaved band form of diag(d_i L) + coupling: unknown index = K*node + component.
 
     coupling has shape (K, K, n), K = 1 or 2, and may have any signs: the
-    cooperativity check belongs to EigenProblem, not to the layout.
+    cooperativity check belongs to EigenProblem, not to the layout.  The
+    caller passes the Laplacian, so a loop over one grid assembles it once.
     """
-    K, n = len(diffusions), grid.n
-    lap = assemble_neumann_laplacian(grid)
+    K, n = len(diffusions), lap.grid.n
     ab = np.zeros((2 * K + 1, K * n))
     for c, d in enumerate(diffusions):
         ab[K, c::K] = d * lap.diag + coupling[c, c]
@@ -193,7 +177,8 @@ def assemble_banded(grid: Grid, diffusions: tuple[float, ...], coupling: np.ndar
 
 
 def assemble_dense(problem: EigenProblem) -> np.ndarray:
-    return assemble_banded(problem.grid, problem.diffusions, problem.coupling).to_dense()
+    lap = assemble_neumann_laplacian(problem.grid)
+    return assemble_banded(lap, problem.diffusions, problem.coupling).to_dense()
 
 
 def component_weights(grid: Grid, n_components: int) -> np.ndarray:
@@ -226,7 +211,8 @@ def principal_eigen(problem: EigenProblem) -> EigenResult:
     residual reaches the rounding floor of the operator norm and the
     eigenvalue estimate has stabilized to EIGEN_TOL.
     """
-    A = assemble_banded(problem.grid, problem.diffusions, problem.coupling)
+    A = assemble_banded(assemble_neumann_laplacian(problem.grid), problem.diffusions,
+                        problem.coupling)
     K, n = problem.n_components, problem.grid.n
     w_big = component_weights(problem.grid, K)
     anorm = A.inf_norm()

@@ -6,6 +6,10 @@ spectral and dynamical routes.  The battery is deterministic for a
 fixed seed and sized to run in minutes at the default resolutions
 (n = 201 for dynamics, 401 for eigenvalue thresholds, 801 for the
 small-diffusion limit).
+
+Each group returns (check name, passed, detail) triples, which run_battery
+turns into rows; a group whose preconditions fail raises SkipGroup, or
+HypothesisError from the analysis it calls, and gets one SKIP row.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .model import (
 )
 from .dynamics import (
     SolverOptions,
+    SteadyResult,
     constant_state,
     integrate_to_steady,
     lyapunov_identity,
@@ -38,7 +43,6 @@ from .spectral import (
     adjoint_principal_eigen,
     assemble_dense,
     dense_rightmost,
-    family_problem,
     find_mu_roots,
     lambda_of_mu,
     lambda_prime_at_zero,
@@ -50,20 +54,7 @@ from .spectral import (
 )
 from . import analysis as an
 
-GROUPS = (
-    "mesh-order",
-    "eigen-oracle",
-    "scalar-eigenvalue-laws",
-    "pair-positivity",
-    "growth-derivative",
-    "diffusion-scaling",
-    "extinction-persistence",
-    "competitive-uniqueness",
-    "invasion-brackets",
-    "exclusion-dynamics",
-    "switching-thresholds",
-    "switching-dynamics",
-)
+Check = tuple[str, bool, str]  # (check name, passed, detail)
 
 
 @dataclass(frozen=True)
@@ -74,56 +65,60 @@ class CheckResult:
     detail: str
 
 
-def _check(group: str, name: str, ok: bool, detail: str) -> CheckResult:
-    return CheckResult(group=group, name=name, status="PASS" if ok else "FAIL", detail=detail)
-
-
-def _skip(group: str, name: str, reason: str) -> CheckResult:
-    return CheckResult(group=group, name=name, status="SKIP", detail=reason)
+class SkipGroup(Exception):
+    """A group's preconditions fail for the configured scenario; the message says which."""
 
 
 class VerifyContext:
-    """Shared scenario state with lazy caching across check groups."""
+    """The scenario, its three grids, and the steady states and curves groups share.
 
-    def __init__(
-        self,
-        params: Optional[ModelParams] = None,
-        n_dynamics: int = 201,
-        n_eigen: int = 401,
-        n_fine: int = 801,
-        domain: tuple[float, float] = (0.0, 1.0),
-        seed: int = 0,
-    ):
+    grid is the dynamics grid; the eigenvalue grid (2n - 1 nodes) and the
+    fine grid (4n - 3 nodes) refine it on the same interval.
+    """
+
+    def __init__(self, params: Optional[ModelParams] = None, grid: Optional[Grid] = None,
+                 seed: int = 0):
         self.params = params or reference_params()
-        self.n_dynamics = n_dynamics
-        self.n_eigen = n_eigen
-        self.n_fine = n_fine
-        self.domain = domain
+        self.grid = grid or build_grid(0.0, 1.0, 201)
         self.seed = seed
-        self._cache: dict[str, object] = {}
+        self.eigen_grid = build_grid(self.grid.a, self.grid.b, 2 * self.grid.n - 1)
+        self.fine_grid = build_grid(self.grid.a, self.grid.b, 4 * self.grid.n - 3)
+        self._pair: Optional[SteadyResult] = None
+        self._w: dict[float, SteadyResult] = {}
+        self._curves: dict[str, an.ThresholdCurve] = {}
 
-    def grid(self, n: int) -> Grid:
-        key = f"grid:{n}"
-        if key not in self._cache:
-            self._cache[key] = build_grid(self.domain[0], self.domain[1], n)
-        return self._cache[key]  # type: ignore[return-value]
+    def pair_steady(self) -> SteadyResult:
+        """(u*, v*) on the eigenvalue grid."""
+        if self._pair is None:
+            self._pair = an.subsystem_steady(self.params, self.eigen_grid)
+        return self._pair
 
-    def cached(self, key: str, make: Callable[[], object]) -> object:
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
+    def w_steady(self, d3: float) -> SteadyResult:
+        """w* at diffusion rate d3 on the eigenvalue grid."""
+        if d3 not in self._w:
+            self._w[d3] = an.logistic_steady(replace(self.params, d3=d3), self.eigen_grid)
+        return self._w[d3]
 
-    def pair_steady(self, n: int):
-        return self.cached(f"pair:{n}", lambda: an.subsystem_steady(self.params, self.grid(n)))
+    def rate_threshold(self, name: str) -> an.ThresholdCurve:
+        """The beta_c or alpha_c curve on the eigenvalue grid, built from the shared w*."""
+        if name not in self._curves:
+            w_star = self.w_steady(self.params.d3).state.components
+            self._curves[name] = an.threshold_curve(name, self.params, self.eigen_grid,
+                                                    steady=w_star)
+        return self._curves[name]
 
-    def w_steady(self, n: int, d3: float):
-        local = replace(self.params, d3=d3)
-        return self.cached(
-            f"w:{n}:{d3}", lambda: an.logistic_steady(local, self.grid(n))
-        )
+    def require_growth_hypothesis(self) -> None:
+        if not hypothesis_h_holds(self.params, self.grid):
+            raise SkipGroup("growth hypothesis fails for the configured scenario")
 
-    def hypothesis_ok(self) -> bool:
-        return hypothesis_h_holds(self.params, self.grid(self.n_dynamics))
+    def require_switching_setting(self) -> None:
+        """The setting of the switching-rate thresholds (Section 5)."""
+        params = self.params
+        coeffs = sample_coefficients(params, self.eigen_grid)
+        if not hypothesis_h_holds(params, self.grid) or not params.d1 < params.d3 < params.d2:
+            raise SkipGroup("needs the growth hypothesis and d1 < d3 < d2")
+        if float(np.max(coeffs.m)) > min(np.min(coeffs.alpha), np.min(coeffs.beta)):
+            raise SkipGroup("needs max m <= alpha and max m <= beta")
 
 
 def reference_params() -> ModelParams:
@@ -142,8 +137,7 @@ def reference_params() -> ModelParams:
 # Group 1: discretization order
 
 
-def check_mesh_order(ctx: VerifyContext) -> list[CheckResult]:
-    group = "mesh-order"
+def check_mesh_order(ctx: VerifyContext) -> list[Check]:
     errs = {}
     for n in (201, 401):
         g = build_grid(0.0, 1.0, n)
@@ -152,7 +146,7 @@ def check_mesh_order(ctx: VerifyContext) -> list[CheckResult]:
         errs[n] = float(np.max(np.abs(lap.apply(f) + np.pi**2 * f)))
     ratio = errs[201] / errs[401]
     return [
-        _check(group, "second-order-ratio", ratio >= 3.5, f"error ratio 201->401 = {ratio:.3f}")
+        ("second-order-ratio", ratio >= 3.5, f"error ratio 201->401 = {ratio:.3f}")
     ]
 
 
@@ -160,8 +154,7 @@ def check_mesh_order(ctx: VerifyContext) -> list[CheckResult]:
 # Group 2: iterative eigensolver vs dense oracle
 
 
-def check_eigen_oracle(ctx: VerifyContext) -> list[CheckResult]:
-    group = "eigen-oracle"
+def check_eigen_oracle(ctx: VerifyContext) -> list[Check]:
     rng = np.random.default_rng(ctx.seed + 17)
     g = build_grid(0.0, 1.0, 101)
     results = []
@@ -184,7 +177,7 @@ def check_eigen_oracle(ctx: VerifyContext) -> list[CheckResult]:
         rel = abs(lam_iter - lam_dense.real) / (1.0 + abs(lam_dense.real))
         worst = max(worst, rel)
     results.append(
-        _check(group, "ten-random-problems", worst <= 1e-7, f"worst relative diff {worst:.3e}")
+        ("ten-random-problems", worst <= 1e-7, f"worst relative diff {worst:.3e}")
     )
     return results
 
@@ -193,34 +186,32 @@ def check_eigen_oracle(ctx: VerifyContext) -> list[CheckResult]:
 # Group 3: scalar eigenvalue laws
 
 
-def check_scalar_laws(ctx: VerifyContext) -> list[CheckResult]:
-    group = "scalar-eigenvalue-laws"
-    g = ctx.grid(ctx.n_eigen)
+def check_scalar_laws(ctx: VerifyContext) -> list[Check]:
+    g = ctx.eigen_grid
     out = []
     base = np.cos(2.0 * np.pi * g.nodes)
     d_lattice = (0.1, 0.3, 1.0, 3.0)
     lam = {c0: {d: scalar_eigenvalue(g, d, base + c0).lam for d in d_lattice} for c0 in (-0.1, 0.0, 0.1)}
 
     mono_e = all(lam[0.1][d] > lam[-0.1][d] + 1e-9 for d in d_lattice)
-    out.append(_check(group, "monotone-in-potential", mono_e, "lambda increases with the potential"))
+    out.append(("monotone-in-potential", mono_e, "lambda increases with the potential"))
 
     dec = all(
         lam[c0][d_lattice[i]] > lam[c0][d_lattice[i + 1]] + 1e-9
         for c0 in lam
         for i in range(len(d_lattice) - 1)
     )
-    out.append(_check(group, "strictly-decreasing-in-d", dec, "checked on d in {0.1,0.3,1,3}"))
+    out.append(("strictly-decreasing-in-d", dec, "checked on d in {0.1,0.3,1,3}"))
 
     pos = all(lam[c0][d] > 1e-9 for c0 in (0.0, 0.1) for d in d_lattice)
-    out.append(_check(group, "positive-when-mean-nonnegative", pos, "c0 in {0, 0.1}"))
+    out.append(("positive-when-mean-nonnegative", pos, "c0 in {0, 0.1}"))
 
     mu = mu_star_scalar(g, base - 0.1)
     lam_half = scalar_eigenvalue(g, 0.5 / mu.root, base - 0.1).lam
     lam_twice = scalar_eigenvalue(g, 2.0 / mu.root, base - 0.1).lam
     ok = lam_half > 1e-9 and lam_twice < -1e-9
     out.append(
-        _check(
-            group,
+        (
             "critical-scaling-sign-law",
             ok,
             f"mu*={mu.root:.6f}, lambda(0.5/mu*)={lam_half:.3e}, lambda(2/mu*)={lam_twice:.3e}",
@@ -233,9 +224,8 @@ def check_scalar_laws(ctx: VerifyContext) -> list[CheckResult]:
 # Group 4: positivity of the coupled principal eigenvalue
 
 
-def check_pair_positivity(ctx: VerifyContext) -> list[CheckResult]:
-    group = "pair-positivity"
-    g = ctx.grid(ctx.n_eigen)
+def check_pair_positivity(ctx: VerifyContext) -> list[Check]:
+    g = ctx.eigen_grid
     out = []
     x = g.nodes
     cases = [
@@ -250,8 +240,7 @@ def check_pair_positivity(ctx: VerifyContext) -> list[CheckResult]:
         lam_b = scalar_eigenvalue(g, d2, m - beta).lam
         dominated = lam0 > max(lam_a, lam_b) + 1e-9
         out.append(
-            _check(
-                group,
+            (
                 f"strict-domination-{name}",
                 dominated,
                 f"lambda0={lam0:.6f} > max({lam_a:.6f}, {lam_b:.6f})",
@@ -262,8 +251,7 @@ def check_pair_positivity(ctx: VerifyContext) -> list[CheckResult]:
         cond = lam_a >= 0 or mean_growth >= penalty
         if cond:
             out.append(
-                _check(
-                    group,
+                (
                     f"positive-when-sufficient-{name}",
                     lam0 > 1e-9,
                     f"lambda0={lam0:.6f} with lambda(d1, m-alpha)={lam_a:.4f}, "
@@ -277,9 +265,8 @@ def check_pair_positivity(ctx: VerifyContext) -> list[CheckResult]:
 # Group 5: derivative of the growth-scaled eigenvalue at zero
 
 
-def check_growth_derivative(ctx: VerifyContext) -> list[CheckResult]:
-    group = "growth-derivative"
-    g = ctx.grid(ctx.n_eigen)
+def check_growth_derivative(ctx: VerifyContext) -> list[Check]:
+    g = ctx.eigen_grid
     x = g.nodes
     out = []
     d1, d2 = 0.1, 1.0
@@ -294,8 +281,7 @@ def check_growth_derivative(ctx: VerifyContext) -> list[CheckResult]:
         - lambda_of_mu(g, d1, d2, alpha, beta, m, -h)
     ) / (2.0 * h)
     out.append(
-        _check(
-            group,
+        (
             "closed-formula-vs-central-difference",
             abs(slope - fd) <= 1e-5,
             f"formula {slope:.9f} vs difference {fd:.9f}",
@@ -306,7 +292,7 @@ def check_growth_derivative(ctx: VerifyContext) -> list[CheckResult]:
     combo = d1 * state.eigenfunctions[0] + d2 * state.eigenfunctions[1]
     dev = (float(np.max(combo)) - float(np.min(combo))) / float(np.mean(combo))
     out.append(
-        _check(group, "weighted-combination-constant", dev <= 1e-6, f"relative deviation {dev:.3e}")
+        ("weighted-combination-constant", dev <= 1e-6, f"relative deviation {dev:.3e}")
     )
 
     beta_var = 1.0 + 0.3 * np.cos(2.0 * np.pi * x)
@@ -316,8 +302,7 @@ def check_growth_derivative(ctx: VerifyContext) -> list[CheckResult]:
     ):
         slope_k = lambda_prime_at_zero(g, d1, d2, 2.0 * beta_var, beta_var, m_case)
         out.append(
-            _check(
-                group,
+            (
                 f"constant-ratio-slope-{name}",
                 abs(slope_k - expected) <= 1e-7,
                 f"slope {slope_k:.9f} vs mean growth {expected}",
@@ -331,8 +316,7 @@ def check_growth_derivative(ctx: VerifyContext) -> list[CheckResult]:
     lam_at_one = curve(1.0)
     ok = len(roots) == 1 and np.sign(1.0 - roots[0].root) == np.sign(lam_at_one)
     out.append(
-        _check(
-            group,
+        (
             "unique-critical-scaling",
             ok,
             f"{len(roots)} root(s), mu0={roots[0].root:.6f} vs lambda(1)={lam_at_one:.6f}"
@@ -348,8 +332,7 @@ def check_growth_derivative(ctx: VerifyContext) -> list[CheckResult]:
         )
         ok2 = len(roots2) == 1 and abs(roots2[0].root - 0.5 * roots[0].root) <= 1e-6 * roots[0].root
         out.append(
-            _check(
-                group,
+            (
                 "critical-scaling-halves-under-doubled-growth",
                 ok2,
                 f"mu0(2m)={roots2[0].root:.8f} vs mu0(m)/2={(0.5 * roots[0].root):.8f}"
@@ -360,7 +343,7 @@ def check_growth_derivative(ctx: VerifyContext) -> list[CheckResult]:
 
     mu_conv = [curve(mu) for mu in (0.3, 0.9, 1.5)]
     convex = mu_conv[1] <= 0.5 * (mu_conv[0] + mu_conv[2]) + 1e-9
-    out.append(_check(group, "convexity-on-lattice", convex, "midpoint below chord"))
+    out.append(("convexity-on-lattice", convex, "midpoint below chord"))
     return out
 
 
@@ -368,10 +351,10 @@ def check_growth_derivative(ctx: VerifyContext) -> list[CheckResult]:
 # Group 6: common-diffusion scaling family
 
 
-def check_diffusion_scaling(ctx: VerifyContext) -> list[CheckResult]:
-    group = "diffusion-scaling"
+def check_diffusion_scaling(ctx: VerifyContext) -> list[Check]:
+    # The family d*diag(L, d0*L) + mu*M (M the switching matrix) scales every coefficient by mu.
     out = []
-    g = ctx.grid(ctx.n_eigen)
+    g = ctx.eigen_grid
     x = g.nodes
     alpha = np.full(g.n, 1.0)
     beta = np.full(g.n, 0.7)
@@ -379,26 +362,26 @@ def check_diffusion_scaling(ctx: VerifyContext) -> list[CheckResult]:
     d0 = 10.0
     worst = 0.0
     for mu in (0.5, 2.0, 10.0):
-        left = principal_eigen(family_problem(g, 1.0, d0, alpha, beta, m, mu)).lam
-        right = mu * principal_eigen(family_problem(g, 1.0 / mu, d0, alpha, beta, m, 1.0)).lam
+        left = principal_eigen(switching_problem(g, 1.0, d0, mu * alpha, mu * beta, mu * m)).lam
+        d = 1.0 / mu
+        right = mu * principal_eigen(switching_problem(g, d, d * d0, alpha, beta, m)).lam
         worst = max(worst, abs(left - right) / (1.0 + abs(left)))
     out.append(
-        _check(group, "scaling-identity", worst <= 1e-8, f"worst relative mismatch {worst:.3e}")
+        ("scaling-identity", worst <= 1e-8, f"worst relative mismatch {worst:.3e}")
     )
 
-    gf = ctx.grid(ctx.n_fine)
+    gf = ctx.fine_grid
     mf = -0.5 + 4.0 * np.cos(np.pi * gf.nodes)
     ones = np.full(gf.n, 1.0)
     lams = [
-        principal_eigen(family_problem(gf, d, 1.2, ones, ones, mf, 1.0)).lam
+        principal_eigen(switching_problem(gf, d, d * 1.2, ones, ones, mf)).lam
         for d in (0.1, 0.03, 0.01, 0.003)
     ]
     spread = float(np.max(mf) - np.min(mf))
     gap = float(np.max(mf)) - lams[-1]
     mono = all(lams[i] < lams[i + 1] for i in range(len(lams) - 1))
     out.append(
-        _check(
-            group,
+        (
             "small-diffusion-limit",
             mono and gap <= 0.05 * spread,
             f"lambda at d=0.003 within {gap:.4f} of max growth (allowed {0.05 * spread:.4f})",
@@ -407,14 +390,15 @@ def check_diffusion_scaling(ctx: VerifyContext) -> list[CheckResult]:
 
     m4 = -0.5 + 4.0 * np.cos(np.pi * x)
     ones4 = np.full(g.n, 1.0)
-    curve = lambda mu: principal_eigen(family_problem(g, 1.0, 1.2, ones4, ones4, m4, mu)).lam
+    curve = lambda mu: principal_eigen(
+        switching_problem(g, 1.0, 1.2, mu * ones4, mu * ones4, mu * m4)
+    ).lam
     lam_small = curve(0.01)
     roots = find_mu_roots(curve, (0.01, 100.0), name="mu_family", scan_points=48)
     lam_large = curve(roots[-1].root * 4.0) if roots else curve(100.0)
     ok = lam_small < 0 and lam_large > 0 and len(roots) >= 1
     out.append(
-        _check(
-            group,
+        (
             "negative-mean-sign-change",
             ok,
             f"lambda(mu=0.01)={lam_small:.4f}, {len(roots)} root(s), "
@@ -428,10 +412,9 @@ def check_diffusion_scaling(ctx: VerifyContext) -> list[CheckResult]:
 # Group 7: extinction/persistence dichotomy
 
 
-def check_dichotomy(ctx: VerifyContext) -> list[CheckResult]:
-    group = "extinction-persistence"
+def check_dichotomy(ctx: VerifyContext) -> list[Check]:
     out = []
-    g = ctx.grid(ctx.n_dynamics)
+    g = ctx.grid
     x = g.nodes
     ones = np.full(g.n, 1.0)
     d1, d2 = 0.1, 1.0
@@ -439,7 +422,7 @@ def check_dichotomy(ctx: VerifyContext) -> list[CheckResult]:
     curve = lambda mu: lambda_of_mu(g, d1, d2, ones, ones, m0, mu)
     roots = find_mu_roots(curve, (1e-2, 1e2), name="mu_zero")
     if len(roots) != 1:
-        return [_check(group, "setup-critical-scaling", False, f"{len(roots)} roots found")]
+        return [("setup-critical-scaling", False, f"{len(roots)} roots found")]
     mu0 = roots[0].root
 
     battery = [
@@ -475,8 +458,7 @@ def check_dichotomy(ctx: VerifyContext) -> list[CheckResult]:
         else:
             ok, expect = (not persistent) and (not extinct), "slow algebraic decay"
         out.append(
-            _check(
-                group,
+            (
                 f"dichotomy-{name}",
                 ok,
                 f"lambda0={lam0:+.6f}, expected {expect}: floor={floor:.3e}, mass={mass:.3e}",
@@ -487,8 +469,7 @@ def check_dichotomy(ctx: VerifyContext) -> list[CheckResult]:
             series = monitor_lyapunov(res.trajectory, adjoint)
             decreasing = bool(np.all(np.diff(series) < 0))
             out.append(
-                _check(
-                    group,
+                (
                     "weighted-mass-strictly-decreasing",
                     decreasing,
                     f"{len(series)} samples from {series[0]:.4e} to {series[-1]:.4e}",
@@ -509,8 +490,7 @@ def check_dichotomy(ctx: VerifyContext) -> list[CheckResult]:
             )
             rel = abs(lhs - rhs) / abs(rhs)
             out.append(
-                _check(
-                    group,
+                (
                     "decay-identity-one-step",
                     rel <= 5.0 * dt_id,
                     f"discrete d/dt {lhs:.6e} vs quadratic sink {rhs:.6e} (rel {rel:.3e})",
@@ -523,10 +503,9 @@ def check_dichotomy(ctx: VerifyContext) -> list[CheckResult]:
 # Group 8: uniqueness of the competitive positive steady state
 
 
-def check_competitive_uniqueness(ctx: VerifyContext) -> list[CheckResult]:
-    group = "competitive-uniqueness"
+def check_competitive_uniqueness(ctx: VerifyContext) -> list[Check]:
     out = []
-    g = ctx.grid(ctx.n_dynamics)
+    g = ctx.grid
     params = ModelParams(
         d1=0.1, d2=1.0, b=0.5, c=0.5,
         alpha=CoefficientSpec.constant(0.05),
@@ -535,8 +514,7 @@ def check_competitive_uniqueness(ctx: VerifyContext) -> list[CheckResult]:
     )
     regime = classify_regime(params, g)
     out.append(
-        _check(
-            group,
+        (
             "eventually-competitive-regime",
             regime.in_s1 and params.b * params.c <= 1.0,
             f"in_s1={regime.in_s1}, k={regime.k:.3f}, bc={params.b * params.c}",
@@ -548,7 +526,7 @@ def check_competitive_uniqueness(ctx: VerifyContext) -> list[CheckResult]:
         start = random_state(SystemKind.TWO_SPECIES_GENERAL, g, 0.1, 1.0, ctx.seed + 100 + i)
         res = integrate_to_steady(SystemKind.TWO_SPECIES_GENERAL, params, g, start, opts)
         if not res.converged:
-            out.append(_check(group, f"steady-run-{i}", False, "did not converge"))
+            out.append((f"steady-run-{i}", False, "did not converge"))
             return out
         finals.append(res.state.components)
     worst = max(
@@ -557,7 +535,7 @@ def check_competitive_uniqueness(ctx: VerifyContext) -> list[CheckResult]:
         for j in range(i + 1, 3)
     )
     out.append(
-        _check(group, "three-seeds-agree", worst <= 1e-6, f"worst pairwise sup distance {worst:.3e}")
+        ("three-seeds-agree", worst <= 1e-6, f"worst pairwise sup distance {worst:.3e}")
     )
     mean_state = sum(finals) / 3.0
     coeffs = sample_coefficients(params, g)
@@ -565,8 +543,7 @@ def check_competitive_uniqueness(ctx: VerifyContext) -> list[CheckResult]:
         an.pair_linearization_dense(params, g, coeffs, mean_state[0], mean_state[1])
     )
     out.append(
-        _check(
-            group,
+        (
             "limit-linearly-stable",
             lam.real < -1e-9,
             f"rightmost eigenvalue {lam.real:.6e}",
@@ -579,20 +556,18 @@ def check_competitive_uniqueness(ctx: VerifyContext) -> list[CheckResult]:
 # Group 9: invasion eigenvalue brackets
 
 
-def check_invasion_brackets(ctx: VerifyContext) -> list[CheckResult]:
-    group = "invasion-brackets"
-    if not ctx.hypothesis_ok():
-        return [_skip(group, "all", "growth hypothesis fails for the configured scenario")]
+def check_invasion_brackets(ctx: VerifyContext) -> list[Check]:
+    ctx.require_growth_hypothesis()
     out = []
-    g = ctx.grid(ctx.n_eigen)
+    g = ctx.eigen_grid
     params = ctx.params
     coeffs = sample_coefficients(params, g)
-    pair = ctx.pair_steady(ctx.n_eigen)
+    pair = ctx.pair_steady()
     u, v = pair.state.components
     pot = coeffs.m - u - v
     nonconst = float(np.max(pot) - np.min(pot))
     out.append(
-        _check(group, "leftover-growth-non-constant", nonconst > 1e-6, f"spread {nonconst:.3e}")
+        ("leftover-growth-non-constant", nonconst > 1e-6, f"spread {nonconst:.3e}")
     )
     alpha = float(np.max(coeffs.alpha))
     beta = float(np.max(coeffs.beta))
@@ -600,8 +575,7 @@ def check_invasion_brackets(ctx: VerifyContext) -> list[CheckResult]:
     lam_lo = scalar_eigenvalue(g, params.d1, pot).lam
     lam_hi = scalar_eigenvalue(g, d_avg, pot).lam
     out.append(
-        _check(
-            group,
+        (
             "pair-state-endpoint-signs",
             lam_lo > 1e-9 and lam_hi < -1e-9,
             f"lambda({params.d1})={lam_lo:.5f}, lambda({d_avg})={lam_hi:.5f}",
@@ -609,8 +583,7 @@ def check_invasion_brackets(ctx: VerifyContext) -> list[CheckResult]:
     )
     dc = an.threshold_curve("d_c", params, g, steady=pair.state.components).roots[0]
     out.append(
-        _check(
-            group,
+        (
             "pair-state-threshold-inside-bracket",
             params.d1 < dc.root < d_avg and dc.residual <= 1e-8,
             f"d_c={dc.root:.6f} in ({params.d1}, {d_avg:.3f}), residual {dc.residual:.2e}",
@@ -618,15 +591,14 @@ def check_invasion_brackets(ctx: VerifyContext) -> list[CheckResult]:
     )
     lam2_lo = an.lambda2_eigenpair(
         replace(params, d3=params.d1), g,
-        ctx.w_steady(ctx.n_eigen, params.d1).state.components[0], coeffs
+        ctx.w_steady(params.d1).state.components[0], coeffs
     ).lam
     lam2_hi = an.lambda2_eigenpair(
         replace(params, d3=d_avg), g,
-        ctx.w_steady(ctx.n_eigen, d_avg).state.components[0], coeffs
+        ctx.w_steady(d_avg).state.components[0], coeffs
     ).lam
     out.append(
-        _check(
-            group,
+        (
             "single-state-endpoint-signs",
             lam2_lo < -1e-9 and lam2_hi > 1e-9,
             f"lambda2({params.d1})={lam2_lo:.5f}, lambda2({d_avg:.3f})={lam2_hi:.5f}",
@@ -634,8 +606,7 @@ def check_invasion_brackets(ctx: VerifyContext) -> list[CheckResult]:
     )
     roots = an.lambda2_sign_changes(params, g)
     out.append(
-        _check(
-            group,
+        (
             "single-state-sign-change-found",
             len(roots) >= 1,
             f"{len(roots)} sign change(s): {[f'{r.root:.5f}' for r in roots]}",
@@ -648,19 +619,16 @@ def check_invasion_brackets(ctx: VerifyContext) -> list[CheckResult]:
 # Group 10: exclusion dynamics in the diffusion rate
 
 
-def check_exclusion_dynamics(ctx: VerifyContext) -> list[CheckResult]:
-    group = "exclusion-dynamics"
-    if not ctx.hypothesis_ok():
-        return [_skip(group, "all", "growth hypothesis fails for the configured scenario")]
+def check_exclusion_dynamics(ctx: VerifyContext) -> list[Check]:
+    ctx.require_growth_hypothesis()
     out = []
-    g = ctx.grid(ctx.n_dynamics)
+    g = ctx.grid
     params = ctx.params
     sweep = an.sweep_outcomes(params, g, "d3", [0.05, 0.08, 0.6, 1.5])
     expected = {0.05: "w_wins", 0.08: "w_wins", 0.6: "uv_wins", 1.5: "uv_wins"}
     for point in sweep.points:
         out.append(
-            _check(
-                group,
+            (
                 f"outcome-at-d3-{point.value}",
                 point.outcome == expected[point.value],
                 f"outcome={point.outcome}, lambda_uv0={point.lambda_uv0:+.5f}, "
@@ -674,8 +642,8 @@ def check_exclusion_dynamics(ctx: VerifyContext) -> list[CheckResult]:
         else:
             consistent = True
         out.append(
-            _check(group, f"signs-consistent-at-d3-{point.value}", consistent,
-                   "winner stable, loser invadable")
+            (f"signs-consistent-at-d3-{point.value}", consistent,
+             "winner stable, loser invadable")
         )
 
     opts = SolverOptions(dt=0.05, sample_every=5.0, store_fields=False)
@@ -694,8 +662,7 @@ def check_exclusion_dynamics(ctx: VerifyContext) -> list[CheckResult]:
                 loser_max = max(loser_max, masses[2])
                 winner_min = min(winner_min, masses[0] + masses[1])
         out.append(
-            _check(
-                group,
+            (
                 f"no-coexistence-at-d3-{d3}",
                 loser_max < 1e-6 and winner_min > 1e-4,
                 f"5 seeds: loser mass <= {loser_max:.2e}, winner mass >= {winner_min:.2e}",
@@ -708,25 +675,18 @@ def check_exclusion_dynamics(ctx: VerifyContext) -> list[CheckResult]:
 # Group 11: switching-rate thresholds
 
 
-def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
-    group = "switching-thresholds"
+def check_switching_thresholds(ctx: VerifyContext) -> list[Check]:
+    ctx.require_switching_setting()
     params = ctx.params
-    g = ctx.grid(ctx.n_eigen)
-    coeffs = sample_coefficients(params, g)
-    if not ctx.hypothesis_ok() or not params.d1 < params.d3 < params.d2:
-        return [_skip(group, "all", "needs the growth hypothesis and d1 < d3 < d2")]
-    if float(np.max(coeffs.m)) > min(np.min(coeffs.alpha), np.min(coeffs.beta)):
-        return [_skip(group, "all", "needs max m <= alpha and max m <= beta")]
+    g = ctx.eigen_grid
     out = []
-    w_steady = ctx.w_steady(ctx.n_eigen, params.d3).state.components
-    w_star = w_steady[0]
+    w_star = ctx.w_steady(params.d3).state.components[0]
 
-    beta = an.threshold_curve("beta_c", params, g, steady=w_steady)
+    beta = ctx.rate_threshold("beta_c")
     hi_beta = beta.bracket[1]
     lattice_roots = find_mu_roots(beta.curve, beta.bracket, name="beta_c", scan_points=64)
     out.append(
-        _check(
-            group,
+        (
             "one-sign-change-in-beta",
             len(lattice_roots) == 1,
             f"{len(lattice_roots)} sign change(s) on the 64-point lattice",
@@ -734,8 +694,7 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
     )
     beta_c = beta.roots[0]
     out.append(
-        _check(
-            group,
+        (
             "beta-threshold-inside-bracket",
             0.0 < beta_c.root < hi_beta and beta_c.residual <= 1e-8,
             f"beta_c={beta_c.root:.6f} in (0, {hi_beta:.3f}), residual {beta_c.residual:.2e}",
@@ -752,8 +711,7 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
     fd = (beta.curve(probe + h) - beta.curve(probe - h)) / (2.0 * h)
     slope = rate_slope("beta", probe)
     out.append(
-        _check(
-            group,
+        (
             "beta-derivative-formula",
             abs(slope - fd) <= 1e-4,
             f"formula {slope:.7f} vs difference {fd:.7f}",
@@ -761,16 +719,15 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
     )
     slope_at_root = rate_slope("beta", beta_c.root)
     out.append(
-        _check(group, "beta-derivative-positive-at-root", slope_at_root > 0,
-               f"slope {slope_at_root:.6f}")
+        ("beta-derivative-positive-at-root", slope_at_root > 0,
+         f"slope {slope_at_root:.6f}")
     )
 
-    alpha = an.threshold_curve("alpha_c", params, g, steady=w_steady)
+    alpha = ctx.rate_threshold("alpha_c")
     lo_alpha = alpha.bracket[0]
     alpha_c = alpha.roots[0]
     out.append(
-        _check(
-            group,
+        (
             "alpha-threshold-beyond-lower-bound",
             alpha_c.root > lo_alpha and alpha_c.residual <= 1e-8,
             f"alpha_c={alpha_c.root:.6f} > {lo_alpha:.3f}, residual {alpha_c.residual:.2e}",
@@ -780,8 +737,7 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
     fd_a = (alpha.curve(probe + h) - alpha.curve(probe - h)) / (2.0 * h)
     slope_a = rate_slope("alpha", probe)
     out.append(
-        _check(
-            group,
+        (
             "alpha-derivative-formula",
             abs(slope_a - fd_a) <= 1e-4,
             f"formula {slope_a:.7f} vs difference {fd_a:.7f}",
@@ -789,11 +745,9 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
     )
     slope_a_root = rate_slope("alpha", alpha_c.root)
     out.append(
-        _check(group, "alpha-derivative-negative-at-root", slope_a_root < 0,
-               f"slope {slope_a_root:.6f}")
+        ("alpha-derivative-negative-at-root", slope_a_root < 0,
+         f"slope {slope_a_root:.6f}")
     )
-    ctx.cached("beta_c", lambda: beta_c)
-    ctx.cached("alpha_c", lambda: alpha_c)
     return out
 
 
@@ -801,54 +755,38 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[CheckResult]:
 # Group 12: switching-rate dynamics
 
 
-def check_switching_dynamics(ctx: VerifyContext) -> list[CheckResult]:
-    group = "switching-dynamics"
+def check_switching_dynamics(ctx: VerifyContext) -> list[Check]:
+    ctx.require_switching_setting()
     params = ctx.params
-    g = ctx.grid(ctx.n_dynamics)
-    coeffs = sample_coefficients(params, ctx.grid(ctx.n_eigen))
-    if not ctx.hypothesis_ok() or not params.d1 < params.d3 < params.d2:
-        return [_skip(group, "all", "needs the growth hypothesis and d1 < d3 < d2")]
-    if float(np.max(coeffs.m)) > min(np.min(coeffs.alpha), np.min(coeffs.beta)):
-        return [_skip(group, "all", "needs max m <= alpha and max m <= beta")]
+    g = ctx.grid
     out = []
-    beta_c = ctx.cached("beta_c", lambda: an.find_threshold("beta_c", params, ctx.grid(ctx.n_eigen)))
-    alpha_c = ctx.cached("alpha_c", lambda: an.find_threshold("alpha_c", params, ctx.grid(ctx.n_eigen)))
+    beta = ctx.rate_threshold("beta_c")
+    beta_c, hi_beta = beta.roots[0], beta.bracket[1]
+    alpha_c = ctx.rate_threshold("alpha_c").roots[0]
 
     # Far from the thresholds the invasion eigenvalues are still only a few
     # 1e-3 for this scenario, so exclusion needs a long horizon.
     slow_opts = SolverOptions(dt=0.05, t_max=8000.0, sample_every=20.0, store_fields=False)
-    hi_beta = (params.d2 - params.d3) / (params.d3 - params.d1) * float(np.max(coeffs.alpha))
     beta_vals = [0.05 * beta_c.root, min(4.0 * beta_c.root, 0.95 * hi_beta)]
-    sweep_b = an.sweep_outcomes(params, g, "beta", beta_vals, opts=slow_opts)
-    expected_b = {beta_vals[0]: "w_wins", beta_vals[1]: "uv_wins"}
-    for point in sweep_b.points:
-        out.append(
-            _check(
-                group,
-                f"outcome-at-beta-{point.value:.4f}",
-                point.outcome == expected_b[point.value],
-                f"outcome={point.outcome}, lambda_uv0={point.lambda_uv0:+.5f}, "
-                f"lambda2={point.lambda_00w:+.5f}",
-            )
-        )
-
     alpha_vals = [0.05 * alpha_c.root, 4.0 * alpha_c.root]
-    sweep_a = an.sweep_outcomes(params, g, "alpha", alpha_vals, opts=slow_opts)
-    expected_a = {alpha_vals[0]: "uv_wins", alpha_vals[1]: "w_wins"}
-    for point in sweep_a.points:
-        out.append(
-            _check(
-                group,
-                f"outcome-at-alpha-{point.value:.4f}",
-                point.outcome == expected_a[point.value],
-                f"outcome={point.outcome}, lambda_uv0={point.lambda_uv0:+.5f}, "
-                f"lambda2={point.lambda_00w:+.5f}",
+    for rate, values, outcomes in (("beta", beta_vals, ("w_wins", "uv_wins")),
+                                   ("alpha", alpha_vals, ("uv_wins", "w_wins"))):
+        sweep = an.sweep_outcomes(params, g, rate, values, opts=slow_opts)
+        expected = dict(zip(values, outcomes))
+        for point in sweep.points:
+            out.append(
+                (
+                    f"outcome-at-{rate}-{point.value:.4f}",
+                    point.outcome == expected[point.value],
+                    f"outcome={point.outcome}, lambda_uv0={point.lambda_uv0:+.5f}, "
+                    f"lambda2={point.lambda_00w:+.5f}",
+                )
             )
-        )
     return out
 
 
-CHECKERS: dict[str, Callable[[VerifyContext], list[CheckResult]]] = {
+# The one list of groups, in battery order.
+CHECKERS: dict[str, Callable[[VerifyContext], list[Check]]] = {
     "mesh-order": check_mesh_order,
     "eigen-oracle": check_eigen_oracle,
     "scalar-eigenvalue-laws": check_scalar_laws,
@@ -869,16 +807,19 @@ def run_battery(
 ) -> list[CheckResult]:
     """Run the named check groups (all by default) and collect results."""
     ctx = ctx or VerifyContext()
-    selected = groups or list(GROUPS)
+    selected = groups or list(CHECKERS)
     unknown = [gname for gname in selected if gname not in CHECKERS]
     if unknown:
         raise ValueError(f"unknown verify groups: {unknown}")
     results: list[CheckResult] = []
     for gname in selected:
         try:
-            results.extend(CHECKERS[gname](ctx))
+            results.extend(CheckResult(gname, name, "PASS" if ok else "FAIL", detail)
+                           for name, ok, detail in CHECKERS[gname](ctx))
+        except SkipGroup as exc:
+            results.append(CheckResult(gname, "all", "SKIP", str(exc)))
         except HypothesisError as exc:
-            results.append(_skip(gname, "all", f"hypothesis violation: {exc}"))
+            results.append(CheckResult(gname, "all", "SKIP", f"hypothesis violation: {exc}"))
         except Exception as exc:
             results.append(CheckResult(gname, "execution", "FAIL", f"{type(exc).__name__}: {exc}"))
     return results

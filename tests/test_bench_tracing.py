@@ -1,6 +1,7 @@
 """bench/tracing.py wraps lab functions by name and skips a missing one silently,
 so its metrics would read 0.  Every target it names must still exist."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -31,6 +32,28 @@ def test_every_traced_target_resolves():
                 if not callable(getattr(getattr(lab_module(mod), cls, None), method, None))]
     assert tracing.FUNCTIONS and tracing.METHODS
     assert not missing, f"bench/tracing.py targets missing from dispersal_lab: {missing}"
+
+
+# The benchmark also calls lab names directly; a deletion that removes one breaks
+# bench/ without failing any other test.
+BENCH_SCRIPTS = ("worker.py", "oracle_selftest.py")
+LAB_MODULES = ("cli", "model", "spectral", "analysis")
+
+
+def test_every_lab_name_the_benchmark_calls_resolves():
+    used = set()
+    for script in BENCH_SCRIPTS:
+        tree = ast.parse((TRACING.parent / script).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in LAB_MODULES):
+                used.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dispersal_lab."):
+                used.update((node.module.split(".", 1)[1], alias.name) for alias in node.names)
+    missing = [f"{mod}.{name}" for mod, name in sorted(used)
+               if not hasattr(lab_module(mod), name)]
+    assert ("spectral", "scalar_eigenvalue") in used and ("cli", "RunArtifacts") in used
+    assert not missing, f"bench/ uses names missing from dispersal_lab: {missing}"
 
 
 # Tracer.install patches module namespaces for good, so the traced run gets its

@@ -21,7 +21,7 @@ from dispersal_lab.mesh import build_grid
 from dispersal_lab.spectral import scalar_eigenvalue
 from dispersal_lab.model import CoefficientSpec, ModelParams, sample_coefficients
 from dispersal_lab.analysis import THRESHOLDS, subsystem_steady
-from dispersal_lab.verify import GROUPS
+from dispersal_lab.verify import CHECKERS
 
 
 def base_config(tmp_path: Path, **overrides) -> dict:
@@ -193,7 +193,7 @@ def test_verify_reports_failures_with_exit_one(tmp_path, monkeypatch):
     import dispersal_lab.verify as verify_mod
 
     def always_fail(ctx):
-        return [verify_mod.CheckResult("mesh-order", "forced", "FAIL", "forced failure")]
+        return [("forced", False, "forced failure")]
 
     monkeypatch.setitem(verify_mod.CHECKERS, "mesh-order", always_fail)
     data = base_config(tmp_path, task={"name": "verify", "groups": ["mesh-order"]})
@@ -330,7 +330,8 @@ def valid_configs(draw):
         task_spec["parameter"] = draw(st.sampled_from(["d3", "beta", "alpha"]))
         task_spec["values"] = draw(st.lists(finite(0.01, 5.0), min_size=1, max_size=4))
     elif task == "verify":
-        task_spec["groups"] = draw(st.lists(st.sampled_from(GROUPS), max_size=3, unique=True))
+        groups = st.sampled_from(list(CHECKERS))
+        task_spec["groups"] = draw(st.lists(groups, max_size=3, unique=True))
     return {
         "grid": {"a": a, "b": a + draw(finite(0.1, 3.0)), "n": draw(st.integers(3, 2001))},
         "params": {
@@ -373,7 +374,7 @@ def test_valid_configs_round_trip(data):
     assert config.solver.tol == solver.get("tol", 1e-9)
     assert config.solver.t_max == solver.get("t_max", 2000.0)
     assert config.solver.sample_every == solver.get("sample_every", 1.0)
-    assert config.solver.store_fields == solver.get("store_fields", True)
+    assert config.solver.store_fields is False
     assert config.threshold_name == task.get("threshold_name")
     assert config.sweep_parameter == task.get("parameter")
     assert config.sweep_values == task.get("values")

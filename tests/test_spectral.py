@@ -9,7 +9,6 @@ from dispersal_lab.spectral import (
     assemble_dense,
     component_weights,
     dense_rightmost,
-    family_problem,
     find_mu_roots,
     lambda_of_mu,
     lambda_prime_at_zero,
@@ -190,8 +189,11 @@ def test_scaling_identity(grid):
     beta = np.full(grid.n, 0.7)
     m = np.cos(2 * np.pi * x) - 0.1
     for mu in (0.5, 2.0, 10.0):
-        left = principal_eigen(family_problem(grid, 1.0, 10.0, alpha, beta, m, mu)).lam
-        right = mu * principal_eigen(family_problem(grid, 1.0 / mu, 10.0, alpha, beta, m, 1.0)).lam
+        # d*diag(L, d0*L) + mu*M, M the switching matrix, with d0 = 10
+        scaled = switching_problem(grid, 1.0, 10.0, mu * alpha, mu * beta, mu * m)
+        left = principal_eigen(scaled).lam
+        d = 1.0 / mu
+        right = mu * principal_eigen(switching_problem(grid, d, d * 10.0, alpha, beta, m)).lam
         assert abs(left - right) <= 1e-8 * (1 + abs(left))
 
 
