@@ -50,6 +50,7 @@ from .dynamics import (
     TrajectoryLog,
     constant_state,
     eigenfunction_state,
+    integrate_runs,
     integrate_to_steady,
     lyapunov_identity,
     monitor_lyapunov,

@@ -35,7 +35,7 @@ from .dynamics import (
     SteadyResult,
     StepOvershootError,
     constant_state,
-    integrate_to_steady,
+    integrate_runs,
     newton_steady,
 )
 from .spectral import (
@@ -437,7 +437,7 @@ def sweep_outcomes(
     sim_opts = opts or SolverOptions(dt=0.02, sample_every=5.0, store_fields=False)
     values_sorted = sorted(float(v) for v in values)
 
-    points: list[SweepPoint] = []
+    locals_, coeffs_, eigenvalues, starts = [], [], [], []
     pair_cache: Optional[SteadyResult] = None
     w_cache: Optional[SteadyResult] = None
     for value in values_sorted:
@@ -462,27 +462,32 @@ def sweep_outcomes(
             w_cache = w_res
         u, v = pair.state.components
         w_star = w_res.state.components[0]
-        lam_uv0 = scalar_eigenvalue(grid, local.d3, coeffs.m - u - v).lam
-        lam_00w = lambda2_eigenpair(local, grid, w_star, coeffs).lam
-
-        note = ""
+        eigenvalues.append((scalar_eigenvalue(grid, local.d3, coeffs.m - u - v).lam,
+                            lambda2_eigenpair(local, grid, w_star, coeffs).lam))
         level = 0.2 * float(np.max(coeffs.m))
-        start = constant_state(SystemKind.THREE_COMPONENT, grid, [level, level, level])
-        try:
-            sim = integrate_to_steady(
-                SystemKind.THREE_COMPONENT, local, grid, start, sim_opts, coeffs
-            )
+        starts.append(constant_state(SystemKind.THREE_COMPONENT, grid, [level, level, level]))
+        locals_.append(local)
+        coeffs_.append(coeffs)
+
+    # All points step as one block; their errors are handled in point order.
+    sims = integrate_runs(SystemKind.THREE_COMPONENT, locals_, grid, starts, sim_opts, coeffs_)
+    points: list[SweepPoint] = []
+    for value, (lam_uv0, lam_00w), sim in zip(values_sorted, eigenvalues, sims):
+        note = ""
+        if isinstance(sim, SteadyResult):
             masses = sim.state.components @ grid.quadrature_weights
             outcome = classify_endpoint(masses)
             floors = tuple(float(x) for x in sim.state.components.min(axis=1))
             converged, residual, steps = sim.converged, sim.residual, sim.steps
-        except (StepOvershootError, ConvergenceError, HypothesisError,
-                np.linalg.LinAlgError) as exc:  # numerical failures are recorded, not fatal
+        elif isinstance(sim, (StepOvershootError, ConvergenceError, HypothesisError,
+                              np.linalg.LinAlgError)):  # numerical failures are recorded, not fatal
             masses = np.full(3, np.nan)
             outcome = "undetermined"
             floors = (np.nan, np.nan, np.nan)
             converged, residual, steps = False, np.nan, 0
-            note = f"simulation failed: {exc}"
+            note = f"simulation failed: {sim}"
+        else:
+            raise sim
         points.append(
             SweepPoint(
                 value=value,

@@ -140,7 +140,7 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     if not isinstance(solver_spec, dict):
         raise ConfigError("solver section must be an object")
     threshold_name = task_spec.get("threshold_name")
-    if task == "threshold" and threshold_name not in an.THRESHOLDS:
+    if task == "threshold" and threshold_name not in tuple(an.THRESHOLDS):
         raise ConfigError(
             f"threshold task needs threshold_name in {{{', '.join(an.THRESHOLDS)}}}"
         )

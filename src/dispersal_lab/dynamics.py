@@ -1,20 +1,43 @@
 """Steady states of the population systems, by time integration or by Newton.
 
-``integrate_to_steady`` steps any system with a first-order IMEX scheme: diffusion is backward Euler (one banded
-Cholesky factorization per component, reused every step), the reaction
-is explicit.  Fixed points of the scheme satisfy the discrete
-steady-state equation exactly, so the stopping criterion is the
-sup-norm of the full right-hand side, which is independent of dt.
+``integrate_runs`` steps P independent runs of one system kind, with one
+set of solver options, together as a (K, P, n) block with a first-order
+IMEX scheme: diffusion is backward Euler, the reaction is explicit.
+Fixed points of the scheme satisfy the discrete steady-state equation
+exactly, so the stopping criterion is the sup-norm of the full
+right-hand side, which is independent of dt.  ``integrate_to_steady``
+and ``ImexStepper.step`` are its one-run case; ``_step_block`` is the
+only stepping loop.
 
-A step validates once: the explicit stage is checked for overshoot and
-for NaN or inf, each factor is applied by a direct LAPACK ``pbtrs``
-call (the routine ``scipy.linalg.cho_solve_banded`` wraps, without its
-per-call finiteness scans), and the new block is checked for negative
-entries and clamped in place before it becomes a ``State`` without a
-second validation pass.  The floating-point operations and their order
-are those of the public ``State`` and ``cho_solve_banded`` path, so
-results are bit-identical to it.  ``integrate_to_steady`` assembles the
-Laplacian once per run for its residual checks.
+A step costs about 25 numpy and LAPACK calls of about 1 us each whatever
+P is, so a block shares that call overhead across its runs:
+
+- Diffusion.  Each (component, run) field keeps its own banded Cholesky
+  factor of I - dt*d*L, symmetrized by the square roots of the
+  quadrature weights.  ``DiffusionSolver`` lays the K*P factors end to
+  end as one block-diagonal band, so one ``pbtrs`` call (the routine
+  ``scipy.linalg.cho_solve_banded`` wraps, without its finiteness scans)
+  solves every field.  The block is exact: the band entry that couples
+  the last node of one field to the first node of the next is exactly
+  0, so there the forward and back substitutions subtract 0 * x = +0
+  (x is finite and nonnegative), which changes no value, and every
+  other operation is the one a solve of that field alone does.  Results
+  are bit-identical to K*P separate solves.
+- Reaction.  ``model.reaction_rhs`` is elementwise, over a block as over
+  one run, in the same operation order.
+- Validation.  The explicit stage is checked once per block for
+  overshoot and for NaN or inf, and the new block for negative entries;
+  only when a check fails is it repeated per run, to find the runs that
+  failed.  A failed run's stage is zeroed before the solve, since
+  0 * nan would cross the zero band entry into the next field.
+
+Each run keeps its own residual checks every CHECK_EVERY steps,
+trajectory samples, t_max stop, converged flag, residual and step count.
+A run that converges, reaches t_max or fails leaves the block, and the
+band is re-sliced from the stored factors without refactoring.  A run
+whose explicit stage overshoots leaves the block at its last state and
+continues alone at dt/2, up to MAX_DT_HALVINGS times.  The Laplacian for
+the residual checks is assembled once per call.
 
 ``newton_steady`` finds the logistic and the switching-pair steady states
 by pseudo-transient Newton on the banded layout of the eigensolver.
@@ -22,8 +45,8 @@ by pseudo-transient Newton on the banded layout of the eigensolver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import cholesky_banded, get_lapack_funcs, solve_banded
@@ -137,77 +160,139 @@ def kind_diffusions(kind: SystemKind, params: ModelParams) -> tuple[float, ...]:
 
 
 class DiffusionSolver:
-    """Factored solver for (I - dt*d*L) x = y with the Neumann Laplacian L.
+    """Block-diagonal solver for (I - dt*d_i*L) x_i = y_i over a stack of fields.
 
-    The matrix is symmetrized by the square root of the quadrature
-    weights, factored once with a banded Cholesky, and reused for every
-    step at this (d, dt).
+    Each field i has its own factor: the matrix is symmetrized by the
+    square roots of the quadrature weights and factored once with a
+    banded Cholesky.  ``select`` lays the factors of chosen fields end to
+    end as one band, so ``solve`` handles the whole stack with one
+    ``pbtrs`` call; the band entry between two fields is exactly 0.
     """
 
-    def __init__(self, grid: Grid, d: float, dt: float):
+    def __init__(self, grid: Grid, diffusions: Sequence[float], dt: float):
         n, h2 = grid.n, grid.h * grid.h
-        r = dt * d / h2
         sqrt_w = np.sqrt(grid.quadrature_weights)
-        diag = np.full(n, 1.0 + 2.0 * r)
-        upper = np.full(n - 1, -r)
-        upper[0] = -2.0 * r
-        # Symmetrized superdiagonal: S[i, i+1] = sqrt(w_i / w_{i+1}) * A[i, i+1].
-        sym_upper = upper * sqrt_w[:-1] / sqrt_w[1:]
-        ab = np.zeros((2, n))
-        ab[0, 1:] = sym_upper
-        ab[1, :] = diag
-        self._factor = cholesky_banded(ab, lower=False)
-        (self._pbtrs,) = get_lapack_funcs(("pbtrs",), (self._factor,))
+        self._factors = []
+        for d in diffusions:
+            r = dt * d / h2
+            upper = np.full(n - 1, -r)
+            upper[0] = -2.0 * r
+            # Symmetrized superdiagonal: S[i, i+1] = sqrt(w_i / w_{i+1}) * A[i, i+1].
+            ab = np.zeros((2, n))
+            ab[0, 1:] = upper * sqrt_w[:-1] / sqrt_w[1:]
+            ab[1, :] = 1.0 + 2.0 * r
+            self._factors.append(cholesky_banded(ab, lower=False))
+        (self._pbtrs,) = get_lapack_funcs(("pbtrs",), (self._factors[0],))
         self._sqrt_w = sqrt_w
+        self.select(range(len(self._factors)))
+
+    def select(self, fields: Sequence[int]) -> None:
+        """Solve for the given fields, in that order, from the stored factors."""
+        band = np.concatenate([self._factors[i] for i in fields], axis=1)
+        band[0, :: self._sqrt_w.size] = 0.0
+        self._band = band
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        """Solution for a finite right-hand side y (the caller checks finiteness)."""
-        z, info = self._pbtrs(self._factor, self._sqrt_w * y, overwrite_b=True)
+        """Solution for a finite right-hand side whose rows are the selected fields in
+        order, e.g. (K, P, n) (the caller checks finiteness)."""
+        z, info = self._pbtrs(self._band, (self._sqrt_w * y).reshape(-1), overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+        z = z.reshape(y.shape)
         z /= self._sqrt_w
         return z
 
 
 class ImexStepper:
-    """One-step map of the IMEX scheme for a fixed (kind, params, dt)."""
+    """One-step map of the IMEX scheme for P runs of one kind at one dt.
+
+    The runs form a (K, P, n) block; they may differ in diffusion rates
+    and coefficient fields, and share b and c.  ``advance`` steps the
+    block, ``keep`` drops runs from it, and ``step`` is the one-run map.
+    """
 
     def __init__(
         self,
         kind: SystemKind,
-        params: ModelParams,
+        params: Union[ModelParams, Sequence[ModelParams]],
         grid: Grid,
         dt: float,
-        coeffs: Optional[Coefficients] = None,
+        coeffs: Union[None, Coefficients, Sequence[Coefficients]] = None,
     ):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
+        runs = [params] if isinstance(params, ModelParams) else list(params)
+        if coeffs is None:
+            coeffs = [sample_coefficients(p, grid) for p in runs]
+        elif isinstance(coeffs, Coefficients):
+            coeffs = [coeffs]
+        if len(coeffs) != len(runs):
+            raise ValueError(f"{len(runs)} runs but {len(coeffs)} coefficient sets")
+        if any((p.b, p.c) != (runs[0].b, runs[0].c) for p in runs):
+            raise ValueError("the runs of one block must share b and c")
         self.kind = kind
-        self.params = params
+        self.params = runs[0]
         self.grid = grid
         self.dt = dt
-        self.coeffs = coeffs if coeffs is not None else sample_coefficients(params, grid)
-        self.solvers = [DiffusionSolver(grid, d, dt) for d in kind_diffusions(kind, params)]
+        self._coeffs = coeffs
+        diffusions = [kind_diffusions(kind, p) for p in runs]
+        self.solver = DiffusionSolver(grid, [d for ds in zip(*diffusions) for d in ds], dt)
+        self.keep(range(len(runs)))
+
+    def keep(self, runs: Sequence[int]) -> None:
+        """Step only the given runs, numbered as at construction, from now on."""
+        runs = list(runs)
+        total = len(self._coeffs)
+        self.solver.select([k * total + p for k in range(self.kind.n_components) for p in runs])
+        chosen = [self._coeffs[p] for p in runs]
+        self.coeffs = Coefficients(
+            grid=self.grid,
+            alpha=np.stack([c.alpha for c in chosen]),
+            beta=np.stack([c.beta for c in chosen]),
+            m=np.stack([c.m for c in chosen]),
+        )
+        self._shape = (self.kind.n_components, len(runs), self.grid.n)
+
+    def advance(self, block: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+        """The (K, P, n) block one step on, and the errors of the runs whose step failed.
+
+        Errors are keyed by position in the block; the new block holds
+        nothing meaningful at those positions.
+        """
+        if block.shape != self._shape:
+            raise ValueError(f"block shape {block.shape} != {self._shape}")
+        stage = reaction_rhs(self.kind, self.params, self.coeffs, block)
+        stage *= self.dt
+        stage += block
+        failed: dict[int, Exception] = {}
+        if float(stage.min()) < -NEGATIVITY_TOLERANCE or not np.isfinite(stage).all():
+            for p in range(stage.shape[1]):
+                worst = float(stage[:, p].min())
+                if worst < -NEGATIVITY_TOLERANCE:
+                    failed[p] = StepOvershootError(
+                        f"dt={self.dt} too large: explicit stage reached {worst:.3e}"
+                    )
+                elif not np.isfinite(stage[:, p]).all():
+                    failed[p] = ValueError("explicit stage contains infs or NaNs")
+            for p in failed:
+                stage[:, p] = 0.0  # 0 * inf or 0 * nan would cross the band into the next field
+        np.maximum(stage, 0.0, out=stage)
+        new = self.solver.solve(stage)
+        if float(new.min()) < -NEGATIVITY_TOLERANCE:
+            for p in range(new.shape[1]):
+                try:
+                    _check_nonnegative(float(new[:, p].min()))
+                except ValueError as exc:
+                    failed.setdefault(p, exc)
+        np.maximum(new, 0.0, out=new)
+        return new, failed
 
     def step(self, state: State) -> State:
-        comps = state.components
-        stage = reaction_rhs(self.kind, self.params, self.coeffs, comps)
-        stage *= self.dt
-        stage += comps
-        worst = float(stage.min())
-        if worst < -NEGATIVITY_TOLERANCE:
-            raise StepOvershootError(
-                f"dt={self.dt} too large: explicit stage reached {worst:.3e}"
-            )
-        if not np.isfinite(stage).all():
-            raise ValueError("explicit stage contains infs or NaNs")
-        np.maximum(stage, 0.0, out=stage)
-        new = np.empty_like(stage)
-        for i, solver in enumerate(self.solvers):
-            new[i] = solver.solve(stage[i])
-        _check_nonnegative(float(new.min()))
-        np.maximum(new, 0.0, out=new)
-        return State._trusted(state.t + self.dt, new)
+        """The state of a one-run stepper one step on; a failed step raises its error."""
+        new, failed = self.advance(state.components[:, None, :])
+        if failed:
+            raise failed[0]
+        return State._trusted(state.t + self.dt, new.reshape(state.components.shape))
 
 
 def _steady_rhs(kind, params, coeffs, comps, lap) -> np.ndarray:
@@ -223,6 +308,125 @@ def rhs_residual(kind: SystemKind, params: ModelParams, grid: Grid, coeffs: Coef
     return float(np.max(np.abs(_steady_rhs(kind, params, coeffs, comps, lap))))
 
 
+@dataclass
+class _Run:
+    """Settings, latest state and counters of one run of integrate_runs."""
+
+    params: ModelParams
+    coeffs: Coefficients
+    state: State
+    log: TrajectoryLog
+    next_sample: float
+    converged: bool
+    steps: int = 0
+    halvings: int = 0
+    error: Optional[Exception] = None
+
+
+def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[_Run],
+                opts: SolverOptions) -> None:
+    """Step the runs together at opts.dt until each has converged, reached t_max or failed.
+
+    A run whose explicit stage overshoots leaves the block at its last
+    state and continues alone at dt/2, up to MAX_DT_HALVINGS times.
+    """
+    dt = opts.dt
+    stepper = ImexStepper(kind, [r.params for r in runs], grid, dt, [r.coeffs for r in runs])
+    block = np.stack([r.state.components for r in runs], axis=1)
+    live = list(range(len(runs)))  # run number at each block position
+    t = [r.state.t for r in runs]
+    while live:
+        new, failed = stepper.advance(block)
+        stay = []
+        for pos, i in enumerate(live):
+            run = runs[i]
+            if pos in failed:
+                run.state = State._trusted(t[i], block[:, pos].copy())
+                exc = failed[pos]
+                if isinstance(exc, StepOvershootError) and run.halvings < MAX_DT_HALVINGS:
+                    run.halvings += 1
+                    _step_block(kind, grid, lap, [run], replace(opts, dt=dt / 2.0))
+                else:
+                    run.error = exc
+                continue
+            t[i] += dt
+            run.steps += 1
+            comps = new[:, pos]
+            if t[i] >= run.next_sample - 1e-12:
+                run.log.record(State._trusted(t[i], comps.copy()))
+                while run.next_sample <= t[i] + 1e-12:
+                    run.next_sample += opts.sample_every
+            if run.steps % CHECK_EVERY == 0:
+                residual = rhs_residual(kind, run.params, grid, run.coeffs, comps, lap)
+                run.converged = residual <= opts.tol
+            if run.converged or t[i] >= opts.t_max - 1e-12:
+                run.state = State._trusted(t[i], comps.copy())
+            else:
+                stay.append(pos)
+        if len(stay) < len(live):
+            live = [live[pos] for pos in stay]
+            if live:
+                stepper.keep(live)
+            new = np.take(new, stay, axis=1)
+        block = new
+
+
+def integrate_runs(
+    kind: SystemKind,
+    params: Sequence[ModelParams],
+    grid: Grid,
+    initials: Sequence[State],
+    opts: SolverOptions,
+    coeffs: Optional[Sequence[Coefficients]] = None,
+) -> list[Union[SteadyResult, Exception]]:
+    """Step independent runs of one kind together, each until its
+    right-hand side is below opts.tol or opts.t_max is reached.
+
+    The runs may differ in diffusion rates, coefficient fields and
+    initial state; they share b, c and the solver options.  Returns, per
+    run, its result or the error that ended it: a step overshoot after
+    MAX_DT_HALVINGS halvings, a non-finite or negative state, or a pair
+    steady state outside its contracting box.  Non-convergence by t_max
+    is reported through the converged flag, not an error.
+    """
+    if coeffs is None:
+        coeffs = [sample_coefficients(p, grid) for p in params]
+    if not len(params) == len(coeffs) == len(initials):
+        raise ValueError("need one params and one coefficient set per initial state")
+    expected = (kind.n_components, grid.n)
+    for initial in initials:
+        if initial.components.shape != expected:
+            raise ValueError(f"initial state shape {initial.components.shape} != {expected}")
+    lap = assemble_neumann_laplacian(grid)
+    runs = []
+    for p, c, initial in zip(params, coeffs, initials):
+        log = TrajectoryLog(grid=grid, fields=[] if opts.store_fields else None)
+        log.record(initial)
+        residual = rhs_residual(kind, p, grid, c, initial.components, lap)
+        runs.append(_Run(p, c, initial, log, initial.t + opts.sample_every, residual <= opts.tol))
+    stepping = [r for r in runs if not r.converged and r.state.t < opts.t_max - 1e-12]
+    if stepping:
+        _step_block(kind, grid, lap, stepping, opts)
+
+    results: list[Union[SteadyResult, Exception]] = []
+    for run in runs:
+        if run.error is not None:
+            results.append(run.error)
+            continue
+        comps = run.state.components
+        residual = rhs_residual(kind, run.params, grid, run.coeffs, comps, lap)
+        converged = residual <= opts.tol
+        run.log.record(run.state)
+        if converged:
+            try:
+                _check_contracting_box(kind, run.params, grid, run.coeffs, comps)
+            except RuntimeError as exc:
+                results.append(exc)
+                continue
+        results.append(SteadyResult(run.state, residual, converged, run.steps, run.log))
+    return results
+
+
 def integrate_to_steady(
     kind: SystemKind,
     params: ModelParams,
@@ -231,55 +435,12 @@ def integrate_to_steady(
     opts: SolverOptions = SolverOptions(),
     coeffs: Optional[Coefficients] = None,
 ) -> SteadyResult:
-    """Step until the right-hand side is below tol or t_max is reached.
-
-    Overshoots of the explicit stage halve dt (rebuilding the
-    factorizations) up to MAX_DT_HALVINGS times.  Non-convergence
-    by t_max is reported through the converged flag, not an exception.
-    """
-    if coeffs is None:
-        coeffs = sample_coefficients(params, grid)
-    expected = (kind.n_components, grid.n)
-    if initial.components.shape != expected:
-        raise ValueError(f"initial state shape {initial.components.shape} != {expected}")
-
-    log = TrajectoryLog(grid=grid, fields=[] if opts.store_fields else None)
-    log.record(initial)
-    stepper = ImexStepper(kind, params, grid, opts.dt, coeffs)
-    lap = assemble_neumann_laplacian(grid)
-    state = initial
-    steps = 0
-    halvings = 0
-    next_sample = initial.t + opts.sample_every
-    residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
-    converged = residual <= opts.tol
-    while not converged and state.t < opts.t_max - 1e-12:
-        try:
-            state = stepper.step(state)
-        except StepOvershootError:
-            halvings += 1
-            if halvings > MAX_DT_HALVINGS:
-                raise
-            stepper = ImexStepper(kind, params, grid, stepper.dt / 2.0, coeffs)
-            continue
-        steps += 1
-        if state.t >= next_sample - 1e-12:
-            log.record(state)
-            while next_sample <= state.t + 1e-12:
-                next_sample += opts.sample_every
-        if steps % CHECK_EVERY == 0:
-            residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
-            if residual <= opts.tol:
-                converged = True
-    residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
-    converged = residual <= opts.tol
-    log.record(state)
-
-    if converged:
-        _check_contracting_box(kind, params, grid, coeffs, state.components)
-    return SteadyResult(
-        state=state, residual=residual, converged=converged, steps=steps, trajectory=log
-    )
+    """integrate_runs for one run: its result, or its error raised."""
+    (result,) = integrate_runs(kind, [params], grid, [initial], opts,
+                               None if coeffs is None else [coeffs])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _check_contracting_box(kind: SystemKind, params: ModelParams, grid: Grid,

@@ -114,7 +114,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """alpha, beta, m sampled on a grid, with sign checks applied."""
+    """alpha, beta, m sampled on a grid, with sign checks applied.
+
+    Each field has shape (n,), or (P, n) for a block of P runs; every
+    run's row passes the checks on its own.
+    """
 
     grid: Grid
     alpha: np.ndarray
@@ -122,15 +126,20 @@ class Coefficients:
     m: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, arr in (("alpha", self.alpha), ("beta", self.beta), ("m", self.m)):
-            self.grid.check_field(arr)
+        fields = (self.alpha, self.beta, self.m)
+        for alpha, beta, m in zip(*(np.atleast_2d(arr) for arr in fields)):
+            for row in (alpha, beta, m):
+                self.grid.check_field(row)
+            if np.min(alpha) < 0 or np.min(beta) < 0:
+                raise ValueError("switching rates alpha, beta must be nonnegative")
+            if np.max(alpha) <= 0 or np.max(beta) <= 0:
+                raise ValueError("alpha and beta must each be positive somewhere")
+            if np.max(m) <= 0:
+                raise ValueError("growth rate m must be positive somewhere")
+        if len({arr.shape for arr in fields}) != 1:
+            raise ValueError(f"alpha, beta and m differ in shape: {[a.shape for a in fields]}")
+        for arr in fields:
             arr.setflags(write=False)
-        if np.min(self.alpha) < 0 or np.min(self.beta) < 0:
-            raise ValueError("switching rates alpha, beta must be nonnegative")
-        if np.max(self.alpha) <= 0 or np.max(self.beta) <= 0:
-            raise ValueError("alpha and beta must each be positive somewhere")
-        if np.max(self.m) <= 0:
-            raise ValueError("growth rate m must be positive somewhere")
 
 
 def sample_coefficients(params: ModelParams, grid: Grid) -> Coefficients:
@@ -145,18 +154,21 @@ def sample_coefficients(params: ModelParams, grid: Grid) -> Coefficients:
 def reaction_rhs(
     kind: SystemKind, params: ModelParams, coeffs: Coefficients, comps: np.ndarray
 ) -> np.ndarray:
-    """Non-diffusive right-hand side, vectorized over nodes.
+    """Non-diffusive right-hand side, elementwise over nodes and runs.
 
-    comps has shape (K, n) with K = kind.n_components.  Returns the same
-    shape.  Growth terms use the shared density u+v(+w) for the submodel
-    and three-component systems, and the b, c cross terms for the
-    general two-species system.
+    comps has shape (K, n) with K = kind.n_components, or (K, P, n) for
+    a block of P runs, with coefficient fields of shape (n,) or (P, n).
+    Returns the same shape; each entry is computed by the same
+    operations as for one run, so results match bit for bit.  Growth
+    terms use the shared density u+v(+w) for the submodel and
+    three-component systems, and the b, c cross terms for the general
+    two-species system.
     """
     comps = np.asarray(comps, dtype=float)
-    if comps.shape != (kind.n_components, coeffs.grid.n):
+    if comps.shape[0] != kind.n_components or comps.shape[-1] != coeffs.grid.n:
         raise ValueError(
             f"state shape {comps.shape} does not match "
-            f"({kind.n_components}, {coeffs.grid.n}) for kind {kind.value!r}"
+            f"({kind.n_components}, ..., {coeffs.grid.n}) for kind {kind.value!r}"
         )
     al, be, m = coeffs.alpha, coeffs.beta, coeffs.m
     out = np.empty_like(comps)

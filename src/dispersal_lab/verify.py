@@ -33,6 +33,7 @@ from .dynamics import (
     SolverOptions,
     SteadyResult,
     constant_state,
+    integrate_runs,
     integrate_to_steady,
     lyapunov_identity,
     monitor_lyapunov,
@@ -646,14 +647,20 @@ def check_exclusion_dynamics(ctx: VerifyContext) -> list[Check]:
              "winner stable, loser invadable")
         )
 
+    # The 5 seeds at both end members step as one block of 10 runs.
     opts = SolverOptions(dt=0.05, sample_every=5.0, store_fields=False)
-    for d3 in (0.05, 1.5):
-        local = replace(params, d3=d3)
+    ends = (0.05, 1.5)
+    starts = [random_state(SystemKind.THREE_COMPONENT, g, 0.05, 0.4, ctx.seed + 200 + i)
+              for i in range(5)]
+    runs = integrate_runs(SystemKind.THREE_COMPONENT,
+                          [replace(params, d3=d3) for d3 in ends for _ in starts],
+                          g, starts * len(ends), opts)
+    for e, d3 in enumerate(ends):
         loser_max = 0.0
         winner_min = np.inf
-        for i in range(5):
-            start = random_state(SystemKind.THREE_COMPONENT, g, 0.05, 0.4, ctx.seed + 200 + i)
-            res = integrate_to_steady(SystemKind.THREE_COMPONENT, local, g, start, opts)
+        for res in runs[e * len(starts):(e + 1) * len(starts)]:
+            if isinstance(res, Exception):
+                raise res
             masses = res.state.components @ g.quadrature_weights
             if d3 < params.d1:
                 loser_max = max(loser_max, masses[0] + masses[1])

@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from dispersal_lab.mesh import build_grid
-from dispersal_lab import analysis
+from dispersal_lab import analysis, dynamics
 from dispersal_lab.model import (
     CoefficientSpec,
     HypothesisError,
@@ -26,6 +26,7 @@ from dispersal_lab.analysis import (
     weighted_average_diffusion,
 )
 from dispersal_lab.cli import EXIT_OK, parse_config, run_scenario
+from dispersal_lab.dynamics import SolverOptions, StepOvershootError
 from dispersal_lab.spectral import (
     dense_rightmost,
     principal_eigen,
@@ -137,6 +138,18 @@ def test_d_0_matches_cli_first_root(tmp_path):
     assert format(result.root, ".17g") == row[3]
 
 
+@pytest.mark.parametrize("name", list(analysis.THRESHOLDS))
+def test_thresholds_do_not_time_step(params, name, monkeypatch):
+    """Every stepping path goes through ImexStepper.advance; no threshold may reach it."""
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("a threshold time-stepped")
+
+    monkeypatch.setattr(dynamics.ImexStepper, "advance", no_stepping)
+    if name.startswith("mu_"):  # these need growth that changes sign with negative mean
+        params = replace(params, m=CoefficientSpec.cosine(-0.1, 0.3, 1))
+    assert np.isfinite(find_threshold(name, params, build_grid(0, 1, 51)).root)
+
+
 def test_threshold_requires_growth_hypothesis(grid, params):
     bad = replace(params, m=CoefficientSpec.constant(3.0))
     with pytest.raises(HypothesisError):
@@ -200,13 +213,32 @@ def test_sweep_end_members(params):
 
 def test_sweep_propagates_programming_errors(params, monkeypatch):
     """Only numerical failures become 'undetermined' rows; a TypeError escapes."""
-    integrate = analysis.integrate_to_steady
+    integrate = analysis.integrate_runs
 
     def broken_race(kind, *args, **kwargs):
         if kind is SystemKind.THREE_COMPONENT:
             raise TypeError("bug in the race simulation")
         return integrate(kind, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "integrate_to_steady", broken_race)
+    monkeypatch.setattr(analysis, "integrate_runs", broken_race)
     with pytest.raises(TypeError, match="bug in the race"):
         sweep_outcomes(params, build_grid(0, 1, 31), "d3", [0.05])
+
+
+def test_sweep_records_a_run_past_the_dt_halvings(params):
+    """dt = 50 overshoots at every halving down to 50/16: an undetermined row, not an error."""
+    report = sweep_outcomes(params, build_grid(0, 1, 31), "d3", [0.05, 1.5],
+                            SolverOptions(dt=50.0, sample_every=50.0, store_fields=False))
+    for point in report.points:
+        assert point.outcome == "undetermined" and not point.converged and point.steps == 0
+        assert point.note.startswith("simulation failed: dt=3.125 too large: explicit stage")
+        assert np.isnan(point.masses).all() and np.isnan(point.residual)
+
+
+def test_sweep_raises_run_errors_in_point_order(params, monkeypatch):
+    """Numerical failures become rows; the first other error, by point, is raised."""
+    errors = [StepOvershootError("dt=0.02 too large"), ValueError("second point"),
+              TypeError("third point")]
+    monkeypatch.setattr(analysis, "integrate_runs", lambda *args, **kwargs: errors)
+    with pytest.raises(ValueError, match="second point"):
+        sweep_outcomes(params, build_grid(0, 1, 31), "d3", [0.05, 0.08, 1.5])

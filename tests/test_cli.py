@@ -436,3 +436,21 @@ def test_solver_section_that_is_not_an_object_exits_with_validation_code(tmp_pat
     assume(not isinstance(value, dict))
     path = write_config(tmp_path, base_config(tmp_path, solver=value))
     assert main(["eigen", "--config", str(path)]) == EXIT_VALIDATION
+
+
+def test_list_threshold_name_exits_with_validation_code(tmp_path):
+    """A list is unhashable: matching it against the THRESHOLDS dict raised TypeError, exit 1."""
+    data = base_config(tmp_path, task={"name": "threshold", "threshold_name": ["d_c"]})
+    with pytest.raises(ConfigError):
+        parse_config(data)
+    assert main(["threshold", "--config", str(write_config(tmp_path, data))]) == EXIT_VALIDATION
+
+
+@PROPERTY
+@given(value=junk)
+@example(value=["d_c"])
+@example(value={"d_c": 1})
+def test_threshold_name_that_names_no_threshold_exits_with_validation_code(tmp_path, value):
+    assume(value not in tuple(THRESHOLDS))
+    data = base_config(tmp_path, task={"name": "threshold", "threshold_name": value})
+    assert main(["threshold", "--config", str(write_config(tmp_path, data))]) == EXIT_VALIDATION

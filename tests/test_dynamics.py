@@ -14,12 +14,16 @@ from dispersal_lab.model import (
     sample_coefficients,
 )
 from dispersal_lab.dynamics import (
+    MAX_DT_HALVINGS,
     NEGATIVITY_TOLERANCE,
     ImexStepper,
     SolverOptions,
     State,
     StepOvershootError,
+    SteadyResult,
+    TrajectoryLog,
     constant_state,
+    integrate_runs,
     integrate_to_steady,
     kind_diffusions,
     monitor_lyapunov,
@@ -346,3 +350,121 @@ def test_residual_with_shared_laplacian_matches_fresh(grid):
         fresh = rhs_residual(kind, params, grid, coeffs, comps, assemble_neumann_laplacian(grid))
         assert shared == fresh
         assert rhs_residual(kind, params, grid, coeffs, comps, lap) == shared
+
+
+def reference_integrate(kind, params, grid, initial, opts):
+    """integrate_to_steady's loop over ReferenceStepper: (result, dt halvings)."""
+    coeffs = sample_coefficients(params, grid)
+    lap = assemble_neumann_laplacian(grid)
+    log = TrajectoryLog(grid=grid, fields=[] if opts.store_fields else None)
+    log.record(initial)
+    stepper = ReferenceStepper(kind, params, grid, opts.dt)
+    state, steps, halvings = initial, 0, 0
+    next_sample = initial.t + opts.sample_every
+    converged = rhs_residual(kind, params, grid, coeffs, state.components, lap) <= opts.tol
+    while not converged and state.t < opts.t_max - 1e-12:
+        try:
+            state = stepper.step(state)
+        except StepOvershootError:
+            halvings += 1
+            if halvings > MAX_DT_HALVINGS:
+                raise
+            stepper = ReferenceStepper(kind, params, grid, stepper.dt / 2.0)
+            continue
+        steps += 1
+        if state.t >= next_sample - 1e-12:
+            log.record(state)
+            while next_sample <= state.t + 1e-12:
+                next_sample += opts.sample_every
+        if steps % 10 == 0:
+            converged = rhs_residual(kind, params, grid, coeffs, state.components, lap) <= opts.tol
+    residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
+    log.record(state)
+    return SteadyResult(state, residual, residual <= opts.tol, steps, log), halvings
+
+
+def assert_same_run(result, expected):
+    assert isinstance(result, SteadyResult)
+    assert result.state.t == expected.state.t
+    assert same_bits(result.state.components, expected.state.components)
+    assert (result.steps, result.residual, result.converged) == (
+        expected.steps, expected.residual, expected.converged)
+    ours, theirs = result.trajectory, expected.trajectory
+    assert ours.sample_times == theirs.sample_times
+    for name in ("mins", "maxs", "masses") + (("fields",) if theirs.fields is not None else ()):
+        assert len(getattr(ours, name)) == len(getattr(theirs, name))
+        for a, b in zip(getattr(ours, name), getattr(theirs, name)):
+            assert same_bits(a, b)
+
+
+@st.composite
+def block_runs(draw, kind):
+    """P runs of one kind with their own fields, rates and states (with exact zeros).
+
+    The runs share one tol and t_max; their own fields and states make
+    them converge, and so leave the block, at different steps.
+    """
+    n_runs = draw(st.integers(1, 4))
+    grid = build_grid(0, 1, 21)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, c = draw(st.floats(0.5, 1.5)), draw(st.floats(0.5, 1.5))
+    opts = SolverOptions(dt=0.05, tol=draw(st.sampled_from([0.0, 1e-3, 1e-2, 5e-2])),
+                         t_max=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
+                         sample_every=0.25, store_fields=draw(st.booleans()))
+    params, initials = [], []
+    for _ in range(n_runs):
+        d1 = rng.uniform(0.05, 0.5)
+        m = rng.uniform(-0.5, 1.0, grid.n)
+        m[0] = 0.5
+        params.append(ModelParams(
+            d1=d1, d2=d1 + rng.uniform(0.0, 1.0), d3=rng.uniform(0.05, 1.5), b=b, c=c,
+            alpha=CoefficientSpec.from_samples(rng.uniform(0.2, 1.5, grid.n)),
+            beta=CoefficientSpec.from_samples(rng.uniform(0.2, 1.5, grid.n)),
+            m=CoefficientSpec.from_samples(m)))
+        comps = rng.uniform(0.0, 0.8, (kind.n_components, grid.n))
+        comps[rng.uniform(size=comps.shape) < 0.2] = 0.0
+        if draw(st.booleans()):
+            comps[rng.integers(kind.n_components)] = 0.0  # an extinct component
+        initials.append(State(t=0.0, components=comps))
+    return params, grid, initials, opts
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_block_is_bit_identical_to_reference_runs(kind, data):
+    params, grid, initials, opts = data.draw(block_runs(kind))
+    results = integrate_runs(kind, params, grid, initials, opts)
+    for p, result in enumerate(results):
+        expected, _ = reference_integrate(kind, params[p], grid, initials[p], opts)
+        assert_same_run(result, expected)
+
+
+def test_overshooting_run_leaves_the_block_and_halves_dt_alone(grid):
+    params = scenario_params(m=CoefficientSpec.constant(0.5))
+    opts = SolverOptions(dt=0.9, t_max=30.0, sample_every=3.0)
+    starts = [constant_state(SystemKind.LOGISTIC, grid, [w]) for w in (0.6, 3.0, 0.2)]
+    results = integrate_runs(SystemKind.LOGISTIC, [params] * 3, grid, starts, opts)
+    halvings = []
+    for result, start in zip(results, starts):
+        expected, halved = reference_integrate(SystemKind.LOGISTIC, params, grid, start, opts)
+        assert_same_run(result, expected)
+        assert_same_run(result, integrate_to_steady(SystemKind.LOGISTIC, params, grid, start, opts))
+        halvings.append(halved)
+    assert halvings[0] == halvings[2] == 0 and halvings[1] > 0
+
+
+def test_nonfinite_stage_fails_its_run_only(grid):
+    params = scenario_params()
+    opts = SolverOptions(dt=0.01, t_max=0.5, sample_every=0.1)
+    starts = [constant_state(SystemKind.SUBMODEL, grid, [0.3, 0.2]) for _ in range(3)]
+    comps = np.full((2, grid.n), 0.3)
+    comps[1, -1] = np.nan  # next to the first node of the following run in the band
+    starts[1] = State(t=0.0, components=comps)
+    results = integrate_runs(SystemKind.SUBMODEL, [params] * 3, grid, starts, opts)
+    assert isinstance(results[1], ValueError) and "infs or NaNs" in str(results[1])
+    expected, _ = reference_integrate(SystemKind.SUBMODEL, params, grid, starts[0], opts)
+    assert_same_run(results[0], expected)
+    assert_same_run(results[2], expected)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        integrate_to_steady(SystemKind.SUBMODEL, params, grid, starts[1], opts)

@@ -4,6 +4,7 @@ import pytest
 from dispersal_lab.mesh import build_grid, integrate
 from dispersal_lab.model import (
     CoefficientSpec,
+    Coefficients,
     HypothesisError,
     ModelParams,
     SystemKind,
@@ -129,6 +130,26 @@ def test_component_count_mismatch(grid):
         reaction_rhs(SystemKind.LOGISTIC, params, coeffs, np.zeros((2, grid.n)))
     with pytest.raises(ValueError):
         reaction_rhs(SystemKind.SUBMODEL, params, coeffs, np.zeros((3, grid.n)))
+
+
+def test_block_coefficients_check_every_run(grid):
+    """A (P, n) block is valid only if each run's row is valid on its own."""
+    ones, zeros = np.ones(grid.n), np.zeros(grid.n)
+    good = np.stack([ones, ones])
+    Coefficients(grid=grid, alpha=good.copy(), beta=good.copy(), m=good.copy())
+    for field, message in (("alpha", "positive somewhere"), ("beta", "positive somewhere"),
+                           ("m", "growth rate")):
+        bad = dict(alpha=good.copy(), beta=good.copy(), m=good.copy())
+        bad[field] = np.stack([ones, zeros])  # the other run is positive everywhere
+        with pytest.raises(ValueError, match=message):
+            Coefficients(grid=grid, **bad)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Coefficients(grid=grid, alpha=np.stack([ones, ones - 1.5 * (grid.nodes < 0.5)]),
+                     beta=good.copy(), m=good.copy())
+    with pytest.raises(ValueError, match="does not match grid size"):
+        Coefficients(grid=grid, alpha=np.ones((2, grid.n + 1)), beta=good.copy(), m=good.copy())
+    with pytest.raises(ValueError, match="differ in shape"):
+        Coefficients(grid=grid, alpha=ones.copy(), beta=good.copy(), m=good.copy())
 
 
 def test_k0_symmetric_unit_case():
