@@ -30,17 +30,22 @@ P is, so a block shares that call overhead across its runs:
   only when a check fails is it repeated per run, to find the runs that
   failed.  A failed run's stage is zeroed before the solve, since
   0 * nan would cross the zero band entry into the next field.
+- Residual checks.  The reaction of each new block is computed once: it
+  serves the next step's explicit stage and, every CHECK_EVERY steps,
+  one block-wide evaluation of the right-hand side, whose per-run
+  sup-norms are the values rhs_residual gives for each run alone.  The
+  Laplacian for the checks is assembled once per call.
 
-Each run keeps its own residual checks every CHECK_EVERY steps,
-trajectory samples, t_max stop, converged flag, residual and step count.
-A run that converges, reaches t_max or fails leaves the block, and the
-band is re-sliced from the stored factors without refactoring.  A run
-whose explicit stage overshoots leaves the block at its last state and
-continues alone at dt/2, up to MAX_DT_HALVINGS times.  The Laplacian for
-the residual checks is assembled once per call.
+Each run keeps its own convergence test, trajectory samples, t_max stop,
+converged flag, residual and step count.  A run that converges, reaches
+t_max or fails leaves the block, and the band is re-sliced from the
+stored factors without refactoring.  A run whose explicit stage
+overshoots leaves the block at its last state and continues alone at
+dt/2, up to MAX_DT_HALVINGS times.
 
 ``newton_steady`` finds the logistic and the switching-pair steady states
-by pseudo-transient Newton on the banded layout of the eigensolver.
+by pseudo-transient Newton on the banded layout of the eigensolver, and
+solves each Newton step by its LAPACK call, ``spectral.solve_band``.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs, solve_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .mesh import Grid, NeumannLaplacian, assemble_neumann_laplacian
 from .model import (
@@ -60,7 +65,7 @@ from .model import (
     reaction_rhs,
     sample_coefficients,
 )
-from .spectral import EigenResult, assemble_banded
+from .spectral import EigenResult, assemble_banded, solve_band
 
 NEGATIVITY_TOLERANCE = 1e-13
 CHECK_EVERY = 10  # steps between residual checks
@@ -237,6 +242,7 @@ class ImexStepper:
         self._coeffs = coeffs
         diffusions = [kind_diffusions(kind, p) for p in runs]
         self.solver = DiffusionSolver(grid, [d for ds in zip(*diffusions) for d in ds], dt)
+        self._all_diffusions = np.array(diffusions).T  # (K, runs)
         self.keep(range(len(runs)))
 
     def keep(self, runs: Sequence[int]) -> None:
@@ -251,17 +257,20 @@ class ImexStepper:
             beta=np.stack([c.beta for c in chosen]),
             m=np.stack([c.m for c in chosen]),
         )
+        self._diffusions = self._all_diffusions[:, runs, None]
         self._shape = (self.kind.n_components, len(runs), self.grid.n)
 
-    def advance(self, block: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    def advance(self, block: np.ndarray,
+                rates: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
         """The (K, P, n) block one step on, and the errors of the runs whose step failed.
 
-        Errors are keyed by position in the block; the new block holds
-        nothing meaningful at those positions.
+        rates is reaction_rhs of the block, and is consumed.  Errors are
+        keyed by position in the block; the new block holds zeros or
+        clamped values at those positions.
         """
         if block.shape != self._shape:
             raise ValueError(f"block shape {block.shape} != {self._shape}")
-        stage = reaction_rhs(self.kind, self.params, self.coeffs, block)
+        stage = rates
         stage *= self.dt
         stage += block
         failed: dict[int, Exception] = {}
@@ -287,9 +296,18 @@ class ImexStepper:
         np.maximum(new, 0.0, out=new)
         return new, failed
 
+    def residuals(self, block: np.ndarray, rates: np.ndarray, lap: NeumannLaplacian) -> np.ndarray:
+        """rhs_residual of each run of the block, rates its reaction_rhs, bit for bit:
+        the same elementwise operations, reduced per run."""
+        rhs = lap.apply(block)
+        rhs *= self._diffusions
+        rhs += rates
+        return np.abs(rhs, out=rhs).max(axis=(0, 2))
+
     def step(self, state: State) -> State:
         """The state of a one-run stepper one step on; a failed step raises its error."""
-        new, failed = self.advance(state.components[:, None, :])
+        block = state.components[:, None, :]
+        new, failed = self.advance(block, reaction_rhs(self.kind, self.params, self.coeffs, block))
         if failed:
             raise failed[0]
         return State._trusted(state.t + self.dt, new.reshape(state.components.shape))
@@ -335,8 +353,12 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
     block = np.stack([r.state.components for r in runs], axis=1)
     live = list(range(len(runs)))  # run number at each block position
     t = [r.state.t for r in runs]
+    rates = reaction_rhs(kind, stepper.params, stepper.coeffs, block)
     while live:
-        new, failed = stepper.advance(block)
+        new, failed = stepper.advance(block, rates)
+        # The reaction of the new block serves its residual checks and the next stage.
+        rates = reaction_rhs(kind, stepper.params, stepper.coeffs, new)
+        residuals = None
         stay = []
         for pos, i in enumerate(live):
             run = runs[i]
@@ -357,8 +379,9 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
                 while run.next_sample <= t[i] + 1e-12:
                     run.next_sample += opts.sample_every
             if run.steps % CHECK_EVERY == 0:
-                residual = rhs_residual(kind, run.params, grid, run.coeffs, comps, lap)
-                run.converged = residual <= opts.tol
+                if residuals is None:
+                    residuals = stepper.residuals(new, rates, lap)
+                run.converged = float(residuals[pos]) <= opts.tol
             if run.converged or t[i] >= opts.t_max - 1e-12:
                 run.state = State._trusted(t[i], comps.copy())
             else:
@@ -368,6 +391,7 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
             if live:
                 stepper.keep(live)
             new = np.take(new, stay, axis=1)
+            rates = np.take(rates, stay, axis=1)
         block = new
 
 
@@ -473,8 +497,9 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
     at 1, so early iterates follow the flow, and grows by the ratio of
     successive residuals (switched evolution relaxation).  The run stops
     once tau >= TAU_NEWTON and the step is at rounding level; it has
-    converged if the residual is then at most STEADY_TOL and the state
-    is nonnegative.
+    converged if the state is nonnegative and the residual is then at
+    most STEADY_TOL, or at most four times its rounding level
+    eps * max d * (4/h^2) * max|x| where that is larger (fine grids).
     """
     if kind not in (SystemKind.LOGISTIC, SystemKind.SUBMODEL):
         raise ValueError(f"newton_steady solves the logistic and pair systems, not {kind}")
@@ -487,8 +512,7 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
     f_norm, tau, stopped = float(np.max(np.abs(f))), 1.0, False
     for steps in range(1, NEWTON_MAX_ITER + 1):
         jac = assemble_banded(lap, kind_diffusions(kind, params), _jacobian_coupling(kind, coeffs, x))
-        dx = solve_banded((K, K), jac.shifted_bands(1.0 / tau), f.T.ravel(), overwrite_ab=True,
-                          check_finite=False).reshape(n, K).T
+        dx = solve_band(jac.shifted_bands(1.0 / tau), f.T.ravel()).reshape(n, K).T
         x += dx
         f = _steady_rhs(kind, params, coeffs, x, lap)
         new_norm = float(np.max(np.abs(f)))
@@ -500,7 +524,12 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
         f_norm = new_norm
     state = State._trusted(initial.t, np.maximum(x, 0.0))
     residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
-    converged = stopped and residual <= STEADY_TOL and float(np.min(x)) >= -NEGATIVITY_TOLERANCE
+    # Rounding alone leaves rhs_residual near eps * max d * |L| * max|x|, |L| = 4/h^2,
+    # which exceeds STEADY_TOL on fine grids.
+    rounding = (4.0 * np.finfo(float).eps * max(kind_diffusions(kind, params))
+                * (4.0 / (grid.h * grid.h)) * float(np.max(np.abs(x))))
+    converged = (stopped and residual <= max(STEADY_TOL, rounding)
+                 and float(np.min(x)) >= -NEGATIVITY_TOLERANCE)
     if converged:
         _check_contracting_box(kind, params, grid, coeffs, state.components)
     log = TrajectoryLog(grid=grid)

@@ -75,10 +75,13 @@ class NeumannLaplacian:
     upper: np.ndarray  # entry (i, i+1), length n-1
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        f = self.grid.check_field(f)
+        """L f for a field f, or for each field of a stack (..., n)."""
+        f = np.asarray(f, dtype=float)
+        if f.ndim == 0 or f.shape[-1] != self.grid.n:
+            raise ValueError(f"field shape {f.shape} does not match grid size ({self.grid.n},)")
         out = self.diag * f
-        out[:-1] += self.upper * f[1:]
-        out[1:] += self.lower * f[:-1]
+        out[..., :-1] += self.upper * f[..., 1:]
+        out[..., 1:] += self.lower * f[..., :-1]
         return out
 
     def to_dense(self) -> np.ndarray:

@@ -85,9 +85,11 @@ class SystemKind(enum.Enum):
 
     @property
     def n_components(self) -> int:
-        return {"two_species_general": 2, "submodel": 2, "logistic": 1, "three_component": 3}[
-            self.value
-        ]
+        return _N_COMPONENTS[self]
+
+
+_N_COMPONENTS = {SystemKind.TWO_SPECIES_GENERAL: 2, SystemKind.SUBMODEL: 2,
+                 SystemKind.LOGISTIC: 1, SystemKind.THREE_COMPONENT: 3}
 
 
 @dataclass(frozen=True)

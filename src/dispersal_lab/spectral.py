@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .mesh import Grid, NeumannLaplacian, assemble_neumann_laplacian, integrate
 from .model import HypothesisError
@@ -120,22 +120,21 @@ class BandedOperator:
     def __init__(self, ab: np.ndarray):
         self.ab = ab
         self.halfband, self.size = (ab.shape[0] - 1) // 2, ab.shape[1]
-
-    def _bands(self):
-        """(offset, diagonal) pairs: the main diagonal, then offsets +-u down to +-1."""
+        # (rows of A x, band row of ab, columns) of each band: the main diagonal,
+        # then offsets +-u down to +-1.
         u, size = self.halfband, self.size
-        yield 0, self.ab[u]
+        self._terms = [(slice(None), u, slice(None))]
         for k in range(u, 0, -1):
-            yield k, self.ab[u - k, k:]
-            yield -k, self.ab[u + k, : size - k]
+            self._terms.append((slice(0, size - k), u - k, slice(k, None)))
+            self._terms.append((slice(k, None), u + k, slice(0, size - k)))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x: every product ab[r, j] * x[j] in one multiply, then each band's
+        products added in turn to a zero accumulator (so -0.0 products give +0.0)."""
+        products = self.ab * x
         y = np.zeros_like(x)
-        for k, band in self._bands():
-            if k >= 0:
-                y[: self.size - k] += band * x[k:]
-            else:
-                y[-k:] += band * x[: self.size + k]
+        for rows, band, cols in self._terms:
+            y[rows] += products[band, cols]
         return y
 
     def inf_norm(self) -> float:
@@ -145,15 +144,41 @@ class BandedOperator:
         return np.column_stack([self.matvec(e) for e in np.eye(self.size)])
 
     def shifted_bands(self, sigma: float) -> np.ndarray:
-        """Band storage of sigma*I - A, as scipy.linalg.solve_banded takes it."""
+        """A new band storage of sigma*I - A, in this layout (that of scipy.linalg.solve_banded)."""
         ab = -self.ab
         ab[self.halfband] += sigma
         return ab
 
     def solve_shifted(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (sigma*I - A) x = rhs with a banded LAPACK call."""
-        u = self.halfband
-        return solve_banded((u, u), self.shifted_bands(sigma), rhs)
+        """Solve (sigma*I - A) x = rhs with one LAPACK call (see solve_band); rhs is kept."""
+        return solve_band(self.shifted_bands(sigma), rhs)
+
+
+_GTSV, _GBSV = get_lapack_funcs(("gtsv", "gbsv"), (np.empty(0),))
+
+
+def solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs, M square in band storage ab with half-bandwidth u >= 1 on both sides.
+
+    Makes the LAPACK call scipy.linalg.solve_banded((u, u), ab, rhs) makes,
+    on the same values: gtsv on the three diagonals for u = 1, gbsv on ab
+    under u zero rows otherwise.  So x is the same bit for bit, without the
+    wrapper's finiteness scans and argument checks: the caller passes
+    finite float arrays.  ab is overwritten and rhs is kept.  A singular M
+    raises np.linalg.LinAlgError.
+    """
+    u = (ab.shape[0] - 1) // 2
+    if u == 1:
+        _, _, _, x, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1)
+    else:
+        work = np.zeros((3 * u + 1, ab.shape[1]), order="F")
+        work[u:] = ab
+        _, _, x, info = _GBSV(u, u, work, rhs, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK gtsv/gbsv")
+    return x
 
 
 def assemble_banded(lap: NeumannLaplacian, diffusions: tuple[float, ...],
@@ -215,6 +240,8 @@ def principal_eigen(problem: EigenProblem) -> EigenResult:
                         problem.coupling)
     K, n = problem.n_components, problem.grid.n
     w_big = component_weights(problem.grid, K)
+    if not np.isfinite(A.ab).all():
+        raise ValueError("array must not contain infs or NaNs")
     anorm = A.inf_norm()
     resid_floor = max(EIGEN_TOL, 40.0 * np.finfo(float).eps * anorm)
 
@@ -235,10 +262,13 @@ def principal_eigen(problem: EigenProblem) -> EigenResult:
         try:
             x = A.solve_shifted(sigma, v)
         except np.linalg.LinAlgError:
-            x = None
-        if x is not None and np.all(x < 0):
-            x = -x
-        if x is None or not np.all(x > 0) or not np.all(np.isfinite(x)):
+            x_min = x_max = np.nan
+        else:
+            x_min, x_max = x.min(), x.max()  # NaN if x has a NaN
+            if x_max < 0:
+                np.negative(x, out=x)
+                x_min, x_max = -x_max, -x_min
+        if not (x_min > 0 and x_max < np.inf):
             # Shift slipped at or below the principal eigenvalue; back away.
             failures += 1
             if failures > 25:
@@ -248,10 +278,11 @@ def principal_eigen(problem: EigenProblem) -> EigenResult:
             sigma = lam + backoff
             backoff *= 4.0
             continue
-        v = x / np.max(x)
+        x /= x_max
+        v = x
         y = A.matvec(v)
         lam = float((w_big @ (v * y)) / (w_big @ (v * v)))
-        residual = float(np.max(np.abs(y - lam * v)))
+        residual = float(np.abs(y - lam * v).max())
         if residual <= resid_floor and abs(lam - lam_prev) <= EIGEN_TOL * (1.0 + abs(lam)):
             return _finish(problem, v, lam, residual, it)
         lam_prev = lam

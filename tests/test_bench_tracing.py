@@ -76,6 +76,11 @@ params = ModelParams(d1=0.1, d2=1.0, d3=0.4, alpha=CoefficientSpec.constant(1.0)
                      beta=CoefficientSpec.constant(1.0), m=CoefficientSpec.cosine(0.4, 0.3, 1))
 for name in ("d_c", "d_0"):
     analysis.find_threshold(name, params, build_grid(0, 1, 41))
+# mu_star scans scalar eigenvalues (gtsv); the pair eigensolves of d_0 use gbsv.
+sign_changing = ModelParams(d1=0.1, d2=1.0, d3=0.4, alpha=CoefficientSpec.constant(1.0),
+                            beta=CoefficientSpec.constant(1.0),
+                            m=CoefficientSpec.cosine(-0.1, 0.3, 1))
+analysis.find_threshold("mu_star", sign_changing, build_grid(0, 1, 41))
 _, problems = tracer.summarize(0, 0, 1)
 
 name_id = np.frombuffer(tracer.name_id, dtype=np.int32)
@@ -104,5 +109,6 @@ def test_traced_thresholds_pass_the_cross_checks_and_helpers_do_not_step():
     assert out["problems"] == []
     assert calls["analysis.subsystem_steady"][0] >= 1 and calls["analysis.logistic_steady"][0] >= 17
     assert calls["spectral.BandedOperator.solve_shifted"][0] > 0
+    assert calls["spectral.mu_star_scalar"][0] == 1
     assert calls["dynamics.ImexStepper.step"][1] == 0
     assert calls["spectral.BandedOperator.solve_shifted"][1] == 0

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from dispersal_lab.cli import load_config
 from dispersal_lab.mesh import assemble_neumann_laplacian, build_grid
 from dispersal_lab.model import (
     CoefficientSpec,
@@ -11,12 +14,14 @@ from dispersal_lab.model import (
     ModelParams,
     SystemKind,
     hypothesis_h_holds,
+    reaction_rhs,
     sample_coefficients,
 )
 from dispersal_lab.dynamics import (
     MAX_DT_HALVINGS,
     NEGATIVITY_TOLERANCE,
     ImexStepper,
+    STEADY_TOL,
     SolverOptions,
     State,
     StepOvershootError,
@@ -118,6 +123,19 @@ def test_pair_steady_under_growth_hypothesis(grid):
     u, v = result.state.components
     assert np.min(u) > 0 and np.min(v) > 0
     assert np.max(u) < 1.0 and np.max(v) < 1.0
+
+
+def test_fine_grid_pair_steady_converges_at_rounding_level():
+    # At n = 3201 the residual's rounding floor, about eps * d2 * (4/h^2) * max|x|,
+    # is above STEADY_TOL, so the absolute test alone would reject the root.
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
+    grid = build_grid(0, 1, 3201)
+    coeffs = sample_coefficients(config.params, grid)
+    result = subsystem_steady(config.params, grid, coeffs)
+    u, v = result.state.components
+    assert result.converged and result.residual > STEADY_TOL
+    assert np.min(u) > 0 and np.min(v) > 0
+    assert np.max(u) <= np.max(coeffs.beta) and np.max(v) <= np.max(coeffs.alpha)
 
 
 def test_steady_helpers_reject_extinction(grid):
@@ -350,6 +368,26 @@ def test_residual_with_shared_laplacian_matches_fresh(grid):
         fresh = rhs_residual(kind, params, grid, coeffs, comps, assemble_neumann_laplacian(grid))
         assert shared == fresh
         assert rhs_residual(kind, params, grid, coeffs, comps, lap) == shared
+
+
+def test_block_residuals_match_rhs_residual_per_run(grid):
+    lap = assemble_neumann_laplacian(grid)
+    rng = np.random.default_rng(11)
+    for kind in SystemKind:
+        params = [scenario_params(d1=rng.uniform(0.05, 0.5), d2=1.0, d3=rng.uniform(0.1, 2.0),
+                                  m=CoefficientSpec.from_samples(rng.uniform(-0.5, 1.0, grid.n)))
+                  for _ in range(3)]
+        stepper = ImexStepper(kind, params, grid, 0.01)
+        # Smooth fields, so that reaction and diffusion are of one size, and an extinct one.
+        shape = (kind.n_components, 3, 1)
+        block = rng.uniform(0.2, 0.6, shape) + rng.uniform(0.0, 0.2, shape) * np.cos(
+            np.pi * rng.integers(1, 4, shape) * grid.nodes)
+        block[-1, 1] = 0.0
+        rates = reaction_rhs(kind, params[0], stepper.coeffs, block)
+        residuals = stepper.residuals(block, rates, lap)
+        for p in range(3):
+            coeffs = sample_coefficients(params[p], grid)
+            assert residuals[p] == rhs_residual(kind, params[p], grid, coeffs, block[:, p], lap)
 
 
 def reference_integrate(kind, params, grid, initial, opts):

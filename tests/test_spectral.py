@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
-from dispersal_lab.mesh import build_grid
+from dispersal_lab.mesh import assemble_neumann_laplacian, build_grid
 from dispersal_lab.spectral import (
+    BandedOperator,
     CooperativityError,
     ThresholdResult,
     adjoint_principal_eigen,
+    assemble_banded,
     assemble_dense,
     component_weights,
     dense_rightmost,
@@ -257,3 +262,116 @@ def test_threshold_result_invariants():
         ThresholdResult("d_c", (0.1, 0.5), 0.3, 1e-10, 1, 1)
     with pytest.raises(ValueError):
         ThresholdResult("d_c", (0.1, 0.5), 0.3, 1e-6, 1, -1)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.sampled_from([1, 2]), n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
+       sigma=st.floats(-50.0, 50.0), negative=st.booleans())
+def test_shifted_solve_is_bit_identical_to_solve_banded(K, n, seed, sigma, negative):
+    # Couplings of any sign, as in the Newton Jacobian, as well as cooperative ones.
+    rng = np.random.default_rng(seed)
+    lap = assemble_neumann_laplacian(build_grid(0, 1, n))
+    coupling = rng.uniform(-2.0 if negative else 0.0, 2.0, (K, K, n))
+    op = assemble_banded(lap, tuple(rng.uniform(1e-3, 2.0, K)), coupling)
+    band, rhs = op.ab.copy(), rng.normal(size=K * n)
+    kept = rhs.copy()
+    try:
+        expected = solve_banded((K, K), op.shifted_bands(sigma), rhs)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            op.solve_shifted(sigma, rhs)
+    else:
+        assert same_bits(op.solve_shifted(sigma, rhs), expected)
+    assert same_bits(rhs, kept) and same_bits(op.ab, band)
+
+
+def reference_matvec(ab, x):
+    """A x band by band, one product array per band, into a zero accumulator."""
+    u, size = (ab.shape[0] - 1) // 2, ab.shape[1]
+    y = np.zeros_like(x)
+    y += ab[u] * x
+    for k in range(u, 0, -1):
+        y[: size - k] += ab[u - k, k:] * x[k:]
+        y[k:] += ab[u + k, : size - k] * x[: size - k]
+    return y
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.sampled_from([1, 2]), n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1))
+def test_matvec_is_bit_identical_to_the_band_loop(K, n, seed):
+    rng = np.random.default_rng(seed)
+    lap = assemble_neumann_laplacian(build_grid(0, 1, n))
+    coupling = rng.uniform(-2.0, 2.0, (K, K, n))
+    coupling[rng.uniform(size=coupling.shape) < 0.3] = -0.0
+    op = assemble_banded(lap, tuple(rng.uniform(1e-3, 2.0, K)), coupling)
+    x = rng.normal(size=K * n)
+    # A run of signed zeros: a row whose products are all -0.0 sums to +0.0 in the loop.
+    start, stop = sorted(rng.integers(0, K * n + 1, 2))
+    x[start:stop] = np.where(rng.uniform(size=stop - start) < 0.5, 0.0, -0.0)
+    assert same_bits(op.matvec(x), reference_matvec(op.ab, x))
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_singular_shift_raises(K):
+    # h = 1: the Laplacian's integer entries make sigma = 0 exactly singular (L kills constants).
+    n = 9
+    op = assemble_banded(assemble_neumann_laplacian(build_grid(0, n - 1, n)), (1.0,) * K,
+                         np.zeros((K, K, n)))
+    with pytest.raises(np.linalg.LinAlgError):
+        op.solve_shifted(0.0, np.ones(K * n))
+
+
+def sign_changing_problem():
+    g = build_grid(0, 1, 41)
+    return scalar_problem(g, 0.3, np.cos(2 * np.pi * g.nodes) - 0.1)
+
+
+def test_inverse_iteration_flips_an_all_negative_iterate(monkeypatch):
+    problem = sign_changing_problem()
+    expected = principal_eigen(problem)
+    solve = BandedOperator.solve_shifted
+    monkeypatch.setattr(BandedOperator, "solve_shifted",
+                        lambda self, sigma, rhs: -solve(self, sigma, rhs))
+    result = principal_eigen(problem)
+    assert result.lam == expected.lam and result.iterations == expected.iterations
+    assert same_bits(result.eigenfunctions, expected.eigenfunctions)
+
+
+def test_inverse_iteration_backs_off_on_singular_and_nan_solves(monkeypatch):
+    problem = sign_changing_problem()
+    expected = principal_eigen(problem)
+    solve = BandedOperator.solve_shifted
+    sigmas = []
+
+    def stub(self, sigma, rhs):
+        sigmas.append(sigma)
+        if len(sigmas) == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        x = solve(self, sigma, rhs)
+        if len(sigmas) == 2:
+            x[3] = np.nan
+        return x
+
+    monkeypatch.setattr(BandedOperator, "solve_shifted", stub)
+    result = principal_eigen(problem)
+    # From v = ones: A v is the potential e, lambda its mean, and the back-off
+    # starts at max e - min e and grows fourfold after each failure.
+    e = problem.coupling[0, 0]
+    w = problem.grid.quadrature_weights
+    lam0, backoff = (w @ e) / w.sum(), np.max(e) - np.min(e)
+    assert sigmas[1] == pytest.approx(lam0 + backoff, rel=1e-12)
+    assert sigmas[2] == pytest.approx(lam0 + 4.0 * backoff, rel=1e-12)
+    assert abs(result.lam - expected.lam) <= 1e-9 * (1.0 + abs(expected.lam))
+    assert np.min(result.eigenfunctions) > 0
+
+
+def test_nonfinite_operator_is_rejected():
+    g = build_grid(0, 1, 21)
+    e = np.zeros(g.n)
+    e[4] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        principal_eigen(scalar_problem(g, 0.3, e))
