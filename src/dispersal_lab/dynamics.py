@@ -12,12 +12,12 @@ only stepping loop.
 A step costs about 25 numpy and LAPACK calls of about 1 us each whatever
 P is, so a block shares that call overhead across its runs:
 
-- Diffusion.  Each (component, run) field keeps its own banded Cholesky
-  factor of I - dt*d*L, symmetrized by the square roots of the
-  quadrature weights.  ``DiffusionSolver`` lays the K*P factors end to
-  end as one block-diagonal band, so one ``pbtrs`` call (the routine
-  ``scipy.linalg.cho_solve_banded`` wraps, without its finiteness scans)
-  solves every field.  The block is exact: the band entry that couples
+- Diffusion.  I - dt*d*L, symmetrized by the square roots of the
+  quadrature weights, is symmetric positive definite and tridiagonal.
+  Each (component, run) field keeps its own L D L^T factor of it from
+  LAPACK ``pttrf``.  ``DiffusionSolver`` lays the K*P factors end to end
+  as one block-diagonal tridiagonal factor, so one ``pttrs`` call solves
+  every field.  The block is exact: the off-diagonal entry that couples
   the last node of one field to the first node of the next is exactly
   0, so there the forward and back substitutions subtract 0 * x = +0
   (x is finite and nonnegative), which changes no value, and every
@@ -29,7 +29,7 @@ P is, so a block shares that call overhead across its runs:
   overshoot and for NaN or inf, and the new block for negative entries;
   only when a check fails is it repeated per run, to find the runs that
   failed.  A failed run's stage is zeroed before the solve, since
-  0 * nan would cross the zero band entry into the next field.
+  0 * nan would cross the zero coupling entry into the next field.
 - Residual checks.  The reaction of each new block is computed once: it
   serves the next step's explicit stage and, every CHECK_EVERY steps,
   one block-wide evaluation of the right-hand side, whose per-run
@@ -37,11 +37,14 @@ P is, so a block shares that call overhead across its runs:
   Laplacian for the checks is assembled once per call.
 
 Each run keeps its own convergence test, trajectory samples, t_max stop,
-converged flag, residual and step count.  A run that converges, reaches
-t_max or fails leaves the block, and the band is re-sliced from the
-stored factors without refactoring.  A run whose explicit stage
+converged flag, residual and step count.  Time is counted in steps: after
+k steps at dt from t0 a run is at t0 + k*dt, and it reaches t_max after
+the number of steps that spans t_max - t0, so rounding in a running sum
+neither shifts a sample nor adds a step.  A run that converges, reaches
+t_max or fails leaves the block, and the block factor is re-sliced from
+the stored factors without refactoring.  A run whose explicit stage
 overshoots leaves the block at its last state and continues alone at
-dt/2, up to MAX_DT_HALVINGS times.
+dt/2 with its clock re-based there, up to MAX_DT_HALVINGS times.
 
 ``newton_steady`` finds the logistic and the switching-pair steady states
 by pseudo-transient Newton on the banded layout of the eigensolver, and
@@ -50,11 +53,12 @@ solves each Newton step by its LAPACK call, ``spectral.solve_band``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .mesh import Grid, NeumannLaplacian, assemble_neumann_laplacian
 from .model import (
@@ -75,6 +79,8 @@ STEADY_TOL = 1e-9  # rhs_residual at which newton_steady calls a state steady
 NEWTON_MAX_ITER = 100
 TAU_NEWTON = 1e8  # pseudo-time step from which a rounding-level step ends newton_steady
 NEWTON_ROUNDING = 1e-12  # a step no larger than this times max(1, |x|) is at rounding level
+
+_PTTRF, _PTTRS = get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0),))
 
 
 class StepOvershootError(RuntimeError):
@@ -167,11 +173,12 @@ def kind_diffusions(kind: SystemKind, params: ModelParams) -> tuple[float, ...]:
 class DiffusionSolver:
     """Block-diagonal solver for (I - dt*d_i*L) x_i = y_i over a stack of fields.
 
-    Each field i has its own factor: the matrix is symmetrized by the
-    square roots of the quadrature weights and factored once with a
-    banded Cholesky.  ``select`` lays the factors of chosen fields end to
-    end as one band, so ``solve`` handles the whole stack with one
-    ``pbtrs`` call; the band entry between two fields is exactly 0.
+    Each field i has its own factor: the matrix, symmetrized by the square
+    roots of the quadrature weights, is symmetric positive definite and
+    tridiagonal, and LAPACK ``pttrf`` factors it once as L D L^T.
+    ``select`` lays the factors of chosen fields end to end, so ``solve``
+    handles the whole stack with one ``pttrs`` call; the off-diagonal
+    entry between two fields is exactly 0.
     """
 
     def __init__(self, grid: Grid, diffusions: Sequence[float], dt: float):
@@ -182,27 +189,26 @@ class DiffusionSolver:
             r = dt * d / h2
             upper = np.full(n - 1, -r)
             upper[0] = -2.0 * r
-            # Symmetrized superdiagonal: S[i, i+1] = sqrt(w_i / w_{i+1}) * A[i, i+1].
-            ab = np.zeros((2, n))
-            ab[0, 1:] = upper * sqrt_w[:-1] / sqrt_w[1:]
-            ab[1, :] = 1.0 + 2.0 * r
-            self._factors.append(cholesky_banded(ab, lower=False))
-        (self._pbtrs,) = get_lapack_funcs(("pbtrs",), (self._factors[0],))
+            # Symmetrized off-diagonal: S[i, i+1] = sqrt(w_i / w_{i+1}) * A[i, i+1].
+            diag, off, info = _PTTRF(np.full(n, 1.0 + 2.0 * r), upper * sqrt_w[:-1] / sqrt_w[1:])
+            if info != 0:
+                raise ValueError(f"LAPACK pttrf failed with info={info} for d={d}, dt={dt}")
+            # The trailing 0 is the off-diagonal entry to the next field of a block.
+            self._factors.append((diag, np.append(off, 0.0)))
         self._sqrt_w = sqrt_w
         self.select(range(len(self._factors)))
 
     def select(self, fields: Sequence[int]) -> None:
         """Solve for the given fields, in that order, from the stored factors."""
-        band = np.concatenate([self._factors[i] for i in fields], axis=1)
-        band[0, :: self._sqrt_w.size] = 0.0
-        self._band = band
+        self._diag = np.concatenate([self._factors[i][0] for i in fields])
+        self._off = np.concatenate([self._factors[i][1] for i in fields])[:-1]
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Solution for a finite right-hand side whose rows are the selected fields in
         order, e.g. (K, P, n) (the caller checks finiteness)."""
-        z, info = self._pbtrs(self._band, (self._sqrt_w * y).reshape(-1), overwrite_b=True)
+        z, info = _PTTRS(self._diag, self._off, (self._sqrt_w * y).reshape(-1), overwrite_b=True)
         if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+            raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
         z = z.reshape(y.shape)
         z /= self._sqrt_w
         return z
@@ -284,7 +290,7 @@ class ImexStepper:
                 elif not np.isfinite(stage[:, p]).all():
                     failed[p] = ValueError("explicit stage contains infs or NaNs")
             for p in failed:
-                stage[:, p] = 0.0  # 0 * inf or 0 * nan would cross the band into the next field
+                stage[:, p] = 0.0  # 0 * inf or 0 * nan would cross into the next field
         np.maximum(stage, 0.0, out=stage)
         new = self.solver.solve(stage)
         if float(new.min()) < -NEGATIVITY_TOLERANCE:
@@ -341,6 +347,12 @@ class _Run:
     error: Optional[Exception] = None
 
 
+def _steps_to(t_max: float, t0: float, dt: float) -> int:
+    """Number of steps of dt from t0 to t_max; a quotient within a relative 1e-12
+    above an integer counts as that integer."""
+    return max(0, math.ceil((t_max - t0) / dt * (1.0 - 1e-12)))
+
+
 def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[_Run],
                 opts: SolverOptions) -> None:
     """Step the runs together at opts.dt until each has converged, reached t_max or failed.
@@ -352,7 +364,10 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
     stepper = ImexStepper(kind, [r.params for r in runs], grid, dt, [r.coeffs for r in runs])
     block = np.stack([r.state.components for r in runs], axis=1)
     live = list(range(len(runs)))  # run number at each block position
-    t = [r.state.t for r in runs]
+    # Each run's clock counts its steps at this dt: after k of them its time is t0 + k*dt.
+    t0 = [r.state.t for r in runs]
+    k = [0] * len(runs)
+    k_max = [_steps_to(opts.t_max, t, dt) for t in t0]
     rates = reaction_rhs(kind, stepper.params, stepper.coeffs, block)
     while live:
         new, failed = stepper.advance(block, rates)
@@ -363,7 +378,7 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
         for pos, i in enumerate(live):
             run = runs[i]
             if pos in failed:
-                run.state = State._trusted(t[i], block[:, pos].copy())
+                run.state = State._trusted(t0[i] + k[i] * dt, block[:, pos].copy())
                 exc = failed[pos]
                 if isinstance(exc, StepOvershootError) and run.halvings < MAX_DT_HALVINGS:
                     run.halvings += 1
@@ -371,19 +386,20 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
                 else:
                     run.error = exc
                 continue
-            t[i] += dt
+            k[i] += 1
             run.steps += 1
+            t = t0[i] + k[i] * dt
             comps = new[:, pos]
-            if t[i] >= run.next_sample - 1e-12:
-                run.log.record(State._trusted(t[i], comps.copy()))
-                while run.next_sample <= t[i] + 1e-12:
+            if t >= run.next_sample - 1e-12:
+                run.log.record(State._trusted(t, comps.copy()))
+                while run.next_sample <= t + 1e-12:
                     run.next_sample += opts.sample_every
             if run.steps % CHECK_EVERY == 0:
                 if residuals is None:
                     residuals = stepper.residuals(new, rates, lap)
                 run.converged = float(residuals[pos]) <= opts.tol
-            if run.converged or t[i] >= opts.t_max - 1e-12:
-                run.state = State._trusted(t[i], comps.copy())
+            if run.converged or k[i] >= k_max[i]:
+                run.state = State._trusted(t, comps.copy())
             else:
                 stay.append(pos)
         if len(stay) < len(live):
@@ -428,7 +444,7 @@ def integrate_runs(
         log.record(initial)
         residual = rhs_residual(kind, p, grid, c, initial.components, lap)
         runs.append(_Run(p, c, initial, log, initial.t + opts.sample_every, residual <= opts.tol))
-    stepping = [r for r in runs if not r.converged and r.state.t < opts.t_max - 1e-12]
+    stepping = [r for r in runs if not r.converged and _steps_to(opts.t_max, r.state.t, opts.dt)]
     if stepping:
         _step_block(kind, grid, lap, stepping, opts)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -143,6 +144,16 @@ class Coefficients:
         for arr in fields:
             arr.setflags(write=False)
 
+    @cached_property
+    def m_minus_alpha(self) -> np.ndarray:
+        """m - alpha, computed once for the reaction of the general two-species system."""
+        return self.m - self.alpha
+
+    @cached_property
+    def m_minus_beta(self) -> np.ndarray:
+        """m - beta, computed once for the reaction of the general two-species system."""
+        return self.m - self.beta
+
 
 def sample_coefficients(params: ModelParams, grid: Grid) -> Coefficients:
     return Coefficients(
@@ -180,8 +191,9 @@ def reaction_rhs(
         return out
     if kind is SystemKind.TWO_SPECIES_GENERAL:
         u, v = comps
-        out[0] = (m - al - u) * u + (be - params.b * u) * v
-        out[1] = (m - be - v) * v + (al - params.c * v) * u
+        # (m - al - u) is evaluated as (m - al) - u, so the cached difference gives the same bits.
+        out[0] = (coeffs.m_minus_alpha - u) * u + (be - params.b * u) * v
+        out[1] = (coeffs.m_minus_beta - v) * v + (al - params.c * v) * u
         return out
     if kind is SystemKind.SUBMODEL:
         u, v = comps

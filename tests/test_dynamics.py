@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dptsv
 
 from dispersal_lab.cli import load_config
 from dispersal_lab.mesh import assemble_neumann_laplacian, build_grid
@@ -19,6 +19,7 @@ from dispersal_lab.model import (
 )
 from dispersal_lab.dynamics import (
     MAX_DT_HALVINGS,
+    DiffusionSolver,
     NEGATIVITY_TOLERANCE,
     ImexStepper,
     STEADY_TOL,
@@ -297,34 +298,36 @@ def reference_reaction(kind, params, coeffs, comps):
 
 
 class ReferenceStepper:
-    """The IMEX step through cho_solve_banded and the validating State(...)."""
+    """The IMEX step through a per-field LAPACK dptsv and the validating State(...)."""
 
     def __init__(self, kind, params, grid, dt):
         self.kind, self.params, self.dt = kind, params, dt
         self.coeffs = sample_coefficients(params, grid)
         self.sqrt_w = np.sqrt(grid.quadrature_weights)
-        self.factors = []
+        self.matrices = []
         for d in kind_diffusions(kind, params):
             r = dt * d / grid.h**2
             upper = np.full(grid.n - 1, -r)
             upper[0] = -2.0 * r
-            ab = np.zeros((2, grid.n))
-            ab[0, 1:] = upper * self.sqrt_w[:-1] / self.sqrt_w[1:]
-            ab[1, :] = 1.0 + 2.0 * r
-            self.factors.append(cholesky_banded(ab, lower=False))
+            self.matrices.append((np.full(grid.n, 1.0 + 2.0 * r),
+                                  upper * self.sqrt_w[:-1] / self.sqrt_w[1:]))
 
-    def step(self, state):
-        comps = state.components
+    def fields(self, comps):
+        """The (K, n) fields one step on."""
         stage = comps + self.dt * reference_reaction(self.kind, self.params, self.coeffs, comps)
         worst = float(np.min(stage))
         if worst < -NEGATIVITY_TOLERANCE:
             raise StepOvershootError(f"explicit stage reached {worst:.3e}")
         stage = np.maximum(stage, 0.0)
         new = np.empty_like(stage)
-        for i, factor in enumerate(self.factors):
-            z = cho_solve_banded((factor, False), self.sqrt_w * stage[i])
+        for i, (diag, off) in enumerate(self.matrices):
+            _, _, z, info = dptsv(diag, off, self.sqrt_w * stage[i])
+            assert info == 0
             new[i] = z / self.sqrt_w
-        return State(t=state.t + self.dt, components=new)
+        return new
+
+    def step(self, state):
+        return State(t=state.t + self.dt, components=self.fields(state.components))
 
 
 def same_bits(a, b):
@@ -345,6 +348,49 @@ def test_step_is_bit_identical_to_reference(grid, kind):
         a, b = fast.step(a), slow.step(b)
         assert a.t == b.t
         assert same_bits(a.components, b.components)
+
+
+def test_diffusion_solve_matches_dense_solve(grid):
+    dt, diffusions = 0.02, (0.01, 0.1, 1.0, 5.0)
+    lap = assemble_neumann_laplacian(grid).to_dense()
+    y = np.random.default_rng(4).uniform(0.0, 1.0, (len(diffusions), grid.n))
+    x = DiffusionSolver(grid, diffusions, dt).solve(y.copy())
+    for d, xi, yi in zip(diffusions, x, y):
+        dense = np.linalg.solve(np.eye(grid.n) - dt * d * lap, yi)
+        assert np.max(np.abs(xi - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 40), diffusions=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=7),
+       dt=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_diffusion_block_equals_fields_solved_alone(n, diffusions, dt, seed, data):
+    grid = build_grid(0, 1, n)
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(0.0, 1.0, (len(diffusions), n))
+    y[rng.uniform(size=y.shape) < 0.2] = 0.0
+    alone = np.array([DiffusionSolver(grid, [d], dt).solve(y[i].copy())
+                      for i, d in enumerate(diffusions)])
+    block = DiffusionSolver(grid, diffusions, dt)
+    assert same_bits(block.solve(y.copy()), alone)
+    chosen = data.draw(st.lists(st.integers(0, len(diffusions) - 1), min_size=1, unique=True))
+    block.select(chosen)
+    assert same_bits(block.solve(y[chosen]), alone[chosen])
+
+
+@settings(max_examples=10, deadline=None)
+@given(t0=st.floats(0.0, 50.0), dt=st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.3]),
+       steps=st.integers(1, 60))
+def test_run_reaching_t_max_counts_its_steps(t0, dt, steps):
+    grid = build_grid(0, 1, 11)
+    params = scenario_params()
+    t_max = t0 + steps * dt
+    start = constant_state(SystemKind.LOGISTIC, grid, [0.1])
+    start = State(t=t0, components=start.components)
+    result = integrate_to_steady(SystemKind.LOGISTIC, params, grid, start,
+                                 SolverOptions(dt=dt, tol=0.0, t_max=t_max, sample_every=0.5))
+    assert result.steps == round((t_max - t0) / dt) == steps
+    assert result.state.t == t0 + steps * dt
+    assert result.trajectory.sample_times[-1] == result.state.t
 
 
 def test_step_rejects_nonfinite_stage(grid):
@@ -391,24 +437,29 @@ def test_block_residuals_match_rhs_residual_per_run(grid):
 
 
 def reference_integrate(kind, params, grid, initial, opts):
-    """integrate_to_steady's loop over ReferenceStepper: (result, dt halvings)."""
+    """integrate_to_steady's loop over ReferenceStepper, with time counted in steps:
+    (result, dt halvings)."""
     coeffs = sample_coefficients(params, grid)
     lap = assemble_neumann_laplacian(grid)
     log = TrajectoryLog(grid=grid, fields=[] if opts.store_fields else None)
     log.record(initial)
     stepper = ReferenceStepper(kind, params, grid, opts.dt)
     state, steps, halvings = initial, 0, 0
+    t0, k = initial.t, 0  # the clock: after k steps at this dt the time is t0 + k*dt
     next_sample = initial.t + opts.sample_every
     converged = rhs_residual(kind, params, grid, coeffs, state.components, lap) <= opts.tol
-    while not converged and state.t < opts.t_max - 1e-12:
+    while not converged and t0 + k * stepper.dt < opts.t_max - 1e-12:
         try:
-            state = stepper.step(state)
+            comps = stepper.fields(state.components)
         except StepOvershootError:
             halvings += 1
             if halvings > MAX_DT_HALVINGS:
                 raise
             stepper = ReferenceStepper(kind, params, grid, stepper.dt / 2.0)
+            t0, k = state.t, 0
             continue
+        k += 1
+        state = State(t=t0 + k * stepper.dt, components=comps)
         steps += 1
         if state.t >= next_sample - 1e-12:
             log.record(state)
