@@ -6,12 +6,14 @@ diffuser alone, both found by dynamics.newton_steady.  Invasion of w
 into the pair is governed by the scalar eigenvalue at diffusion d3 with
 potential m - u* - v*; invasion of the pair into w is governed by the
 coupled eigenvalue lambda2 with growth m - w*.  The threshold finders
-bisect these curves inside their proved sign brackets; sweeps
-cross-check eigenvalue signs against simulated outcomes.
+refine the roots of these curves by Brent's method inside their proved
+sign brackets; sweeps cross-check eigenvalue signs against simulated
+outcomes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -54,7 +56,8 @@ from .spectral import (
 
 # Lattice of the d_0 scan.  It warm-starts w* from point to point, so the curve
 # is path-dependent: at 5e-12 on configs/threshold_dc.json (n = 401 and 801),
-# against 4e-9 when w* was time-stepped and 16 points stalled the bisection.
+# against 4e-9 when w* was time-stepped.  It has 17 points because on 16 the
+# halving that refined roots before Brent's method stalled at |f| = 1.05e-9.
 D0_SCAN_POINTS = 17
 
 # The parameters a sweep can vary, for sweep_outcomes and the CLI's sweep task.
@@ -190,8 +193,11 @@ class ThresholdCurve:
     """A threshold's eigenvalue curve, built once, and every root of it in order.
 
     curve and bracket are set when the bracket is a verified sign bracket
-    whose one root is bisected (d_c, beta_c, alpha_c); the other
-    thresholds scan a lattice.
+    whose one root spectral.bisect_curve refines (d_c, beta_c, alpha_c).
+    Those curves are pure and memoized, so a plot of the curve does not
+    solve the bracket endpoints again.  The other thresholds scan a
+    lattice; d_0's curve is not memoized, because its warm start makes
+    its values depend on the order of evaluation.
     """
 
     roots: list[ThresholdResult]
@@ -199,8 +205,8 @@ class ThresholdCurve:
     bracket: Optional[tuple[float, float]] = None
 
 
-def _bisected(name: str, curve: Callable[[float], float], lo: float, hi: float,
-              f_lo: float, f_hi: float) -> ThresholdCurve:
+def _bracketed(name: str, curve: Callable[[float], float], lo: float, hi: float,
+                f_lo: float, f_hi: float) -> ThresholdCurve:
     return ThresholdCurve([bisect_curve(curve, lo, hi, f_lo, f_hi, name=name)], curve, (lo, hi))
 
 
@@ -222,13 +228,13 @@ def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int
     potential = coeffs.m - u - v
     if float(np.max(potential)) - float(np.min(potential)) <= 1e-6:
         raise HypothesisError("m - u* - v* is numerically constant; bracket theory void")
-    curve = lambda d3: scalar_eigenvalue(grid, d3, potential).lam
+    curve = functools.cache(lambda d3: scalar_eigenvalue(grid, d3, potential).lam)
     f_lo, f_hi = curve(lo), curve(hi)
     if not (f_lo > 0 > f_hi):
         raise HypothesisError(
             f"endpoint signs violate the d_c bracket: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
         )
-    return _bisected("d_c", curve, lo, hi, f_lo, f_hi)
+    return _bracketed("d_c", curve, lo, hi, f_lo, f_hi)
 
 
 def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
@@ -246,6 +252,7 @@ def _rate_curve(params: ModelParams, grid: Grid, coeffs: Coefficients, rate: str
     (w_star,) = steady
     growth = coeffs.m - w_star
 
+    @functools.cache
     def curve(value: float) -> float:
         rates = {"alpha": coeffs.alpha, "beta": coeffs.beta, rate: np.full(grid.n, value)}
         return principal_eigen(switching_problem(grid, params.d1, params.d2, rates["alpha"],
@@ -265,7 +272,7 @@ def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: 
     if not (f_lo < 0 < f_hi):
         raise HypothesisError(f"endpoint signs violate the beta_c bracket: "
                               f"f({lo:.3e})={f_lo:.3e}, f({hi:.3e})={f_hi:.3e}")
-    return _bisected("beta_c", curve, lo, hi, f_lo, f_hi)
+    return _bracketed("beta_c", curve, lo, hi, f_lo, f_hi)
 
 
 def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
@@ -286,7 +293,7 @@ def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points:
             break
     else:
         raise HypothesisError("lambda2(alpha) never became negative while doubling alpha")
-    return _bisected("alpha_c", curve, lo, hi, f_lo, f_hi)
+    return _bracketed("alpha_c", curve, lo, hi, f_lo, f_hi)
 
 
 def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
@@ -334,11 +341,12 @@ def find_threshold(name: str, params: ModelParams, grid: Grid,
                    scan_points: int = 64) -> ThresholdResult:
     """First root of one of the six thresholds, each defined once in THRESHOLDS.
 
-    d_c, beta_c and alpha_c bisect a verified sign bracket.  d_0 scans
-    lambda2(d3) on a fixed 17-point lattice (lambda2_sign_changes gives
-    every root); mu_star and mu_zero scan log lattices of scan_points
-    points and do not need the growth hypothesis.  scan_points sizes
-    those two lattices only: the other four names ignore it.
+    d_c, beta_c and alpha_c refine the root of a verified sign bracket by
+    Brent's method (spectral.bisect_curve).  d_0 scans lambda2(d3) on a
+    fixed 17-point lattice (lambda2_sign_changes gives every root);
+    mu_star and mu_zero scan log lattices of scan_points points and do
+    not need the growth hypothesis.  scan_points sizes those two
+    lattices only: the other four names ignore it.
     """
     return threshold_curve(name, params, grid, scan_points).roots[0]
 

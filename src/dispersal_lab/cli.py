@@ -395,7 +395,7 @@ def _task_threshold(config: ScenarioConfig, out: Path) -> RunArtifacts:
             f"residual {_fmt(r.residual)}, signs {r.sign_left:+d}->{r.sign_right:+d}"
             for r in results
         ]
-        + ["status: OK"],
+        + [f"root evaluations: {sum(r.evaluations for r in results)}", "status: OK"],
     )
     return RunArtifacts([csv_path], svgs, report, EXIT_OK)
 

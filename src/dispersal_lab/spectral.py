@@ -24,8 +24,8 @@ from .model import HypothesisError
 EIGEN_TOL = 1e-10  # eigenvalue stabilization, and the least residual floor
 EIGEN_MAX_ITER = 200
 ADJOINT_MATCH_TOL = 1e-8  # relative primal/adjoint eigenvalue agreement
-RESIDUAL_TOL = 1e-9  # |curve| at which a bisection accepts a root
-BISECT_MAX_ITER = 200
+RESIDUAL_TOL = 1e-9  # |curve| at which bisect_curve accepts a root
+BISECT_MAX_ITER = 200  # curve evaluations bisect_curve may make
 MAX_ROOTS = 8  # per log-lattice scan
 D_BRACKET = (1e-3, 1e3)  # diffusion rates scanned for mu*
 
@@ -387,6 +387,7 @@ class ThresholdResult:
     residual: float
     sign_left: int
     sign_right: int
+    evaluations: int = 0  # curve calls bisect_curve made to refine the root
 
     def __post_init__(self) -> None:
         lo, hi = self.bracket
@@ -406,30 +407,68 @@ def bisect_curve(
     f_hi: float,
     name: str,
 ) -> ThresholdResult:
+    """The sign change of curve in (lo, hi), refined by Brent's method.
+
+    f_lo and f_hi are the curve at lo and hi, of opposite signs.  Each
+    step is Brent's (Algorithms for Minimization without Derivatives,
+    1973, ch. 4): an inverse quadratic or secant step on the shrinking
+    sign bracket, or halving when the interpolated point would leave the
+    bracket or not shrink it fast enough.  The first point with
+    |curve| <= RESIDUAL_TOL is the root; it lies strictly inside (lo, hi).
+    A curve that never gets there (a jump, say) raises ConvergenceError
+    after BISECT_MAX_ITER evaluations.  The name is kept from the
+    halving this replaced.
+
+    Brent's method needs a simple root to be fast: on a multiple root its
+    interpolation converges linearly and can take more evaluations than
+    halving would (22 against 8 on -(x - 0.3)^3 in (0, 1)).  The
+    threshold curves have simple roots, since the eigenvalue is strictly
+    monotone in each of d, beta, alpha and mu.
+    """
     if f_lo == 0.0 or f_hi == 0.0 or f_lo * f_hi > 0:
         raise ValueError(f"endpoints do not bracket a sign change: f({lo})={f_lo}, f({hi})={f_hi}")
-    a, b, fa = lo, hi, f_lo
-    mid, f_mid = 0.5 * (lo + hi), np.inf
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (a + b)
-        f_mid = curve(mid)
-        if abs(f_mid) <= RESIDUAL_TOL:
-            break
-        if fa * f_mid < 0:
-            b = mid
-        else:
-            a, fa = mid, f_mid
-    else:
-        raise ConvergenceError(
-            f"bisection for {name} stalled: |f({mid})| = {abs(f_mid):.3e} > {RESIDUAL_TOL:.1e}"
-        )
-    return ThresholdResult(
-        name=name,
-        bracket=(lo, hi),
-        root=mid,
-        residual=abs(f_mid),
-        sign_left=int(np.sign(f_lo)),
-        sign_right=int(np.sign(f_hi)),
+    # cur is the best point so far and blk the bracketing point on the other
+    # side of the root; pre is the point before cur.  s_cur and s_pre are the
+    # last two steps.
+    x_pre, f_pre, x_cur, f_cur = lo, f_lo, hi, f_hi
+    x_blk, f_blk = x_pre, f_pre
+    s_pre = s_cur = x_cur - x_pre
+    for evaluations in range(1, BISECT_MAX_ITER + 1):
+        if (f_pre > 0) != (f_cur > 0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 2.0 * np.finfo(float).eps * abs(x_cur)
+        s_bis = 0.5 * (x_blk - x_cur)
+        interpolate = abs(s_pre) > delta and abs(f_cur) < abs(f_pre)
+        if interpolate:
+            if x_pre == x_blk:
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            interpolate = 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta)
+        s_pre, s_cur = (s_cur, s_try) if interpolate else (s_bis, s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x = x_cur + (s_cur if abs(s_cur) > delta else np.copysign(delta, s_bis))
+        if not min(x_cur, x_blk) < x < max(x_cur, x_blk):
+            x = x_cur + s_bis
+        x_cur, f_cur = x, curve(x)
+        if abs(f_cur) <= RESIDUAL_TOL:
+            return ThresholdResult(
+                name=name,
+                bracket=(lo, hi),
+                root=x_cur,
+                residual=abs(f_cur),
+                sign_left=int(np.sign(f_lo)),
+                sign_right=int(np.sign(f_hi)),
+                evaluations=evaluations,
+            )
+    raise ConvergenceError(
+        f"root finding for {name} stalled: |f({x_cur})| = {abs(f_cur):.3e} > {RESIDUAL_TOL:.1e}"
     )
 
 
@@ -438,7 +477,8 @@ def scan_roots(curve: Callable[[float], float], lattice: np.ndarray,
     """Every sign change of a curve on a lattice, in lattice order.
 
     The lattice is evaluated in order first (a curve may warm-start from
-    its previous point), then each cell with a sign change is bisected.
+    its previous point), then the root in each cell with a sign change is
+    refined by bisect_curve.
     An interior lattice point where the curve is exactly zero, between
     neighbours of opposite sign, is a root as it stands.
     """
@@ -462,7 +502,7 @@ def find_mu_roots(
     name: str = "mu_star",
     scan_points: int = 64,
 ) -> list[ThresholdResult]:
-    """All sign changes of a curve on a log-spaced lattice, refined by bisection.
+    """All sign changes of a curve on a log-spaced lattice, refined by bisect_curve.
 
     An empty list is a valid outcome (no sign change on the bracket).
     Uniqueness is not assumed: every detected crossing is refined and
@@ -503,6 +543,7 @@ def mu_star_scalar(grid: Grid, e: np.ndarray, scan_points: int = 64) -> Threshol
         residual=d_root.residual,
         sign_left=d_root.sign_right,
         sign_right=d_root.sign_left,
+        evaluations=d_root.evaluations,
     )
 
 

@@ -125,7 +125,8 @@ def test_beta_c_and_guard(params, grid):
 
 
 def test_d_0_matches_cli_first_root(tmp_path):
-    # On a 16-point lattice this bisection stalls at |f| = 1.05e-9 (see D0_SCAN_POINTS).
+    # Halving on a 16-point lattice once stalled on this root at |f| = 1.05e-9
+    # (see D0_SCAN_POINTS).
     path = Path(__file__).resolve().parents[1] / "configs" / "threshold_dc.json"
     data = json.loads(path.read_text(encoding="utf-8"))
     data["task"] = {"name": "threshold", "threshold_name": "d_0"}

@@ -20,7 +20,7 @@ from dispersal_lab.cli import (
 from dispersal_lab.mesh import build_grid
 from dispersal_lab.spectral import scalar_eigenvalue
 from dispersal_lab.model import CoefficientSpec, ModelParams, sample_coefficients
-from dispersal_lab.analysis import THRESHOLDS, subsystem_steady
+from dispersal_lab.analysis import THRESHOLDS, find_threshold, subsystem_steady
 from dispersal_lab.verify import CHECKERS
 
 
@@ -155,6 +155,9 @@ def test_threshold_task_cross_checked_against_plain_bisection(tmp_path):
         else:
             hi = mid
     assert abs(root - 0.5 * (lo + hi)) < 1e-6
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    evaluations = find_threshold("d_c", params, grid).evaluations
+    assert report[-2:] == [f"root evaluations: {evaluations}", "status: OK"]
 
 
 def test_steady_task_nonconvergence_is_numerical_failure(tmp_path):

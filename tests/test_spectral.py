@@ -1,17 +1,26 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from dispersal_lab.analysis import find_threshold
+from dispersal_lab.cli import parse_config
 from dispersal_lab.mesh import assemble_neumann_laplacian, build_grid
 from dispersal_lab.spectral import (
+    BISECT_MAX_ITER,
+    RESIDUAL_TOL,
     BandedOperator,
+    ConvergenceError,
     CooperativityError,
     ThresholdResult,
     adjoint_principal_eigen,
     assemble_banded,
     assemble_dense,
+    bisect_curve,
     component_weights,
     dense_rightmost,
     find_mu_roots,
@@ -262,6 +271,68 @@ def test_threshold_result_invariants():
         ThresholdResult("d_c", (0.1, 0.5), 0.3, 1e-10, 1, 1)
     with pytest.raises(ValueError):
         ThresholdResult("d_c", (0.1, 0.5), 0.3, 1e-6, 1, -1)
+
+
+def counted(curve):
+    """curve, with the number of calls it has received in .calls."""
+    def wrapped(x):
+        wrapped.calls += 1
+        return curve(x)
+    wrapped.calls = 0
+    return wrapped
+
+
+def refine(curve, lo, hi):
+    return bisect_curve(curve, lo, hi, curve(lo), curve(hi), name="t")
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.floats(0.1, 10.0), a=st.floats(1e-2, 1e2), b=st.floats(0.0, 1e2),
+       left=st.floats(1e-6, 10.0), right=st.floats(1e-6, 10.0))
+def test_refinement_of_a_simple_root(r, a, b, left, right):
+    lo, hi = r - left, r + right
+    curve = counted(lambda x: a * (x - r) + b * (x - r) ** 3)
+    result = refine(curve, lo, hi)
+    assert result.evaluations == curve.calls - 2  # the endpoints are not counted
+    assert lo < result.root < hi
+    assert result.residual <= RESIDUAL_TOL
+    assert abs(result.root - r) <= RESIDUAL_TOL / a
+
+
+@pytest.mark.parametrize("curve", [
+    lambda x: x - 0.3 if x > 0.3 else 3.0 * (x - 0.3),  # kink
+    lambda x: np.tanh(5.0 * (x - 0.3)) ** 3,  # flat stretch about a triple root
+], ids=["kink", "tanh_cubed"])
+def test_refinement_ends_inside_the_bracket_on_awkward_curves(curve):
+    result = refine(curve, 0.1, 0.9)
+    assert 0.1 < result.root < 0.9
+    assert result.residual <= RESIDUAL_TOL
+
+
+def test_refinement_of_a_jump_stalls_after_the_evaluation_budget():
+    curve = counted(lambda x: -1.0 if x < 0.3 else 1.0)
+    f_lo, f_hi = curve(0.1), curve(0.9)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        bisect_curve(curve, 0.1, 0.9, f_lo, f_hi, name="jump")
+    assert curve.calls == 2 + BISECT_MAX_ITER
+
+
+@pytest.mark.parametrize("hi", [0.9, 1.0, 3.7, 1e3])
+def test_root_one_ulp_below_hi_comes_back_inside(hi):
+    r = np.nextafter(hi, 0.0)
+    result = refine(lambda x: 1e9 * (x - r), 0.1, hi)
+    assert 0.1 < result.root < hi
+    assert result.residual <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("name", ["d_c", "beta_c", "alpha_c"])
+def test_bracketed_thresholds_take_few_evaluations(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / "threshold_dc.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["grid"]["n"] = 101
+    config = parse_config(data)
+    result = find_threshold(name, config.params, config.grid)
+    assert 1 <= result.evaluations <= 8
 
 
 def same_bits(a, b):
