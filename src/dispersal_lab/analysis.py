@@ -146,9 +146,7 @@ def pair_linearization_dense(
     so this linearization is outside the cooperative solver's scope and
     is evaluated densely.
     """
-    from .mesh import assemble_neumann_laplacian
-
-    lap = assemble_neumann_laplacian(grid).to_dense()
+    lap = grid.laplacian.to_dense()
     n = grid.n
     j11 = coeffs.m - coeffs.alpha - 2.0 * u - params.b * v
     j12 = coeffs.beta - params.b * u

@@ -8,7 +8,6 @@ Identical config and seed produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -234,13 +233,28 @@ class RunArtifacts:
     exit_status: int
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) if isinstance(x, (int, float, np.floating)) else str(x)
-                             for x in row])
+def _csv_text(x, alone: bool) -> str:
+    """str(x) as csv.writer writes it: quoted if it has , " \r \n or is a row's empty only cell."""
+    s = str(x)
+    if any(c in s for c in ',"\r\n') or (alone and not s):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write header and rows, a 2-D array or a list of rows, with one % template per file.
+
+    A column whose first cell is an int, float or numpy float is numeric: "%.17g" writes each
+    of its cells as format(float(x), ".17g") would.  Other columns hold text, quoted as
+    csv.writer quotes str(x), and lines end in \r\n, so the bytes are csv.writer's.
+    """
+    table = np.asarray(rows, dtype=object).reshape(len(rows), len(header))
+    numeric = [isinstance(x, (int, float, np.floating)) for x in table[0]] if len(table) else []
+    for j in [j for j, num in enumerate(numeric) if not num]:
+        table[:, j] = [_csv_text(x, len(header) == 1) for x in table[:, j]]
+    line = ",".join("%.17g" if num else "%s" for num in numeric) + "\r\n"
+    head = ",".join(_csv_text(name, len(header) == 1) for name in header) + "\r\n"
+    path.write_text(head + line * len(table) % tuple(table.ravel()), encoding="utf-8", newline="")
     return path
 
 
@@ -253,8 +267,8 @@ def _write_fields(out: Path, stem: str, grid: Grid, fields: np.ndarray, title: s
                   ylabel: str) -> tuple[Path, Path]:
     """stem.csv with one column per component over the nodes, and its plot stem.svg."""
     comps = [f"component_{k + 1}" for k in range(len(fields))]
-    rows = [[node, *values] for node, values in zip(grid.nodes, fields.T)]
-    csv_path = _write_csv(out / f"{stem}.csv", ["x"] + comps, rows)
+    csv_path = _write_csv(out / f"{stem}.csv", ["x"] + comps,
+                          np.column_stack([grid.nodes, fields.T]))
     svg = svgplot.line_plot(out / f"{stem}.svg", grid.nodes, list(fields), comps, title=title,
                             xlabel="x", ylabel=ylabel)
     return csv_path, svg
@@ -310,14 +324,12 @@ def _task_eigen(config: ScenarioConfig, out: Path) -> RunArtifacts:
     return RunArtifacts([csv_path, fun_path], [svg], report, EXIT_OK)
 
 
-def _trajectory_rows(log) -> list[list]:
-    rows = []
-    for idx, t in enumerate(log.sample_times):
-        for comp in range(len(log.mins[idx])):
-            rows.append(
-                [t, comp + 1, log.mins[idx][comp], log.maxs[idx][comp], log.masses[idx][comp]]
-            )
-    return rows
+def _trajectory_rows(log) -> np.ndarray:
+    """One row [t, comp, min, max, mass] per sample and component, components 1, 2, ..."""
+    samples, K = np.shape(log.mins)
+    return np.column_stack([np.repeat(log.sample_times, K),
+                            np.tile(np.arange(1, K + 1), samples),
+                            np.ravel(log.mins), np.ravel(log.maxs), np.ravel(log.masses)])
 
 
 def _task_evolve(config: ScenarioConfig, out: Path, demand_steady: bool) -> RunArtifacts:

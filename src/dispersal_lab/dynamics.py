@@ -60,7 +60,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .mesh import Grid, NeumannLaplacian, assemble_neumann_laplacian
+from .mesh import Grid, NeumannLaplacian
 from .model import (
     Coefficients,
     ModelParams,
@@ -437,7 +437,7 @@ def integrate_runs(
     for initial in initials:
         if initial.components.shape != expected:
             raise ValueError(f"initial state shape {initial.components.shape} != {expected}")
-    lap = assemble_neumann_laplacian(grid)
+    lap = grid.laplacian
     runs = []
     for p, c, initial in zip(params, coeffs, initials):
         log = TrajectoryLog(grid=grid, fields=[] if opts.store_fields else None)
@@ -522,7 +522,7 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
     if coeffs is None:
         coeffs = sample_coefficients(params, grid)
     K, n = kind.n_components, grid.n
-    lap = assemble_neumann_laplacian(grid)
+    lap = grid.laplacian
     x = initial.components.copy()
     f = _steady_rhs(kind, params, coeffs, x, lap)
     f_norm, tau, stopped = float(np.max(np.abs(f))), 1.0, False

@@ -12,6 +12,7 @@ integration-by-parts identity exact up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,11 @@ class Grid:
         object.__setattr__(self, "quadrature_weights", weights)
         nodes.setflags(write=False)
         weights.setflags(write=False)
+
+    @cached_property
+    def laplacian(self) -> NeumannLaplacian:
+        """The Neumann Laplacian of this grid, assembled on first use and then shared."""
+        return assemble_neumann_laplacian(self)
 
     def check_field(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -102,6 +108,8 @@ def assemble_neumann_laplacian(grid: Grid) -> NeumannLaplacian:
     # Mirror closure: ghost value equals the first interior neighbour.
     upper[0] = 2.0 / h2
     lower[-1] = 2.0 / h2
+    for band in (lower, diag, upper):  # read-only, so one grid's operator can be shared
+        band.setflags(write=False)
     return NeumannLaplacian(grid, lower, diag, upper)
 
 

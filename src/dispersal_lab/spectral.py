@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .mesh import Grid, NeumannLaplacian, assemble_neumann_laplacian, integrate
+from .mesh import Grid, NeumannLaplacian, integrate
 from .model import HypothesisError
 
 EIGEN_TOL = 1e-10  # eigenvalue stabilization, and the least residual floor
@@ -187,7 +187,7 @@ def assemble_banded(lap: NeumannLaplacian, diffusions: tuple[float, ...],
 
     coupling has shape (K, K, n), K = 1 or 2, and may have any signs: the
     cooperativity check belongs to EigenProblem, not to the layout.  The
-    caller passes the Laplacian, so a loop over one grid assembles it once.
+    caller passes the Laplacian, usually the one its grid assembles once and shares.
     """
     K, n = len(diffusions), lap.grid.n
     ab = np.zeros((2 * K + 1, K * n))
@@ -202,8 +202,7 @@ def assemble_banded(lap: NeumannLaplacian, diffusions: tuple[float, ...],
 
 
 def assemble_dense(problem: EigenProblem) -> np.ndarray:
-    lap = assemble_neumann_laplacian(problem.grid)
-    return assemble_banded(lap, problem.diffusions, problem.coupling).to_dense()
+    return assemble_banded(problem.grid.laplacian, problem.diffusions, problem.coupling).to_dense()
 
 
 def component_weights(grid: Grid, n_components: int) -> np.ndarray:
@@ -236,8 +235,7 @@ def principal_eigen(problem: EigenProblem) -> EigenResult:
     residual reaches the rounding floor of the operator norm and the
     eigenvalue estimate has stabilized to EIGEN_TOL.
     """
-    A = assemble_banded(assemble_neumann_laplacian(problem.grid), problem.diffusions,
-                        problem.coupling)
+    A = assemble_banded(problem.grid.laplacian, problem.diffusions, problem.coupling)
     K, n = problem.n_components, problem.grid.n
     w_big = component_weights(problem.grid, K)
     if not np.isfinite(A.ab).all():

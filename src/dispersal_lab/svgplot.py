@@ -2,7 +2,9 @@
 
 Polyline renderings only: trajectories, eigenfunction profiles, and
 eigenvalue-versus-parameter curves.  Output is plain text with fixed
-formatting so identical inputs produce identical bytes.
+formatting so identical inputs produce identical bytes.  Coordinates map to the
+canvas as whole arrays, by the operations and order of the scalar map, so each
+keeps its bits, and "%.6g" writes each as format(x, ".6g") would.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ def line_plot(
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    def sx(v: float) -> float:
+    def sx(v: float | np.ndarray) -> float | np.ndarray:
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
 
-    def sy(v: float) -> float:
+    def sy(v: float | np.ndarray) -> float | np.ndarray:
         return HEIGHT - MARGIN_B - (v - y_lo) / (y_hi - y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
 
     parts = [
@@ -74,7 +76,8 @@ def line_plot(
             f'y2="{_fmt(zero)}" stroke="#bbb" stroke-dasharray="4 3"/>'
         )
     for color, label, y_series in zip(PALETTE, labels, ys):
-        points = " ".join(f"{_fmt(sx(xi))},{_fmt(sy(yi))}" for xi, yi in zip(x, y_series))
+        coords = np.column_stack([sx(x), sy(y_series)]).ravel().tolist()
+        points = ("%.6g,%.6g " * len(x) % tuple(coords))[:-1]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

@@ -116,3 +116,15 @@ def test_grid_equality_and_hash_use_a_b_n():
     assert g in {build_grid(0, 1, 11)}
     assert build_grid(0, 1, 12) not in {g}
     assert len({g, build_grid(0, 1, 11), build_grid(0, 1, 21)}) == 2
+
+
+def test_grid_laplacian_is_built_once_and_read_only():
+    g = build_grid(0, 1, 11)
+    lap = g.laplacian
+    assert g.laplacian is lap
+    fresh = assemble_neumann_laplacian(build_grid(0, 1, 11))
+    for shared, new in ((lap.lower, fresh.lower), (lap.diag, fresh.diag), (lap.upper, fresh.upper)):
+        assert not shared.flags.writeable
+        assert shared.tobytes() == new.tobytes()
+    with pytest.raises(ValueError):
+        lap.diag[0] = 0.0
