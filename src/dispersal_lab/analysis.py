@@ -71,7 +71,6 @@ class SweepPoint:
     lambda_00w: float
     outcome: str  # w_wins | uv_wins | undetermined
     floors: tuple[float, ...]
-    masses: tuple[float, ...]
     converged: bool
     residual: float  # final right-hand-side sup-norm; nan if the simulation failed
     steps: int
@@ -81,7 +80,6 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepReport:
     parameter: str
-    values: tuple[float, ...]
     points: tuple[SweepPoint, ...]
     empirical_c1: Optional[float]
     empirical_c2: Optional[float]
@@ -147,7 +145,6 @@ def pair_linearization_dense(
     is evaluated densely.
     """
     lap = grid.laplacian.to_dense()
-    n = grid.n
     j11 = coeffs.m - coeffs.alpha - 2.0 * u - params.b * v
     j12 = coeffs.beta - params.b * u
     j21 = coeffs.alpha - params.c * v
@@ -179,10 +176,9 @@ def _check_section5_setting(params: ModelParams, coeffs: Coefficients, size_boun
             f"need d1 < d3 < d2, got d1={params.d1}, d3={params.d3}, d2={params.d2}"
         )
     m_max = float(np.max(coeffs.m))
-    if size_bound == "alpha" and m_max > alpha:
-        raise HypothesisError(f"need max m <= alpha, got max m={m_max} > alpha={alpha}")
-    if size_bound == "beta" and m_max > beta:
-        raise HypothesisError(f"need max m <= beta, got max m={m_max} > beta={beta}")
+    bound = alpha if size_bound == "alpha" else beta
+    if m_max > bound:
+        raise HypothesisError(f"need max m <= {size_bound}, got max m={m_max} > {size_bound}={bound}")
     return alpha, beta
 
 
@@ -440,12 +436,12 @@ def sweep_outcomes(
     check_hypothesis_h(params, grid, base_coeffs)
     if parameter in ("beta", "alpha"):
         _check_section5_setting(params, base_coeffs, "alpha" if parameter == "beta" else "beta")
-    sim_opts = opts or SolverOptions(dt=0.02, sample_every=5.0, store_fields=False)
+    sim_opts = opts or SolverOptions(dt=0.02, sample_every=5.0)
     values_sorted = sorted(float(v) for v in values)
 
     locals_, coeffs_, eigenvalues, starts = [], [], [], []
-    pair_cache: Optional[SteadyResult] = None
-    w_cache: Optional[SteadyResult] = None
+    pair: Optional[SteadyResult] = None
+    w_res: Optional[SteadyResult] = None
     for value in values_sorted:
         if parameter == "d3":
             local = replace(params, d3=value)
@@ -456,16 +452,11 @@ def sweep_outcomes(
         coeffs = sample_coefficients(local, grid)
         check_hypothesis_h(local, grid, coeffs)
 
-        if parameter == "d3" and pair_cache is not None:
-            pair = pair_cache
-        else:
+        # (u*, v*) does not depend on d3, and w* not on the switching rates.
+        if pair is None or parameter != "d3":
             pair = subsystem_steady(local, grid, coeffs)
-            pair_cache = pair
-        if parameter != "d3" and w_cache is not None:
-            w_res = w_cache
-        else:
+        if w_res is None or parameter == "d3":
             w_res = logistic_steady(local, grid, coeffs)
-            w_cache = w_res
         u, v = pair.state.components
         w_star = w_res.state.components[0]
         eigenvalues.append((scalar_eigenvalue(grid, local.d3, coeffs.m - u - v).lam,
@@ -481,13 +472,11 @@ def sweep_outcomes(
     for value, (lam_uv0, lam_00w), sim in zip(values_sorted, eigenvalues, sims):
         note = ""
         if isinstance(sim, SteadyResult):
-            masses = sim.state.components @ grid.quadrature_weights
-            outcome = classify_endpoint(masses)
+            outcome = classify_endpoint(sim.state.components @ grid.quadrature_weights)
             floors = tuple(float(x) for x in sim.state.components.min(axis=1))
             converged, residual, steps = sim.converged, sim.residual, sim.steps
         elif isinstance(sim, (StepOvershootError, ConvergenceError, HypothesisError,
                               np.linalg.LinAlgError)):  # numerical failures are recorded, not fatal
-            masses = np.full(3, np.nan)
             outcome = "undetermined"
             floors = (np.nan, np.nan, np.nan)
             converged, residual, steps = False, np.nan, 0
@@ -501,7 +490,6 @@ def sweep_outcomes(
                 lambda_00w=lam_00w,
                 outcome=outcome,
                 floors=floors,
-                masses=tuple(float(x) for x in masses),
                 converged=converged,
                 residual=residual,
                 steps=steps,
@@ -525,7 +513,6 @@ def sweep_outcomes(
             break
     return SweepReport(
         parameter=parameter,
-        values=tuple(values_sorted),
         points=tuple(points),
         empirical_c1=c1,
         empirical_c2=c2,

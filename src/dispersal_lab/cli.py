@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import Grid, build_grid
+from .mesh import Grid, build_grid, finite_number, float_array
 from .model import (
     CoefficientSpec,
     HypothesisError,
@@ -77,6 +77,12 @@ class ScenarioConfig:
     verify_groups: Optional[list[str]] = None
 
 
+# The numbers of each kind of initial data, with their conversions.
+INITIAL_NUMBERS = {"constant": {"values": float_array},
+                   "random": {"low": float, "high": float, "seed": int},
+                   "eigenfunction": {"scale": float}}
+
+
 def _coefficient_from_dict(data: dict, name: str) -> CoefficientSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError(f"coefficient {name!r} must be an object with a 'kind' key")
@@ -85,9 +91,7 @@ def _coefficient_from_dict(data: dict, name: str) -> CoefficientSpec:
         if kind == "constant":
             return CoefficientSpec.constant(data["value"])
         if kind == "cosine_profile":
-            return CoefficientSpec.cosine(
-                data["mean"], data["amplitude"], data.get("frequency", 1)
-            )
+            return CoefficientSpec.cosine(data["mean"], data["amplitude"], data.get("frequency", 1))
         if kind == "samples":
             return CoefficientSpec.from_samples(data["values"])
     except KeyError as exc:
@@ -107,11 +111,11 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     try:
         p = data["params"]
         params = ModelParams(
-            d1=float(p["d1"]),
-            d2=float(p["d2"]),
-            d3=float(p.get("d3", 1.0)),
-            b=float(p.get("b", 1.0)),
-            c=float(p.get("c", 1.0)),
+            d1=finite_number(p["d1"]),
+            d2=finite_number(p["d2"]),
+            d3=finite_number(p.get("d3", 1.0)),
+            b=finite_number(p.get("b", 1.0)),
+            c=finite_number(p.get("c", 1.0)),
             alpha=_coefficient_from_dict(p["alpha"], "alpha"),
             beta=_coefficient_from_dict(p["beta"], "beta"),
             m=_coefficient_from_dict(p["m"], "m"),
@@ -153,17 +157,16 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     defaults = SolverOptions()
     try:
         solver = SolverOptions(
-            dt=float(solver_spec.get("dt", defaults.dt)),
-            tol=float(solver_spec.get("tol", defaults.tol)),
-            t_max=float(solver_spec.get("t_max", defaults.t_max)),
-            sample_every=float(solver_spec.get("sample_every", defaults.sample_every)),
-            store_fields=False,  # the outputs use the sampled summaries, never stored fields
+            dt=finite_number(solver_spec.get("dt", defaults.dt)),
+            tol=finite_number(solver_spec.get("tol", defaults.tol)),
+            t_max=finite_number(solver_spec.get("t_max", defaults.t_max)),
+            sample_every=finite_number(solver_spec.get("sample_every", defaults.sample_every)),
         )
-        scan_points = int(solver_spec.get("scan_points", 64))
-        seed = int(data.get("seed", 0))
+        scan_points = finite_number(solver_spec.get("scan_points", 64), int)
+        seed = finite_number(data.get("seed", 0), int)
         if task == "sweep":
-            sweep_values = [float(v) for v in sweep_values]
-    except (TypeError, ValueError, OverflowError) as exc:
+            sweep_values = [finite_number(v) for v in sweep_values]
+    except (TypeError, ValueError) as exc:
         raise ConfigError(
             f"solver settings, seed and sweep values must be numbers: {exc}"
         ) from exc
@@ -179,20 +182,18 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
             raise ConfigError(f"unknown verify groups: {unknown}; available: {list(CHECKERS)}")
 
     initial = data.get("initial")
-    if initial is not None and (
-        not isinstance(initial, dict)
-        or initial.get("kind") not in ("constant", "random", "eigenfunction")
-    ):
-        raise ConfigError("initial data kind must be constant, random, or eigenfunction")
-    if initial is not None and initial["kind"] == "constant" and "values" not in initial:
-        raise ConfigError("constant initial data needs per-component values")
-    numeric = {"random": {"low": float, "high": float, "seed": int},
-               "eigenfunction": {"scale": float}}.get(initial["kind"] if initial else "", {})
-    try:
-        for key, convert in numeric.items():
-            convert(initial.get(key, 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"initial data fields {list(numeric)} must be numbers: {exc}") from exc
+    if initial is not None:
+        if not isinstance(initial, dict) or initial.get("kind") not in tuple(INITIAL_NUMBERS):
+            raise ConfigError("initial data kind must be constant, random, or eigenfunction")
+        if initial["kind"] == "constant" and "values" not in initial:
+            raise ConfigError("constant initial data needs per-component values")
+        numbers = INITIAL_NUMBERS[initial["kind"]]
+        try:
+            initial = {"kind": initial["kind"]} | {
+                key: finite_number(initial[key], convert) for key, convert in numbers.items()
+                if key in initial}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"initial data fields {list(numbers)} must be numbers: {exc}") from exc
 
     out_dir = Path(data.get("output", "out"))
     if not out_dir.is_absolute():
@@ -276,21 +277,21 @@ def _write_fields(out: Path, stem: str, grid: Grid, fields: np.ndarray, title: s
 
 def _initial_state(config: ScenarioConfig) -> State:
     kind = config.system
-    spec = config.initial or {"kind": "random", "low": 0.1, "high": 0.5}
+    spec = config.initial or {"kind": "random"}  # numbers converted by parse_config
     if spec["kind"] == "constant":
         return constant_state(kind, config.grid, spec["values"])
     if spec["kind"] == "random":
         return random_state(
             kind,
             config.grid,
-            float(spec.get("low", 0.1)),
-            float(spec.get("high", 0.5)),
-            seed=int(spec.get("seed", config.seed)),
+            spec.get("low", 0.1),
+            spec.get("high", 0.5),
+            seed=spec.get("seed", config.seed),
         )
     if kind.n_components != 2:
         raise ConfigError("eigenfunction initial data is only defined for two-component systems")
     eig = principal_eigen(_eigen_problem(config))
-    return eigenfunction_state(eig, float(spec.get("scale", 0.1)))
+    return eigenfunction_state(eig, spec.get("scale", 0.1))
 
 
 def _eigen_problem(config: ScenarioConfig):
@@ -356,7 +357,7 @@ def _task_evolve(config: ScenarioConfig, out: Path, demand_steady: bool) -> RunA
             ylabel="mass",
         ),
     ]
-    floor = persistence_floor(log) if len(log.sample_times) > 1 else float(np.min(log.mins[0]))
+    floor = persistence_floor(log)
     lines = [
         f"task: {'steady' if demand_steady else 'simulate'}",
         f"converged: {result.converged}",
@@ -420,13 +421,8 @@ def _task_sweep(config: ScenarioConfig, out: Path) -> RunArtifacts:
         config.sweep_values,
         opts=config.solver,
     )
-    rows = []
-    for p in report_obj.points:
-        floors = list(p.floors) + [np.nan] * (3 - len(p.floors))
-        rows.append(
-            [p.value, p.lambda_uv0, p.lambda_00w, p.outcome, floors[0], floors[1], floors[2],
-             str(p.converged), p.residual, p.steps]
-        )
+    rows = [[p.value, p.lambda_uv0, p.lambda_00w, p.outcome, *p.floors, str(p.converged),
+             p.residual, p.steps] for p in report_obj.points]
     csv_path = _write_csv(
         out / "sweep.csv",
         ["value", "lambda_uv0", "lambda_00w", "outcome", "floor_u", "floor_v", "floor_w",
@@ -546,8 +542,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if config.task != args.command:
-        config = replace(config, task=args.command)
+    config = replace(config, task=args.command)
     if args.out is not None:
         config = replace(config, output_dir=Path(args.out))
     if args.seed is not None:

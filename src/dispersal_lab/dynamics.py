@@ -34,7 +34,7 @@ P is, so a block shares that call overhead across its runs:
   serves the next step's explicit stage and, every CHECK_EVERY steps,
   one block-wide evaluation of the right-hand side, whose per-run
   sup-norms are the values rhs_residual gives for each run alone.  The
-  Laplacian for the checks is assembled once per call.
+  Laplacian for the checks is the grid's, assembled once per grid.
 
 Each run keeps its own convergence test, trajectory samples, t_max stop,
 converged flag, residual and step count.  Time is counted in steps: after
@@ -159,7 +159,7 @@ class SolverOptions:
     tol: float = 1e-9
     t_max: float = 2000.0
     sample_every: float = 1.0
-    store_fields: bool = True
+    store_fields: bool = False
 
 
 def kind_diffusions(kind: SystemKind, params: ModelParams) -> tuple[float, ...]:
@@ -228,15 +228,13 @@ class ImexStepper:
         params: Union[ModelParams, Sequence[ModelParams]],
         grid: Grid,
         dt: float,
-        coeffs: Union[None, Coefficients, Sequence[Coefficients]] = None,
+        coeffs: Optional[Sequence[Coefficients]] = None,
     ):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         runs = [params] if isinstance(params, ModelParams) else list(params)
         if coeffs is None:
             coeffs = [sample_coefficients(p, grid) for p in runs]
-        elif isinstance(coeffs, Coefficients):
-            coeffs = [coeffs]
         if len(coeffs) != len(runs):
             raise ValueError(f"{len(runs)} runs but {len(coeffs)} coefficient sets")
         if any((p.b, p.c) != (runs[0].b, runs[0].c) for p in runs):
@@ -263,7 +261,7 @@ class ImexStepper:
             beta=np.stack([c.beta for c in chosen]),
             m=np.stack([c.m for c in chosen]),
         )
-        self._diffusions = self._all_diffusions[:, runs, None]
+        self._diffusions = self._all_diffusions[:, runs]
         self._shape = (self.kind.n_components, len(runs), self.grid.n)
 
     def advance(self, block: np.ndarray,
@@ -305,9 +303,7 @@ class ImexStepper:
     def residuals(self, block: np.ndarray, rates: np.ndarray, lap: NeumannLaplacian) -> np.ndarray:
         """rhs_residual of each run of the block, rates its reaction_rhs, bit for bit:
         the same elementwise operations, reduced per run."""
-        rhs = lap.apply(block)
-        rhs *= self._diffusions
-        rhs += rates
+        rhs = _steady_rhs(block, self._diffusions, rates, lap)
         return np.abs(rhs, out=rhs).max(axis=(0, 2))
 
     def step(self, state: State) -> State:
@@ -319,17 +315,22 @@ class ImexStepper:
         return State._trusted(state.t + self.dt, new.reshape(state.components.shape))
 
 
-def _steady_rhs(kind, params, coeffs, comps, lap) -> np.ndarray:
-    g = reaction_rhs(kind, params, coeffs, comps)
-    for i, d in enumerate(kind_diffusions(kind, params)):
-        g[i] += d * lap.apply(comps[i])
-    return g
+def _steady_rhs(comps: np.ndarray, diffusions: Sequence[float] | np.ndarray,
+                rates: np.ndarray, lap: NeumannLaplacian) -> np.ndarray:
+    """Diffusion plus reaction of (K, n) or (K, P, n) fields, rates their reaction_rhs and
+    diffusions the rate of each field (K values, or K by P)."""
+    rhs = lap.apply(comps)
+    rhs *= np.reshape(diffusions, comps.shape[:-1] + (1,))
+    rhs += rates
+    return rhs
 
 
 def rhs_residual(kind: SystemKind, params: ModelParams, grid: Grid, coeffs: Coefficients,
                  comps: np.ndarray, lap: NeumannLaplacian) -> float:
     """Sup-norm of diffusion plus reaction at the given fields, lap the grid's Laplacian."""
-    return float(np.max(np.abs(_steady_rhs(kind, params, coeffs, comps, lap))))
+    rates = reaction_rhs(kind, params, coeffs, comps)
+    rhs = _steady_rhs(comps, kind_diffusions(kind, params), rates, lap)
+    return float(np.max(np.abs(rhs)))
 
 
 @dataclass
@@ -473,11 +474,9 @@ def integrate_to_steady(
     grid: Grid,
     initial: State,
     opts: SolverOptions = SolverOptions(),
-    coeffs: Optional[Coefficients] = None,
 ) -> SteadyResult:
     """integrate_runs for one run: its result, or its error raised."""
-    (result,) = integrate_runs(kind, [params], grid, [initial], opts,
-                               None if coeffs is None else [coeffs])
+    (result,) = integrate_runs(kind, [params], grid, [initial], opts)
     if isinstance(result, Exception):
         raise result
     return result
@@ -505,7 +504,7 @@ def _jacobian_coupling(kind: SystemKind, coeffs: Coefficients, comps: np.ndarray
 
 
 def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: State,
-                  coeffs: Optional[Coefficients] = None) -> SteadyResult:
+                  coeffs: Coefficients) -> SteadyResult:
     """Steady state of the logistic equation or the switching pair by pseudo-transient Newton.
 
     Each iteration solves (I/tau - J) dx = F, F the right-hand side and J
@@ -519,18 +518,17 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
     """
     if kind not in (SystemKind.LOGISTIC, SystemKind.SUBMODEL):
         raise ValueError(f"newton_steady solves the logistic and pair systems, not {kind}")
-    if coeffs is None:
-        coeffs = sample_coefficients(params, grid)
     K, n = kind.n_components, grid.n
     lap = grid.laplacian
+    diffusions = kind_diffusions(kind, params)
     x = initial.components.copy()
-    f = _steady_rhs(kind, params, coeffs, x, lap)
+    f = _steady_rhs(x, diffusions, reaction_rhs(kind, params, coeffs, x), lap)
     f_norm, tau, stopped = float(np.max(np.abs(f))), 1.0, False
     for steps in range(1, NEWTON_MAX_ITER + 1):
-        jac = assemble_banded(lap, kind_diffusions(kind, params), _jacobian_coupling(kind, coeffs, x))
+        jac = assemble_banded(lap, diffusions, _jacobian_coupling(kind, coeffs, x))
         dx = solve_band(jac.shifted_bands(1.0 / tau), f.T.ravel()).reshape(n, K).T
         x += dx
-        f = _steady_rhs(kind, params, coeffs, x, lap)
+        f = _steady_rhs(x, diffusions, reaction_rhs(kind, params, coeffs, x), lap)
         new_norm = float(np.max(np.abs(f)))
         step_limit = NEWTON_ROUNDING * max(1.0, float(np.max(np.abs(x))))
         if tau >= TAU_NEWTON and float(np.max(np.abs(dx))) <= step_limit:
@@ -542,7 +540,7 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
     residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
     # Rounding alone leaves rhs_residual near eps * max d * |L| * max|x|, |L| = 4/h^2,
     # which exceeds STEADY_TOL on fine grids.
-    rounding = (4.0 * np.finfo(float).eps * max(kind_diffusions(kind, params))
+    rounding = (4.0 * np.finfo(float).eps * max(diffusions)
                 * (4.0 / (grid.h * grid.h)) * float(np.max(np.abs(x))))
     converged = (stopped and residual <= max(STEADY_TOL, rounding)
                  and float(np.min(x)) >= -NEGATIVITY_TOLERANCE)

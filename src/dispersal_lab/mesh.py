@@ -12,9 +12,27 @@ integration-by-parts identity exact up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
+
+
+def finite_number(value, convert: Callable = float):
+    """convert(value), raising ValueError unless the result is finite.  TypeError and
+    ValueError keep their messages; json reads NaN, Infinity and 1e400 (as inf), so a
+    non-finite result, or an OverflowError (int() of an infinity, float() of a huge int),
+    raises ValueError."""
+    try:
+        number = convert(value)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from exc
+    if not (isinstance(number, int) or np.isfinite(number).all()):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+float_array = partial(np.asarray, dtype=float)  # a list of numbers, converted as one array
 
 
 @dataclass(frozen=True)
@@ -36,6 +54,8 @@ class Grid:
             raise ValueError(f"grid needs at least 3 nodes, got {self.n}")
         if not self.a < self.b:
             raise ValueError(f"invalid interval: a={self.a} must be < b={self.b}")
+        if not np.isfinite([self.a, self.b, self.n]).all():
+            raise ValueError(f"grid a, b, n must be finite, got a={self.a}, b={self.b}, n={self.n}")
         h = (self.b - self.a) / (self.n - 1)
         nodes = np.linspace(self.a, self.b, self.n)
         weights = np.full(self.n, h)
@@ -62,7 +82,7 @@ class Grid:
 
 def build_grid(a: float, b: float, n: int) -> Grid:
     """Uniform grid on [a, b] with n nodes (n >= 3)."""
-    return Grid(float(a), float(b), int(n))
+    return Grid(finite_number(a), finite_number(b), finite_number(n, int))
 
 
 @dataclass(frozen=True)

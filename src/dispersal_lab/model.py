@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .mesh import Grid, integrate
+from .mesh import Grid, finite_number, float_array, integrate
 
 
 class HypothesisError(ValueError):
@@ -45,20 +44,20 @@ class CoefficientSpec:
 
     @staticmethod
     def constant(value: float) -> "CoefficientSpec":
-        return CoefficientSpec(kind="constant", value=float(value))
+        return CoefficientSpec(kind="constant", value=finite_number(value))
 
     @staticmethod
     def cosine(mean: float, amplitude: float, frequency: int = 1) -> "CoefficientSpec":
         return CoefficientSpec(
             kind="cosine_profile",
-            mean=float(mean),
-            amplitude=float(amplitude),
-            frequency=int(frequency),
+            mean=finite_number(mean),
+            amplitude=finite_number(amplitude),
+            frequency=finite_number(frequency, int),
         )
 
     @staticmethod
     def from_samples(samples: Sequence[float]) -> "CoefficientSpec":
-        return CoefficientSpec(kind="samples", samples=np.asarray(samples, dtype=float))
+        return CoefficientSpec(kind="samples", samples=finite_number(samples, float_array))
 
 
 def sample_coefficient(spec: CoefficientSpec, grid: Grid) -> np.ndarray:
@@ -113,6 +112,8 @@ class ModelParams:
             raise ValueError(f"d3 must be positive, got {self.d3}")
         if self.b < 0.0 or self.c < 0.0:
             raise ValueError(f"b, c must be nonnegative, got b={self.b}, c={self.c}")
+        if not np.isfinite([self.d1, self.d2, self.d3, self.b, self.c]).all():
+            raise ValueError("d1, d2, d3, b and c must be finite")
 
 
 @dataclass(frozen=True)
@@ -141,18 +142,10 @@ class Coefficients:
                 raise ValueError("growth rate m must be positive somewhere")
         if len({arr.shape for arr in fields}) != 1:
             raise ValueError(f"alpha, beta and m differ in shape: {[a.shape for a in fields]}")
+        if not all(np.isfinite(arr).all() for arr in fields):
+            raise ValueError("alpha, beta and m must be finite")
         for arr in fields:
             arr.setflags(write=False)
-
-    @cached_property
-    def m_minus_alpha(self) -> np.ndarray:
-        """m - alpha, computed once for the reaction of the general two-species system."""
-        return self.m - self.alpha
-
-    @cached_property
-    def m_minus_beta(self) -> np.ndarray:
-        """m - beta, computed once for the reaction of the general two-species system."""
-        return self.m - self.beta
 
 
 def sample_coefficients(params: ModelParams, grid: Grid) -> Coefficients:
@@ -191,9 +184,8 @@ def reaction_rhs(
         return out
     if kind is SystemKind.TWO_SPECIES_GENERAL:
         u, v = comps
-        # (m - al - u) is evaluated as (m - al) - u, so the cached difference gives the same bits.
-        out[0] = (coeffs.m_minus_alpha - u) * u + (be - params.b * u) * v
-        out[1] = (coeffs.m_minus_beta - v) * v + (al - params.c * v) * u
+        out[0] = (m - al - u) * u + (be - params.b * u) * v
+        out[1] = (m - be - v) * v + (al - params.c * v) * u
         return out
     if kind is SystemKind.SUBMODEL:
         u, v = comps

@@ -28,6 +28,7 @@ RESIDUAL_TOL = 1e-9  # |curve| at which bisect_curve accepts a root
 BISECT_MAX_ITER = 200  # curve evaluations bisect_curve may make
 MAX_ROOTS = 8  # per log-lattice scan
 D_BRACKET = (1e-3, 1e3)  # diffusion rates scanned for mu*
+GROUND_STATE_TOL = 1e-6  # relative, for lambda_prime_at_zero's checks of the mu = 0 state
 
 
 class CooperativityError(ValueError):
@@ -236,7 +237,7 @@ def principal_eigen(problem: EigenProblem) -> EigenResult:
     eigenvalue estimate has stabilized to EIGEN_TOL.
     """
     A = assemble_banded(problem.grid.laplacian, problem.diffusions, problem.coupling)
-    K, n = problem.n_components, problem.grid.n
+    K = problem.n_components
     w_big = component_weights(problem.grid, K)
     if not np.isfinite(A.ab).all():
         raise ValueError("array must not contain infs or NaNs")
@@ -344,7 +345,6 @@ def lambda_prime_at_zero(
     alpha: np.ndarray,
     beta: np.ndarray,
     m: np.ndarray,
-    check_tol: float = 1e-6,
 ) -> float:
     """Slope of mu -> lambda(mu) at mu = 0 from the closed quotient formula.
 
@@ -362,13 +362,14 @@ def lambda_prime_at_zero(
     combo = d1 * phi1 + d2 * phi2
     mean_combo = integrate(grid, combo) / (grid.b - grid.a)
     deviation = (float(np.max(combo)) - float(np.min(combo))) / mean_combo
-    if deviation > check_tol:
+    if deviation > GROUND_STATE_TOL:
         raise ConvergenceError(
-            f"d1*phi1 + d2*phi2 deviates from constant by {deviation:.3e} (> {check_tol:.1e})"
+            f"d1*phi1 + d2*phi2 deviates from constant by {deviation:.3e} "
+            f"(> {GROUND_STATE_TOL:.1e})"
         )
     c_direct = integrate(grid, (d2 * np.asarray(alpha) + d1 * np.asarray(beta)) * phi1)
     c_direct /= integrate(grid, np.asarray(beta, dtype=float))
-    if abs(mean_combo - c_direct) > check_tol * abs(c_direct):
+    if abs(mean_combo - c_direct) > GROUND_STATE_TOL * abs(c_direct):
         raise ConvergenceError(
             f"constant level {mean_combo:.9e} disagrees with quotient formula {c_direct:.9e}"
         )

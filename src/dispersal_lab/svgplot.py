@@ -49,10 +49,9 @@ def line_plot(
         x_hi = x_lo + 1.0
     if y_hi - y_lo <= 0:
         pad = max(abs(y_hi), 1.0) * 0.1
-        y_lo, y_hi = y_lo - pad, y_hi + pad
     else:
         pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = y_lo - pad, y_hi + pad
 
     def sx(v: float | np.ndarray) -> float | np.ndarray:
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)

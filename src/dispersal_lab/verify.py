@@ -432,7 +432,7 @@ def check_dichotomy(ctx: VerifyContext) -> list[Check]:
         ("well-below-critical-scaling", 0.35 * mu0 * m0, SolverOptions(dt=0.02, sample_every=2.0)),
         ("below-critical-scaling", 0.7 * mu0 * m0, SolverOptions(dt=0.02, sample_every=2.0)),
         ("at-critical-scaling", mu0 * m0,
-         SolverOptions(dt=0.05, t_max=20000.0, sample_every=50.0)),
+         SolverOptions(dt=0.05, t_max=20000.0, sample_every=50.0, store_fields=True)),
         ("above-critical-scaling", 1.6 * mu0 * m0, SolverOptions(dt=0.02, sample_every=2.0)),
     ]
     params = ModelParams(
@@ -450,8 +450,8 @@ def check_dichotomy(ctx: VerifyContext) -> list[Check]:
         res = integrate_to_steady(SystemKind.TWO_SPECIES_GENERAL, local, g, start, opts)
         floor = persistence_floor(res.trajectory)
         mass = float(np.sum(res.state.components @ g.quadrature_weights))
-        persistent = floor > 1e-4
-        extinct = mass < 1e-6
+        persistent = floor > an.PERSISTENT_MASS
+        extinct = mass < an.EXTINCT_MASS
         if lam0 > 1e-6:
             ok, expect = persistent and not extinct, "persistence"
         elif lam0 < -1e-6:
@@ -481,8 +481,7 @@ def check_dichotomy(ctx: VerifyContext) -> list[Check]:
             warmup = integrate_to_steady(
                 SystemKind.TWO_SPECIES_GENERAL, local, g,
                 constant_state(SystemKind.TWO_SPECIES_GENERAL, g, [0.3, 0.25]),
-                SolverOptions(dt=0.01, t_max=2.0, tol=0.0, sample_every=1.0,
-                              store_fields=False),
+                SolverOptions(dt=0.01, t_max=2.0, tol=0.0, sample_every=1.0),
             )
             probe = warmup.state
             dt_id = 0.01
@@ -521,7 +520,7 @@ def check_competitive_uniqueness(ctx: VerifyContext) -> list[Check]:
             f"in_s1={regime.in_s1}, k={regime.k:.3f}, bc={params.b * params.c}",
         )
     )
-    opts = SolverOptions(dt=0.02, sample_every=5.0, store_fields=False)
+    opts = SolverOptions(dt=0.02, sample_every=5.0)
     finals = []
     for i in range(3):
         start = random_state(SystemKind.TWO_SPECIES_GENERAL, g, 0.1, 1.0, ctx.seed + 100 + i)
@@ -648,7 +647,7 @@ def check_exclusion_dynamics(ctx: VerifyContext) -> list[Check]:
         )
 
     # The 5 seeds at both end members step as one block of 10 runs.
-    opts = SolverOptions(dt=0.05, sample_every=5.0, store_fields=False)
+    opts = SolverOptions(dt=0.05, sample_every=5.0)
     ends = (0.05, 1.5)
     starts = [random_state(SystemKind.THREE_COMPONENT, g, 0.05, 0.4, ctx.seed + 200 + i)
               for i in range(5)]
@@ -671,7 +670,7 @@ def check_exclusion_dynamics(ctx: VerifyContext) -> list[Check]:
         out.append(
             (
                 f"no-coexistence-at-d3-{d3}",
-                loser_max < 1e-6 and winner_min > 1e-4,
+                loser_max < an.EXTINCT_MASS and winner_min > an.PERSISTENT_MASS,
                 f"5 seeds: loser mass <= {loser_max:.2e}, winner mass >= {winner_min:.2e}",
             )
         )
@@ -773,7 +772,7 @@ def check_switching_dynamics(ctx: VerifyContext) -> list[Check]:
 
     # Far from the thresholds the invasion eigenvalues are still only a few
     # 1e-3 for this scenario, so exclusion needs a long horizon.
-    slow_opts = SolverOptions(dt=0.05, t_max=8000.0, sample_every=20.0, store_fields=False)
+    slow_opts = SolverOptions(dt=0.05, t_max=8000.0, sample_every=20.0)
     beta_vals = [0.05 * beta_c.root, min(4.0 * beta_c.root, 0.95 * hi_beta)]
     alpha_vals = [0.05 * alpha_c.root, 4.0 * alpha_c.root]
     for rate, values, outcomes in (("beta", beta_vals, ("w_wins", "uv_wins")),

@@ -233,7 +233,7 @@ def test_sweep_records_a_run_past_the_dt_halvings(params):
     for point in report.points:
         assert point.outcome == "undetermined" and not point.converged and point.steps == 0
         assert point.note.startswith("simulation failed: dt=3.125 too large: explicit stage")
-        assert np.isnan(point.masses).all() and np.isnan(point.residual)
+        assert np.isnan(point.floors).all() and np.isnan(point.residual)
 
 
 def test_sweep_raises_run_errors_in_point_order(params, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -385,26 +386,41 @@ def test_valid_configs_round_trip(data):
 
 
 def converts(convert, value):
+    """Whether convert(value) gives a finite number, as parse_config requires."""
     try:
-        convert(value)
+        number = convert(value)
     except (TypeError, ValueError, OverflowError):
         return False
-    return True
+    return isinstance(number, int) or math.isfinite(number)
 
 
 # Mostly values that float() and int() cannot convert: text, lists, objects, null.
 junk = st.one_of(st.text(max_size=6), st.lists(st.integers(), max_size=2),
                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2), st.none())
+# json writes these as NaN, Infinity and -Infinity, and Python's json reads them back.
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 INITIAL_FIELDS = {"random_low": ("random", "low"), "random_high": ("random", "high"),
                   "random_seed": ("random", "seed"), "eigenfunction_scale": ("eigenfunction", "scale")}
+GRID_FIELDS = {"grid_a": "a", "grid_b": "b", "grid_n": "n"}
+PARAMS_FIELDS = ("d1", "d2", "d3", "b", "c")
+# field -> (coefficient, its spec with the number at the key that is None)
+COEFFICIENT_FIELDS = {
+    "alpha_value": ("alpha", {"kind": "constant", "value": None}),
+    "m_mean": ("m", {"kind": "cosine_profile", "mean": None, "amplitude": 0.3}),
+    "m_amplitude": ("m", {"kind": "cosine_profile", "mean": 0.4, "amplitude": None}),
+    "m_frequency": ("m", {"kind": "cosine_profile", "mean": 0.4, "amplitude": 0.3,
+                          "frequency": None}),
+}
+INTEGRAL_FIELDS = ("seed", "scan_points", "random_seed", "grid_n", "m_frequency")
 
 
 @PROPERTY
 @given(field=st.sampled_from(["dt", "tol", "t_max", "sample_every", "scan_points", "seed",
-                              "sweep_value", *INITIAL_FIELDS]),
-       value=junk)
+                              "sweep_value", "m_sample", "constant_value", *INITIAL_FIELDS,
+                              *GRID_FIELDS, *PARAMS_FIELDS, *COEFFICIENT_FIELDS]),
+       value=st.one_of(junk, non_finite))
 @example(field="dt", value="abc")
 @example(field="seed", value="x")
 @example(field="scan_points", value="x")
@@ -413,23 +429,48 @@ INITIAL_FIELDS = {"random_low": ("random", "low"), "random_high": ("random", "hi
 @example(field="random_low", value=[1])
 @example(field="random_high", value="x")
 @example(field="eigenfunction_scale", value={})
+@example(field="t_max", value=math.inf)
+@example(field="m_frequency", value=math.inf)
+@example(field="grid_n", value=math.inf)
+@example(field="random_high", value=math.inf)
+@example(field="tol", value=math.inf)
+@example(field="d3", value=math.inf)
+@example(field="sample_every", value=math.inf)
+@example(field="dt", value=math.inf)
+@example(field="sweep_value", value=math.inf)
+@example(field="b", value=math.inf)
+@example(field="alpha_value", value=math.nan)
+@example(field="grid_a", value=-math.inf)
+@example(field="m_sample", value=math.nan)
+@example(field="constant_value", value=-math.inf)
+@example(field="d2", value=10**400)
 def test_malformed_number_exits_with_validation_code(tmp_path, field, value):
-    integral = field in ("seed", "scan_points", "random_seed")
-    assume(not converts(int if integral else float, value))
+    """Numbers that do not convert, and non-finite ones, exit 2 before any task runs."""
+    assume(not converts(int if field in INTEGRAL_FIELDS else float, value))
     data = base_config(tmp_path)
     if field == "seed":
         data["seed"] = value
     elif field == "sweep_value":
         data["task"] = {"name": "sweep", "parameter": "d3", "values": [0.1, value]}
-    elif field in INITIAL_FIELDS:
-        kind, key = INITIAL_FIELDS[field]
+    elif field in INITIAL_FIELDS or field == "constant_value":
+        kind, key = INITIAL_FIELDS.get(field, ("constant", "values"))
         data["task"] = {"name": "simulate"}
         data["solver"] = {"t_max": 0.05}
-        data["initial"] = {"kind": kind, key: value}
+        data["initial"] = {"kind": kind, key: [0.2, value] if kind == "constant" else value}
+    elif field in GRID_FIELDS:
+        data["grid"][GRID_FIELDS[field]] = value
+    elif field in PARAMS_FIELDS:
+        data["params"][field] = value
+    elif field in COEFFICIENT_FIELDS:
+        name, spec = COEFFICIENT_FIELDS[field]
+        data["params"][name] = {k: value if v is None else v for k, v in spec.items()}
+    elif field == "m_sample":
+        data["params"]["m"] = {"kind": "samples", "values": [0.4] * 100 + [value]}
     else:
         data["solver"] = {field: value}
     path = write_config(tmp_path, data)
     assert main([data["task"]["name"], "--config", str(path)]) == EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
 
 
 @PROPERTY

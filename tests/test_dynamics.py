@@ -175,7 +175,7 @@ def test_newton_steady_matches_imex_reference(mean, amplitude, frequency, alpha,
     ):
         initial = constant_state(kind, grid, start)
         newton = newton_steady(kind, params, grid, initial, coeffs)
-        imex = integrate_to_steady(kind, params, grid, initial, IMEX_STEADY, coeffs)
+        imex = integrate_to_steady(kind, params, grid, initial, IMEX_STEADY)
         assert newton.converged and imex.converged
         comps = newton.state.components
         assert np.max(np.abs(comps - imex.state.components)) <= IMEX_AGREEMENT
@@ -205,7 +205,7 @@ def test_logistic_steady_resolution_robustness(grid):
 
 def test_comparison_principle_preserves_order(grid):
     params = scenario_params()
-    opts = SolverOptions(dt=0.01, t_max=5.0, tol=0.0, sample_every=0.5)
+    opts = SolverOptions(dt=0.01, t_max=5.0, tol=0.0, sample_every=0.5, store_fields=True)
     low = integrate_to_steady(
         SystemKind.SUBMODEL, params, grid,
         constant_state(SystemKind.SUBMODEL, grid, [0.1, 0.1]), opts,
@@ -224,7 +224,7 @@ def test_monitor_lyapunov_zero_trajectory(grid):
     zero = constant_state(SystemKind.SUBMODEL, grid, [0.0, 0.0])
     result = integrate_to_steady(
         SystemKind.SUBMODEL, params, grid, zero,
-        SolverOptions(dt=0.01, t_max=1.0, sample_every=0.25),
+        SolverOptions(dt=0.01, t_max=1.0, sample_every=0.25, store_fields=True),
     )
     coeffs = sample_coefficients(params, grid)
     problem = switching_problem(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta, coeffs.m)
@@ -243,7 +243,7 @@ def test_lyapunov_decay_for_strongly_negative_growth(grid):
     start = constant_state(SystemKind.TWO_SPECIES_GENERAL, grid, [0.3, 0.3])
     result = integrate_to_steady(
         SystemKind.TWO_SPECIES_GENERAL, params, grid, start,
-        SolverOptions(dt=0.02, t_max=400.0, sample_every=5.0),
+        SolverOptions(dt=0.02, t_max=400.0, sample_every=5.0, store_fields=True),
     )
     series = monitor_lyapunov(result.trajectory, adjoint)
     assert np.all(np.diff(series) < 0)

@@ -25,7 +25,9 @@ def test_spacing():
     assert abs(g.h - 0.01) < 1e-15
 
 
-@pytest.mark.parametrize("a,b,n", [(0, 1, 2), (0, 1, 1), (1, 1, 5), (2, 1, 5)])
+@pytest.mark.parametrize("a,b,n", [(0, 1, 2), (0, 1, 1), (1, 1, 5), (2, 1, 5),
+                                   (0, float("inf"), 5), (-float("inf"), 1, 5),
+                                   (0, 1, float("inf")), (0, 1, float("nan"))])
 def test_grid_rejects_bad_arguments(a, b, n):
     with pytest.raises(ValueError):
         build_grid(a, b, n)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,19 @@ def test_sample_length_mismatch(grid):
         sample_coefficient(CoefficientSpec.from_samples(np.ones(7)), grid)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CoefficientSpec.constant(np.nan),
+    lambda: CoefficientSpec.cosine(np.inf, 0.3),
+    lambda: CoefficientSpec.cosine(0.4, 0.3, np.inf),
+    lambda: CoefficientSpec.cosine(0.4, 0.3, np.nan),
+    lambda: CoefficientSpec.from_samples([1.0, np.inf]),
+    lambda: CoefficientSpec.from_samples([10**400]),
+])
+def test_coefficient_spec_rejects_non_finite_numbers(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         make_params(CoefficientSpec.constant(1.0), d1=1.0, d2=0.5)
@@ -63,6 +78,10 @@ def test_params_validation():
             beta=CoefficientSpec.constant(1.0),
             m=CoefficientSpec.constant(1.0),
         )
+    base = make_params(CoefficientSpec.constant(1.0))
+    for non_finite in (dict(d2=np.inf), dict(d3=np.inf), dict(b=np.nan), dict(c=np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(base, **non_finite)
 
 
 @pytest.mark.parametrize(
@@ -150,6 +169,11 @@ def test_block_coefficients_check_every_run(grid):
         Coefficients(grid=grid, alpha=np.ones((2, grid.n + 1)), beta=good.copy(), m=good.copy())
     with pytest.raises(ValueError, match="differ in shape"):
         Coefficients(grid=grid, alpha=ones.copy(), beta=good.copy(), m=good.copy())
+    for bad_value in (np.nan, np.inf):
+        m = good.copy()
+        m[1, 3] = bad_value
+        with pytest.raises(ValueError, match="must be finite"):
+            Coefficients(grid=grid, alpha=good.copy(), beta=good.copy(), m=m)
 
 
 def test_k0_symmetric_unit_case():
