@@ -210,15 +210,13 @@ def _scanned(roots: list[ThresholdResult], error: type[Exception], message: str)
     return ThresholdCurve(roots)
 
 
-def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
-         steady: Optional[np.ndarray]) -> ThresholdCurve:
+def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients,
+         scan_points: int) -> ThresholdCurve:
     """Zero of the scalar invasion eigenvalue at (u*, v*, 0) in d3 on (d1, weighted average)."""
     check_hypothesis_h(params, grid, coeffs)
     alpha, beta = _constant_rates(params)
     lo, hi = params.d1, weighted_average_diffusion(params, alpha, beta)
-    if steady is None:
-        steady = subsystem_steady(params, grid, coeffs).state.components
-    u, v = steady
+    u, v = subsystem_steady(params, grid, coeffs).state.components
     potential = coeffs.m - u - v
     if float(np.max(potential)) - float(np.min(potential)) <= 1e-6:
         raise HypothesisError("m - u* - v* is numerically constant; bracket theory void")
@@ -231,19 +229,17 @@ def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int
     return _bracketed("d_c", curve, lo, hi, f_lo, f_hi)
 
 
-def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
-         steady: Optional[np.ndarray]) -> ThresholdCurve:
+def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients,
+         scan_points: int) -> ThresholdCurve:
     """Every zero of lambda2(d3) on the D0_SCAN_POINTS lattice."""
     return _scanned(lambda2_sign_changes(params, grid, coeffs),
                     ConvergenceError, "no sign change of the invasion eigenvalue found for d_0")
 
 
-def _rate_curve(params: ModelParams, grid: Grid, coeffs: Coefficients, rate: str,
-                steady: Optional[np.ndarray]) -> Callable[[float], float]:
+def _rate_curve(params: ModelParams, grid: Grid, coeffs: Coefficients,
+                rate: str) -> Callable[[float], float]:
     """lambda2 at (0, 0, w*) as the constant switching rate `rate` varies, w* held fixed."""
-    if steady is None:
-        steady = logistic_steady(params, grid, coeffs).state.components
-    (w_star,) = steady
+    (w_star,) = logistic_steady(params, grid, coeffs).state.components
     growth = coeffs.m - w_star
 
     @functools.cache
@@ -254,12 +250,12 @@ def _rate_curve(params: ModelParams, grid: Grid, coeffs: Coefficients, rate: str
     return curve
 
 
-def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
-            steady: Optional[np.ndarray]) -> ThresholdCurve:
+def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients,
+            scan_points: int) -> ThresholdCurve:
     """Zero of lambda2(beta) on (1e-4 hi, hi), hi = (d2 - d3) / (d3 - d1) * alpha."""
     check_hypothesis_h(params, grid, coeffs)
     alpha, _ = _check_section5_setting(params, coeffs, "alpha")
-    curve = _rate_curve(params, grid, coeffs, "beta", steady)
+    curve = _rate_curve(params, grid, coeffs, "beta")
     hi = (params.d2 - params.d3) / (params.d3 - params.d1) * alpha
     lo = 1e-4 * hi
     f_lo, f_hi = curve(lo), curve(hi)
@@ -269,12 +265,12 @@ def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: 
     return _bracketed("beta_c", curve, lo, hi, f_lo, f_hi)
 
 
-def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
-             steady: Optional[np.ndarray]) -> ThresholdCurve:
+def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients,
+             scan_points: int) -> ThresholdCurve:
     """Zero of lambda2(alpha) above lo = (d3 - d1) / (d2 - d3) * beta; hi by doubling."""
     check_hypothesis_h(params, grid, coeffs)
     _, beta = _check_section5_setting(params, coeffs, "beta")
-    curve = _rate_curve(params, grid, coeffs, "alpha", steady)
+    curve = _rate_curve(params, grid, coeffs, "alpha")
     lo = (params.d3 - params.d1) / (params.d2 - params.d3) * beta
     f_lo = curve(lo)
     if f_lo <= 0:
@@ -290,14 +286,14 @@ def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points:
     return _bracketed("alpha_c", curve, lo, hi, f_lo, f_hi)
 
 
-def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
-             steady: Optional[np.ndarray]) -> ThresholdCurve:
+def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients,
+             scan_points: int) -> ThresholdCurve:
     """mu* = 1/d* at the zero of the scalar eigenvalue in d (spectral.mu_star_scalar)."""
     return ThresholdCurve([mu_star_scalar(grid, coeffs.m, scan_points=scan_points)])
 
 
-def _mu_zero(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points: int,
-             steady: Optional[np.ndarray]) -> ThresholdCurve:
+def _mu_zero(params: ModelParams, grid: Grid, coeffs: Coefficients,
+             scan_points: int) -> ThresholdCurve:
     """Every zero of the pair eigenvalue with growth mu*m, for mu in (1e-2, 1e2)."""
     curve = lambda mu: lambda_of_mu(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta,
                                     coeffs.m, mu)
@@ -307,28 +303,22 @@ def _mu_zero(params: ModelParams, grid: Grid, coeffs: Coefficients, scan_points:
 
 
 # The one definition of each threshold.  Each entry computes its steady state
-# once, unless the caller passes it, and returns the curve with its roots; it
-# checks the preconditions itself or, for d_0 and mu_star, leaves them to the
-# function that finds the roots.  All take (params, grid, coeffs, scan_points,
-# steady); only mu_star and mu_zero read scan_points, and only d_c, beta_c and
-# alpha_c read steady.
+# once and returns the curve with its roots; it checks the preconditions itself
+# or, for d_0 and mu_star, leaves them to the function that finds the roots.
+# All take (params, grid, coeffs, scan_points); only mu_star and mu_zero read
+# scan_points.
 THRESHOLDS: dict[str, Callable[..., ThresholdCurve]] = {
     "d_c": _d_c, "d_0": _d_0, "beta_c": _beta_c,
     "alpha_c": _alpha_c, "mu_star": _mu_star, "mu_zero": _mu_zero,
 }
 
 
-def threshold_curve(name: str, params: ModelParams, grid: Grid, scan_points: int = 64,
-                    steady: Optional[np.ndarray] = None) -> ThresholdCurve:
-    """The named threshold's curve from THRESHOLDS; see find_threshold.
-
-    steady is the steady state the caller may already hold, as a (K, n)
-    component array: (u*, v*) for d_c and (w*,) for beta_c and alpha_c.
-    When it is None those builders solve it; the other names ignore it.
-    """
+def threshold_curve(name: str, params: ModelParams, grid: Grid,
+                    scan_points: int = 64) -> ThresholdCurve:
+    """The named threshold's curve from THRESHOLDS; see find_threshold."""
     if name not in THRESHOLDS:
         raise ValueError(f"unknown threshold name {name!r}")
-    return THRESHOLDS[name](params, grid, sample_coefficients(params, grid), scan_points, steady)
+    return THRESHOLDS[name](params, grid, sample_coefficients(params, grid), scan_points)
 
 
 def find_threshold(name: str, params: ModelParams, grid: Grid,
@@ -373,25 +363,20 @@ def lambda2_sensitivity(
     params: ModelParams,
     grid: Grid,
     wrt: str,
-    w_star: Optional[np.ndarray] = None,
-    eig: Optional[EigenResult] = None,
+    w_star: np.ndarray,
 ) -> float:
     """Derivative of lambda2 with respect to a constant switching rate.
 
     Evaluates the eigenfunction quotient
       d lambda2 / d beta  = (int alpha phi1 phi2 - beta phi2^2) / (int alpha phi1^2 + beta phi2^2)
       d lambda2 / d alpha = (int beta  phi1 phi2 - alpha phi1^2) / (int alpha phi1^2 + beta phi2^2)
-    with (phi1, phi2) the eigenpair at the current parameters.
+    with (phi1, phi2) the eigenpair at the current parameters and w*.
     """
     if wrt not in ("beta", "alpha"):
         raise ValueError(f"wrt must be 'beta' or 'alpha', got {wrt!r}")
     coeffs = sample_coefficients(params, grid)
     alpha, beta = _constant_rates(params)
-    if eig is None:
-        if w_star is None:
-            w_star = logistic_steady(params, grid, coeffs).state.components[0]
-        eig = lambda2_eigenpair(params, grid, w_star, coeffs)
-    phi1, phi2 = eig.eigenfunctions
+    phi1, phi2 = lambda2_eigenpair(params, grid, w_star, coeffs).eigenfunctions
     denom = integrate(grid, alpha * phi1**2 + beta * phi2**2)
     if wrt == "beta":
         numer = integrate(grid, alpha * phi1 * phi2 - beta * phi2**2)
@@ -439,7 +424,7 @@ def sweep_outcomes(
     sim_opts = opts or SolverOptions(dt=0.02, sample_every=5.0)
     values_sorted = sorted(float(v) for v in values)
 
-    locals_, coeffs_, eigenvalues, starts = [], [], [], []
+    locals_, eigenvalues, starts = [], [], []
     pair: Optional[SteadyResult] = None
     w_res: Optional[SteadyResult] = None
     for value in values_sorted:
@@ -464,10 +449,9 @@ def sweep_outcomes(
         level = 0.2 * float(np.max(coeffs.m))
         starts.append(constant_state(SystemKind.THREE_COMPONENT, grid, [level, level, level]))
         locals_.append(local)
-        coeffs_.append(coeffs)
 
     # All points step as one block; their errors are handled in point order.
-    sims = integrate_runs(SystemKind.THREE_COMPONENT, locals_, grid, starts, sim_opts, coeffs_)
+    sims = integrate_runs(SystemKind.THREE_COMPONENT, locals_, grid, starts, sim_opts)
     points: list[SweepPoint] = []
     for value, (lam_uv0, lam_00w), sim in zip(values_sorted, eigenvalues, sims):
         note = ""

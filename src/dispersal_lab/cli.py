@@ -177,6 +177,9 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     if verify_groups is not None:
         if not isinstance(verify_groups, list):
             raise ConfigError("verify groups must be a list of group names")
+        if not verify_groups:
+            raise ConfigError(f"verify groups must name at least one group; "
+                              f"available: {list(CHECKERS)}")
         unknown = [gname for gname in verify_groups if gname not in tuple(CHECKERS)]
         if unknown:
             raise ConfigError(f"unknown verify groups: {unknown}; available: {list(CHECKERS)}")
@@ -484,8 +487,6 @@ def _task_verify(config: ScenarioConfig, out: Path) -> RunArtifacts:
     failed = sum(1 for r in results if r.status == "FAIL")
     n_skip = sum(1 for r in results if r.status == "SKIP")
     lines.append(f"summary: {n_pass} passed, {failed} failed, {n_skip} skipped")
-    if any("discretization" in r.detail for r in results if r.status == "FAIL"):
-        lines.append("note: failures may indicate the configured resolution is too coarse")
     report = _write_report(out / "verify_report.txt", lines)
     return RunArtifacts([csv_path], [], report, EXIT_OK if failed == 0 else EXIT_CHECK_FAILED)
 

@@ -228,22 +228,17 @@ class ImexStepper:
         params: Union[ModelParams, Sequence[ModelParams]],
         grid: Grid,
         dt: float,
-        coeffs: Optional[Sequence[Coefficients]] = None,
     ):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         runs = [params] if isinstance(params, ModelParams) else list(params)
-        if coeffs is None:
-            coeffs = [sample_coefficients(p, grid) for p in runs]
-        if len(coeffs) != len(runs):
-            raise ValueError(f"{len(runs)} runs but {len(coeffs)} coefficient sets")
         if any((p.b, p.c) != (runs[0].b, runs[0].c) for p in runs):
             raise ValueError("the runs of one block must share b and c")
         self.kind = kind
         self.params = runs[0]
         self.grid = grid
         self.dt = dt
-        self._coeffs = coeffs
+        self._coeffs = [sample_coefficients(p, grid) for p in runs]
         diffusions = [kind_diffusions(kind, p) for p in runs]
         self.solver = DiffusionSolver(grid, [d for ds in zip(*diffusions) for d in ds], dt)
         self._all_diffusions = np.array(diffusions).T  # (K, runs)
@@ -362,7 +357,7 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
     state and continues alone at dt/2, up to MAX_DT_HALVINGS times.
     """
     dt = opts.dt
-    stepper = ImexStepper(kind, [r.params for r in runs], grid, dt, [r.coeffs for r in runs])
+    stepper = ImexStepper(kind, [r.params for r in runs], grid, dt)
     block = np.stack([r.state.components for r in runs], axis=1)
     live = list(range(len(runs)))  # run number at each block position
     # Each run's clock counts its steps at this dt: after k of them its time is t0 + k*dt.
@@ -418,7 +413,6 @@ def integrate_runs(
     grid: Grid,
     initials: Sequence[State],
     opts: SolverOptions,
-    coeffs: Optional[Sequence[Coefficients]] = None,
 ) -> list[Union[SteadyResult, Exception]]:
     """Step independent runs of one kind together, each until its
     right-hand side is below opts.tol or opts.t_max is reached.
@@ -430,17 +424,16 @@ def integrate_runs(
     steady state outside its contracting box.  Non-convergence by t_max
     is reported through the converged flag, not an error.
     """
-    if coeffs is None:
-        coeffs = [sample_coefficients(p, grid) for p in params]
-    if not len(params) == len(coeffs) == len(initials):
-        raise ValueError("need one params and one coefficient set per initial state")
+    if len(params) != len(initials):
+        raise ValueError("need one params per initial state")
     expected = (kind.n_components, grid.n)
     for initial in initials:
         if initial.components.shape != expected:
             raise ValueError(f"initial state shape {initial.components.shape} != {expected}")
     lap = grid.laplacian
     runs = []
-    for p, c, initial in zip(params, coeffs, initials):
+    for p, initial in zip(params, initials):
+        c = sample_coefficients(p, grid)
         log = TrajectoryLog(grid=grid, fields=[] if opts.store_fields else None)
         log.record(initial)
         residual = rhs_residual(kind, p, grid, c, initial.components, lap)

@@ -3,13 +3,14 @@
 Every check is oracle-based or property-based: dense eigensolves,
 central differences, analytic limits, and cross-checks between the
 spectral and dynamical routes.  The battery is deterministic for a
-fixed seed and sized to run in minutes at the default resolutions
-(n = 201 for dynamics, 401 for eigenvalue thresholds, 801 for the
-small-diffusion limit).
+fixed seed and takes about half a minute of CPU at the default
+resolutions (n = 201 for dynamics, 401 for eigenvalue thresholds, 801
+for the small-diffusion limit).
 
-Each group returns (check name, passed, detail) triples, which run_battery
-turns into rows; a group whose preconditions fail raises SkipGroup, or
-HypothesisError from the analysis it calls, and gets one SKIP row.
+Each group is a function of the scenario and its three grids only, and
+returns (check name, passed, detail) triples, which run_battery turns
+into rows; a group whose setting does not hold raises HypothesisError,
+itself or from the analysis it calls, and gets one SKIP row.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from .model import (
     HypothesisError,
     ModelParams,
     SystemKind,
+    check_hypothesis_h,
     classify_regime,
-    hypothesis_h_holds,
     sample_coefficients,
 )
 from .dynamics import (
     SolverOptions,
-    SteadyResult,
     constant_state,
     integrate_runs,
     integrate_to_steady,
@@ -66,12 +66,8 @@ class CheckResult:
     detail: str
 
 
-class SkipGroup(Exception):
-    """A group's preconditions fail for the configured scenario; the message says which."""
-
-
 class VerifyContext:
-    """The scenario, its three grids, and the steady states and curves groups share.
+    """The scenario and its three grids.
 
     grid is the dynamics grid; the eigenvalue grid (2n - 1 nodes) and the
     fine grid (4n - 3 nodes) refine it on the same interval.
@@ -84,42 +80,6 @@ class VerifyContext:
         self.seed = seed
         self.eigen_grid = build_grid(self.grid.a, self.grid.b, 2 * self.grid.n - 1)
         self.fine_grid = build_grid(self.grid.a, self.grid.b, 4 * self.grid.n - 3)
-        self._pair: Optional[SteadyResult] = None
-        self._w: dict[float, SteadyResult] = {}
-        self._curves: dict[str, an.ThresholdCurve] = {}
-
-    def pair_steady(self) -> SteadyResult:
-        """(u*, v*) on the eigenvalue grid."""
-        if self._pair is None:
-            self._pair = an.subsystem_steady(self.params, self.eigen_grid)
-        return self._pair
-
-    def w_steady(self, d3: float) -> SteadyResult:
-        """w* at diffusion rate d3 on the eigenvalue grid."""
-        if d3 not in self._w:
-            self._w[d3] = an.logistic_steady(replace(self.params, d3=d3), self.eigen_grid)
-        return self._w[d3]
-
-    def rate_threshold(self, name: str) -> an.ThresholdCurve:
-        """The beta_c or alpha_c curve on the eigenvalue grid, built from the shared w*."""
-        if name not in self._curves:
-            w_star = self.w_steady(self.params.d3).state.components
-            self._curves[name] = an.threshold_curve(name, self.params, self.eigen_grid,
-                                                    steady=w_star)
-        return self._curves[name]
-
-    def require_growth_hypothesis(self) -> None:
-        if not hypothesis_h_holds(self.params, self.grid):
-            raise SkipGroup("growth hypothesis fails for the configured scenario")
-
-    def require_switching_setting(self) -> None:
-        """The setting of the switching-rate thresholds (Section 5)."""
-        params = self.params
-        coeffs = sample_coefficients(params, self.eigen_grid)
-        if not hypothesis_h_holds(params, self.grid) or not params.d1 < params.d3 < params.d2:
-            raise SkipGroup("needs the growth hypothesis and d1 < d3 < d2")
-        if float(np.max(coeffs.m)) > min(np.min(coeffs.alpha), np.min(coeffs.beta)):
-            raise SkipGroup("needs max m <= alpha and max m <= beta")
 
 
 def reference_params() -> ModelParams:
@@ -557,13 +517,12 @@ def check_competitive_uniqueness(ctx: VerifyContext) -> list[Check]:
 
 
 def check_invasion_brackets(ctx: VerifyContext) -> list[Check]:
-    ctx.require_growth_hypothesis()
+    check_hypothesis_h(ctx.params, ctx.grid)
     out = []
     g = ctx.eigen_grid
     params = ctx.params
     coeffs = sample_coefficients(params, g)
-    pair = ctx.pair_steady()
-    u, v = pair.state.components
+    u, v = an.subsystem_steady(params, g, coeffs).state.components
     pot = coeffs.m - u - v
     nonconst = float(np.max(pot) - np.min(pot))
     out.append(
@@ -581,7 +540,7 @@ def check_invasion_brackets(ctx: VerifyContext) -> list[Check]:
             f"lambda({params.d1})={lam_lo:.5f}, lambda({d_avg})={lam_hi:.5f}",
         )
     )
-    dc = an.threshold_curve("d_c", params, g, steady=pair.state.components).roots[0]
+    dc = an.threshold_curve("d_c", params, g).roots[0]
     out.append(
         (
             "pair-state-threshold-inside-bracket",
@@ -589,14 +548,13 @@ def check_invasion_brackets(ctx: VerifyContext) -> list[Check]:
             f"d_c={dc.root:.6f} in ({params.d1}, {d_avg:.3f}), residual {dc.residual:.2e}",
         )
     )
-    lam2_lo = an.lambda2_eigenpair(
-        replace(params, d3=params.d1), g,
-        ctx.w_steady(params.d1).state.components[0], coeffs
-    ).lam
-    lam2_hi = an.lambda2_eigenpair(
-        replace(params, d3=d_avg), g,
-        ctx.w_steady(d_avg).state.components[0], coeffs
-    ).lam
+
+    def lambda2_at(d3: float) -> float:
+        local = replace(params, d3=d3)
+        w_star = an.logistic_steady(local, g, coeffs).state.components[0]
+        return an.lambda2_eigenpair(local, g, w_star, coeffs).lam
+
+    lam2_lo, lam2_hi = lambda2_at(params.d1), lambda2_at(d_avg)
     out.append(
         (
             "single-state-endpoint-signs",
@@ -620,7 +578,7 @@ def check_invasion_brackets(ctx: VerifyContext) -> list[Check]:
 
 
 def check_exclusion_dynamics(ctx: VerifyContext) -> list[Check]:
-    ctx.require_growth_hypothesis()
+    check_hypothesis_h(ctx.params, ctx.grid)
     out = []
     g = ctx.grid
     params = ctx.params
@@ -682,13 +640,11 @@ def check_exclusion_dynamics(ctx: VerifyContext) -> list[Check]:
 
 
 def check_switching_thresholds(ctx: VerifyContext) -> list[Check]:
-    ctx.require_switching_setting()
     params = ctx.params
     g = ctx.eigen_grid
     out = []
-    w_star = ctx.w_steady(params.d3).state.components[0]
-
-    beta = ctx.rate_threshold("beta_c")
+    beta = an.threshold_curve("beta_c", params, g)
+    w_star = an.logistic_steady(params, g).state.components[0]
     hi_beta = beta.bracket[1]
     lattice_roots = find_mu_roots(beta.curve, beta.bracket, name="beta_c", scan_points=64)
     out.append(
@@ -709,8 +665,7 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[Check]:
 
     def rate_slope(rate: str, value: float) -> float:
         local = replace(params, **{rate: CoefficientSpec.constant(value)})
-        eig = an.lambda2_eigenpair(local, g, w_star)
-        return an.lambda2_sensitivity(local, g, rate, w_star=w_star, eig=eig)
+        return an.lambda2_sensitivity(local, g, rate, w_star)
 
     h = 1e-3
     probe = 1.0
@@ -729,7 +684,7 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[Check]:
          f"slope {slope_at_root:.6f}")
     )
 
-    alpha = ctx.rate_threshold("alpha_c")
+    alpha = an.threshold_curve("alpha_c", params, g)
     lo_alpha = alpha.bracket[0]
     alpha_c = alpha.roots[0]
     out.append(
@@ -762,13 +717,12 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[Check]:
 
 
 def check_switching_dynamics(ctx: VerifyContext) -> list[Check]:
-    ctx.require_switching_setting()
     params = ctx.params
     g = ctx.grid
     out = []
-    beta = ctx.rate_threshold("beta_c")
+    beta = an.threshold_curve("beta_c", params, ctx.eigen_grid)
     beta_c, hi_beta = beta.roots[0], beta.bracket[1]
-    alpha_c = ctx.rate_threshold("alpha_c").roots[0]
+    alpha_c = an.threshold_curve("alpha_c", params, ctx.eigen_grid).roots[0]
 
     # Far from the thresholds the invasion eigenvalues are still only a few
     # 1e-3 for this scenario, so exclusion needs a long horizon.
@@ -811,9 +765,9 @@ CHECKERS: dict[str, Callable[[VerifyContext], list[Check]]] = {
 def run_battery(
     ctx: Optional[VerifyContext] = None, groups: Optional[list[str]] = None
 ) -> list[CheckResult]:
-    """Run the named check groups (all by default) and collect results."""
+    """Run the named check groups (all if groups is None) and collect results."""
     ctx = ctx or VerifyContext()
-    selected = groups or list(CHECKERS)
+    selected = list(CHECKERS) if groups is None else groups
     unknown = [gname for gname in selected if gname not in CHECKERS]
     if unknown:
         raise ValueError(f"unknown verify groups: {unknown}")
@@ -822,8 +776,6 @@ def run_battery(
         try:
             results.extend(CheckResult(gname, name, "PASS" if ok else "FAIL", detail)
                            for name, ok, detail in CHECKERS[gname](ctx))
-        except SkipGroup as exc:
-            results.append(CheckResult(gname, "all", "SKIP", str(exc)))
         except HypothesisError as exc:
             results.append(CheckResult(gname, "all", "SKIP", f"hypothesis violation: {exc}"))
         except Exception as exc:

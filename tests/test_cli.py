@@ -206,6 +206,20 @@ def test_verify_reports_failures_with_exit_one(tmp_path, monkeypatch):
     assert artifacts.exit_status == EXIT_CHECK_FAILED
 
 
+@pytest.mark.parametrize("groups,message", [
+    ("mesh-order", "verify groups must be a list of group names"),
+    (["zeta"], f"unknown verify groups: ['zeta']; available: {list(CHECKERS)}"),
+    ([], f"verify groups must name at least one group; available: {list(CHECKERS)}"),
+], ids=["not_a_list", "unknown_name", "empty_list"])
+def test_verify_groups_that_name_no_group_exit_with_validation_code(tmp_path, groups, message):
+    data = base_config(tmp_path, task={"name": "verify", "groups": groups})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert str(exc.value) == message
+    assert main(["verify", "--config", str(write_config(tmp_path, data))]) == EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_main_validation_exit(tmp_path):
     data = base_config(tmp_path)
     data["grid"]["n"] = 2
@@ -335,7 +349,7 @@ def valid_configs(draw):
         task_spec["values"] = draw(st.lists(finite(0.01, 5.0), min_size=1, max_size=4))
     elif task == "verify":
         groups = st.sampled_from(list(CHECKERS))
-        task_spec["groups"] = draw(st.lists(groups, max_size=3, unique=True))
+        task_spec["groups"] = draw(st.lists(groups, min_size=1, max_size=3, unique=True))
     return {
         "grid": {"a": a, "b": a + draw(finite(0.1, 3.0)), "n": draw(st.integers(3, 2001))},
         "params": {

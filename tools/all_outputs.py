@@ -5,7 +5,10 @@ Usage: python3 tools/all_outputs.py OUT
 Runs each task of ``cli.TASKS`` on each ``configs/*.json``, and the six
 threshold tasks on ``configs/threshold_dc.json`` at n = 401 and 801 (the
 ``mu_`` thresholds with a sign-changing growth rate of negative mean, as
-they require).  Each run is a separate ``python -m dispersal_lab`` process
+they require), and two ``verify`` runs on ``configs/reference.json`` whose
+scenario changes make groups skip: constant m = 3 (the growth hypothesis
+fails) and d3 = 2 (outside (d1, d2), which the switching groups need).
+Each run is a separate ``python -m dispersal_lab`` process
 on the ``src/`` tree next to this script, and gets one directory under OUT
 holding its output files in ``files/`` and its ``stdout``, ``stderr`` and
 ``exit`` code.  Run the script from two checkouts and compare them with
@@ -27,6 +30,13 @@ TASKS = ("eigen", "steady", "simulate", "threshold", "sweep", "verify")
 THRESHOLD_NAMES = ("d_c", "d_0", "beta_c", "alpha_c", "mu_star", "mu_zero")
 THRESHOLD_SIZES = (401, 801)
 SIGN_CHANGING_M = {"kind": "cosine_profile", "mean": -0.1, "amplitude": 0.3, "frequency": 1}
+SWITCHING_GROUPS = ["switching-thresholds", "switching-dynamics"]
+# run name -> (params changes to configs/reference.json, verify groups that skip under them)
+SKIP_RUNS = {
+    "verify_skip_growth": ({"m": {"kind": "constant", "value": 3.0}},
+                           ["invasion-brackets", "exclusion-dynamics", *SWITCHING_GROUPS]),
+    "verify_skip_d3": ({"d3": 2.0}, SWITCHING_GROUPS),
+}
 
 
 def runs(out: Path) -> list[tuple[str, str, Path]]:
@@ -46,6 +56,14 @@ def runs(out: Path) -> list[tuple[str, str, Path]]:
             path = generated / f"threshold_{name}_{n}.json"
             path.write_text(json.dumps(config, indent=1), encoding="utf-8")
             plan.append((f"threshold_{name}_{n}", "threshold", path))
+    reference = json.loads((ROOT / "configs" / "reference.json").read_text(encoding="utf-8"))
+    for name, (changes, groups) in SKIP_RUNS.items():
+        config = copy.deepcopy(reference)
+        config["params"].update(changes)
+        config["task"] = {"name": "verify", "groups": groups}
+        path = generated / f"{name}.json"
+        path.write_text(json.dumps(config, indent=1), encoding="utf-8")
+        plan.append((name, "verify", path))
     return plan
 
 
