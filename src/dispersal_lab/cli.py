@@ -10,14 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import Grid, build_grid, finite_number, float_array
+from .mesh import Grid, finite_number, float_array
 from .model import (
     CoefficientSpec,
     HypothesisError,
@@ -62,178 +63,28 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class ScenarioConfig:
+    """A parsed config: parse_config fills every field from the schema tables."""
+
     grid: Grid
     params: ModelParams
     system: SystemKind
     task: str
     output_dir: Path
-    seed: int = 0
-    solver: SolverOptions = field(default_factory=SolverOptions)
-    threshold_name: Optional[str] = None
-    sweep_parameter: Optional[str] = None
-    sweep_values: Optional[list[float]] = None
-    initial: Optional[dict] = None
-    scan_points: int = 64
-    verify_groups: Optional[list[str]] = None
-
-
-# The numbers of each kind of initial data, with their conversions.
-INITIAL_NUMBERS = {"constant": {"values": float_array},
-                   "random": {"low": float, "high": float, "seed": int},
-                   "eigenfunction": {"scale": float}}
-
-
-def _coefficient_from_dict(data: dict, name: str) -> CoefficientSpec:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigError(f"coefficient {name!r} must be an object with a 'kind' key")
-    kind = data["kind"]
-    try:
-        if kind == "constant":
-            return CoefficientSpec.constant(data["value"])
-        if kind == "cosine_profile":
-            return CoefficientSpec.cosine(data["mean"], data["amplitude"], data.get("frequency", 1))
-        if kind == "samples":
-            return CoefficientSpec.from_samples(data["values"])
-    except KeyError as exc:
-        raise ConfigError(f"coefficient {name!r} is missing field {exc}") from exc
-    raise ConfigError(f"coefficient {name!r} has unknown kind {kind!r}")
-
-
-def parse_config(data: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
-    try:
-        grid_spec = data["grid"]
-        grid = build_grid(grid_spec["a"], grid_spec["b"], grid_spec["n"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid or missing grid section: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
-        p = data["params"]
-        params = ModelParams(
-            d1=finite_number(p["d1"]),
-            d2=finite_number(p["d2"]),
-            d3=finite_number(p.get("d3", 1.0)),
-            b=finite_number(p.get("b", 1.0)),
-            c=finite_number(p.get("c", 1.0)),
-            alpha=_coefficient_from_dict(p["alpha"], "alpha"),
-            beta=_coefficient_from_dict(p["beta"], "beta"),
-            m=_coefficient_from_dict(p["m"], "m"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid or missing params section: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    system_tag = data.get("system", "submodel")
-    try:
-        system = SystemKind(system_tag)
-    except ValueError as exc:
-        raise ConfigError(f"unknown system kind {system_tag!r}") from exc
-
-    task_spec = data.get("task")
-    if isinstance(task_spec, str):
-        task_spec = {"name": task_spec}
-    # Names are matched against tuples, so an unhashable one is rejected, not raised on.
-    if not isinstance(task_spec, dict) or task_spec.get("name") not in tuple(TASKS):
-        raise ConfigError(f"task must name one of {tuple(TASKS)}")
-    task = task_spec["name"]
-
-    solver_spec = data.get("solver", {})
-    if not isinstance(solver_spec, dict):
-        raise ConfigError("solver section must be an object")
-    threshold_name = task_spec.get("threshold_name")
-    if task == "threshold" and threshold_name not in tuple(an.THRESHOLDS):
-        raise ConfigError(
-            f"threshold task needs threshold_name in {{{', '.join(an.THRESHOLDS)}}}"
-        )
-    sweep_parameter = task_spec.get("parameter")
-    sweep_values = task_spec.get("values")
-    if task == "sweep":
-        if sweep_parameter not in an.SWEEP_PARAMETERS:
-            raise ConfigError(f"sweep task needs parameter in {{{', '.join(an.SWEEP_PARAMETERS)}}}")
-        if not isinstance(sweep_values, list) or not sweep_values:
-            raise ConfigError("sweep task needs a non-empty list of values")
-    defaults = SolverOptions()
-    try:
-        solver = SolverOptions(
-            dt=finite_number(solver_spec.get("dt", defaults.dt)),
-            tol=finite_number(solver_spec.get("tol", defaults.tol)),
-            t_max=finite_number(solver_spec.get("t_max", defaults.t_max)),
-            sample_every=finite_number(solver_spec.get("sample_every", defaults.sample_every)),
-        )
-        scan_points = finite_number(solver_spec.get("scan_points", 64), int)
-        seed = finite_number(data.get("seed", 0), int)
-        if task == "sweep":
-            sweep_values = [finite_number(v) for v in sweep_values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"solver settings, seed and sweep values must be numbers: {exc}"
-        ) from exc
-    if not all(x > 0 for x in (solver.dt, solver.tol, solver.t_max, solver.sample_every)):
-        raise ConfigError("solver dt, tol, t_max, sample_every must all be positive")
-
-    verify_groups = task_spec.get("groups")
-    if verify_groups is not None:
-        if not isinstance(verify_groups, list):
-            raise ConfigError("verify groups must be a list of group names")
-        if not verify_groups:
-            raise ConfigError(f"verify groups must name at least one group; "
-                              f"available: {list(CHECKERS)}")
-        unknown = [gname for gname in verify_groups if gname not in tuple(CHECKERS)]
-        if unknown:
-            raise ConfigError(f"unknown verify groups: {unknown}; available: {list(CHECKERS)}")
-
-    initial = data.get("initial")
-    if initial is not None:
-        if not isinstance(initial, dict) or initial.get("kind") not in tuple(INITIAL_NUMBERS):
-            raise ConfigError("initial data kind must be constant, random, or eigenfunction")
-        if initial["kind"] == "constant" and "values" not in initial:
-            raise ConfigError("constant initial data needs per-component values")
-        numbers = INITIAL_NUMBERS[initial["kind"]]
-        try:
-            initial = {"kind": initial["kind"]} | {
-                key: finite_number(initial[key], convert) for key, convert in numbers.items()
-                if key in initial}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"initial data fields {list(numbers)} must be numbers: {exc}") from exc
-
-    out_dir = Path(data.get("output", "out"))
-    if not out_dir.is_absolute():
-        out_dir = base_dir / out_dir
-    return ScenarioConfig(
-        grid=grid,
-        params=params,
-        system=system,
-        task=task,
-        output_dir=out_dir,
-        seed=seed,
-        solver=solver,
-        threshold_name=threshold_name,
-        sweep_parameter=sweep_parameter,
-        sweep_values=sweep_values,
-        initial=initial,
-        scan_points=scan_points,
-        verify_groups=verify_groups,
-    )
-
-
-def load_config(path: str | Path) -> ScenarioConfig:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(data, base_dir=path.parent)
+    seed: int
+    solver: SolverOptions
+    threshold_name: Optional[str]
+    sweep_parameter: Optional[str]
+    sweep_values: Optional[list[float]]
+    initial: dict
+    scan_points: int
+    verify_groups: Optional[list[str]]
 
 
 @dataclass
 class RunArtifacts:
     csv_paths: list[Path]
     svg_paths: list[Path]
-    report_path: Optional[Path]
+    report_path: Path
     exit_status: int
 
 
@@ -279,22 +130,13 @@ def _write_fields(out: Path, stem: str, grid: Grid, fields: np.ndarray, title: s
 
 
 def _initial_state(config: ScenarioConfig) -> State:
-    kind = config.system
-    spec = config.initial or {"kind": "random"}  # numbers converted by parse_config
+    kind, spec = config.system, config.initial  # converted, with defaults, by parse_config
     if spec["kind"] == "constant":
         return constant_state(kind, config.grid, spec["values"])
     if spec["kind"] == "random":
-        return random_state(
-            kind,
-            config.grid,
-            spec.get("low", 0.1),
-            spec.get("high", 0.5),
-            seed=spec.get("seed", config.seed),
-        )
-    if kind.n_components != 2:
-        raise ConfigError("eigenfunction initial data is only defined for two-component systems")
-    eig = principal_eigen(_eigen_problem(config))
-    return eigenfunction_state(eig, spec.get("scale", 0.1))
+        seed = config.seed if spec["seed"] is None else spec["seed"]
+        return random_state(kind, config.grid, spec["low"], spec["high"], seed=seed)
+    return eigenfunction_state(principal_eigen(_eigen_problem(config)), spec["scale"])
 
 
 def _eigen_problem(config: ScenarioConfig):
@@ -315,16 +157,9 @@ def _task_eigen(config: ScenarioConfig, out: Path) -> RunArtifacts:
     )
     fun_path, svg = _write_fields(out, "eigenfunctions", config.grid, result.eigenfunctions,
                                   "Principal eigenfunction", "amplitude")
-    report = _write_report(
-        out / "report.txt",
-        [
-            "task: eigen",
-            f"principal eigenvalue: {_fmt(result.lam)}",
-            f"residual: {_fmt(result.residual)}",
-            f"iterations: {result.iterations}",
-            "status: OK",
-        ],
-    )
+    report = _write_report(out / "report.txt", [
+        "task: eigen", f"principal eigenvalue: {_fmt(result.lam)}",
+        f"residual: {_fmt(result.residual)}", f"iterations: {result.iterations}", "status: OK"])
     return RunArtifacts([csv_path, fun_path], [svg], report, EXIT_OK)
 
 
@@ -337,10 +172,8 @@ def _trajectory_rows(log) -> np.ndarray:
 
 
 def _task_evolve(config: ScenarioConfig, out: Path, demand_steady: bool) -> RunArtifacts:
-    initial = _initial_state(config)
-    result = integrate_to_steady(
-        config.system, config.params, config.grid, initial, config.solver
-    )
+    result = integrate_to_steady(config.system, config.params, config.grid,
+                                 _initial_state(config), config.solver)
     log = result.trajectory
     traj_path = _write_csv(
         out / "trajectory.csv", ["t", "comp", "min", "max", "mass"], _trajectory_rows(log)
@@ -348,18 +181,9 @@ def _task_evolve(config: ScenarioConfig, out: Path, demand_steady: bool) -> RunA
     state_path, state_svg = _write_fields(out, "state", config.grid, result.state.components,
                                           "Final state", "density")
     comps = [f"component_{k + 1}" for k in range(config.system.n_components)]
-    svgs = [
-        state_svg,
-        svgplot.line_plot(
-            out / "trajectory.svg",
-            log.times,
-            [np.asarray([m[k] for m in log.masses]) for k in range(config.system.n_components)],
-            comps,
-            title="Component mass over time",
-            xlabel="t",
-            ylabel="mass",
-        ),
-    ]
+    mass_svg = svgplot.line_plot(out / "trajectory.svg", log.times, list(np.transpose(log.masses)),
+                                 comps, title="Component mass over time", xlabel="t",
+                                 ylabel="mass")
     floor = persistence_floor(log)
     lines = [
         f"task: {'steady' if demand_steady else 'simulate'}",
@@ -369,14 +193,12 @@ def _task_evolve(config: ScenarioConfig, out: Path, demand_steady: bool) -> RunA
         f"final time: {_fmt(result.state.t)}",
         f"persistence floor (post-transient): {_fmt(floor)}",
     ]
-    status = EXIT_OK
-    if demand_steady and not result.converged:
-        lines.append("status: FAILED precondition 'steady state reached within t_max'")
-        status = EXIT_NUMERICAL
-    else:
-        lines.append("status: OK")
+    failed = demand_steady and not result.converged
+    lines.append("status: FAILED precondition 'steady state reached within t_max'" if failed
+                 else "status: OK")
     report = _write_report(out / "report.txt", lines)
-    return RunArtifacts([traj_path, state_path], svgs, report, status)
+    return RunArtifacts([traj_path, state_path], [state_svg, mass_svg], report,
+                        EXIT_NUMERICAL if failed else EXIT_OK)
 
 
 def _task_threshold(config: ScenarioConfig, out: Path) -> RunArtifacts:
@@ -392,17 +214,10 @@ def _task_threshold(config: ScenarioConfig, out: Path) -> RunArtifacts:
     svgs = []
     if threshold.bracket is not None:
         lattice = np.linspace(*threshold.bracket, 17)
-        svgs.append(
-            svgplot.line_plot(
-                out / "threshold_curve.svg",
-                lattice,
-                [[threshold.curve(x) for x in lattice]],
-                ["principal eigenvalue"],
-                title=f"Eigenvalue curve near {name}",
-                xlabel=name.split("_")[0],
-                ylabel="lambda",
-            )
-        )
+        svgs.append(svgplot.line_plot(
+            out / "threshold_curve.svg", lattice, [[threshold.curve(x) for x in lattice]],
+            ["principal eigenvalue"], title=f"Eigenvalue curve near {name}",
+            xlabel=name.split("_")[0], ylabel="lambda"))
     report = _write_report(
         out / "report.txt",
         ["task: threshold", f"name: {name}"]
@@ -417,15 +232,11 @@ def _task_threshold(config: ScenarioConfig, out: Path) -> RunArtifacts:
 
 
 def _task_sweep(config: ScenarioConfig, out: Path) -> RunArtifacts:
-    report_obj = an.sweep_outcomes(
-        config.params,
-        config.grid,
-        config.sweep_parameter,
-        config.sweep_values,
-        opts=config.solver,
-    )
+    report_obj = an.sweep_outcomes(config.params, config.grid, config.sweep_parameter,
+                                   config.sweep_values, opts=config.solver)
+    points = report_obj.points
     rows = [[p.value, p.lambda_uv0, p.lambda_00w, p.outcome, *p.floors, str(p.converged),
-             p.residual, p.steps] for p in report_obj.points]
+             p.residual, p.steps] for p in points]
     csv_path = _write_csv(
         out / "sweep.csv",
         ["value", "lambda_uv0", "lambda_00w", "outcome", "floor_u", "floor_v", "floor_w",
@@ -433,34 +244,23 @@ def _task_sweep(config: ScenarioConfig, out: Path) -> RunArtifacts:
         rows,
     )
     svg = svgplot.line_plot(
-        out / "sweep.svg",
-        [p.value for p in report_obj.points],
-        [
-            [p.lambda_uv0 for p in report_obj.points],
-            [p.lambda_00w for p in report_obj.points],
-        ],
+        out / "sweep.svg", [p.value for p in points],
+        [[p.lambda_uv0 for p in points], [p.lambda_00w for p in points]],
         ["invasion of w", "invasion of (u,v)"],
         title=f"Semi-trivial eigenvalues vs {report_obj.parameter}",
-        xlabel=report_obj.parameter,
-        ylabel="lambda",
-    )
+        xlabel=report_obj.parameter, ylabel="lambda")
     lines = [
         "task: sweep",
         f"parameter: {report_obj.parameter}",
         f"empirical C1: {report_obj.empirical_c1}",
         f"empirical C2: {report_obj.empirical_c2}",
     ]
-    for p in report_obj.points:
-        lines.append(
-            f"value {_fmt(p.value)}: {p.outcome} (lambda_uv0 {_fmt(p.lambda_uv0)}, "
-            f"lambda_00w {_fmt(p.lambda_00w)}){'; ' + p.note if p.note else ''}"
-        )
-    unconverged = [p for p in report_obj.points if not p.converged]
-    for p in unconverged:
-        lines.append(
-            f"not converged: value {_fmt(p.value)} (residual {_fmt(p.residual)} "
-            f"after {p.steps} steps)"
-        )
+    lines += [f"value {_fmt(p.value)}: {p.outcome} (lambda_uv0 {_fmt(p.lambda_uv0)}, "
+              f"lambda_00w {_fmt(p.lambda_00w)}){'; ' + p.note if p.note else ''}"
+              for p in points]
+    unconverged = [p for p in points if not p.converged]
+    lines += [f"not converged: value {_fmt(p.value)} (residual {_fmt(p.residual)} "
+              f"after {p.steps} steps)" for p in unconverged]
     lines.append(f"status: {'PARTIAL' if unconverged else 'OK'}")
     report = _write_report(out / "report.txt", lines)
     return RunArtifacts([csv_path], [svg], report, EXIT_OK)
@@ -476,19 +276,13 @@ def _task_verify(config: ScenarioConfig, out: Path) -> RunArtifacts:
     )
     lines = ["verification report", "==================="]
     for gname in dict.fromkeys(r.group for r in results):
-        lines.append("")
-        lines.append(f"[{gname}]")
-        for r in results:
-            if r.group != gname:
-                continue
-            lines.append(f"  {r.status:4s} {r.name}: {r.detail}")
-    lines.append("")
-    n_pass = sum(1 for r in results if r.status == "PASS")
-    failed = sum(1 for r in results if r.status == "FAIL")
-    n_skip = sum(1 for r in results if r.status == "SKIP")
-    lines.append(f"summary: {n_pass} passed, {failed} failed, {n_skip} skipped")
+        lines += ["", f"[{gname}]"]
+        lines += [f"  {r.status:4s} {r.name}: {r.detail}" for r in results if r.group == gname]
+    count = Counter(r.status for r in results)
+    lines += ["", f"summary: {count['PASS']} passed, {count['FAIL']} failed, "
+                  f"{count['SKIP']} skipped"]
     report = _write_report(out / "verify_report.txt", lines)
-    return RunArtifacts([csv_path], [], report, EXIT_OK if failed == 0 else EXIT_CHECK_FAILED)
+    return RunArtifacts([csv_path], [], report, EXIT_CHECK_FAILED if count["FAIL"] else EXIT_OK)
 
 
 # The one list of tasks: name -> task function of (config, output directory).
@@ -518,8 +312,198 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
         return _failed(config, out, f"FAILED precondition '{exc}'", EXIT_HYPOTHESIS)
     except (ConvergenceError, StepOvershootError, np.linalg.LinAlgError) as exc:
         return _failed(config, out, f"NUMERICAL FAILURE '{exc}'", EXIT_NUMERICAL)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         return _failed(config, out, f"INVALID '{exc}'", EXIT_VALIDATION)
+
+
+# The config schema: one table of keys per section, which parse_config walks.
+REQUIRED = object()  # the default of a key that has none
+
+
+@dataclass(frozen=True)
+class Key:
+    """A row of a section's table.  convert takes the key's json value, or its default (None
+    stays None); a given value that fails check raises ConfigError(message).  An absent REQUIRED
+    key is None for a task outside tasks (task keys only); otherwise it raises
+    ConfigError(message), or without a message KeyError, which the section words."""
+
+    convert: Callable = lambda value: value
+    default: object = REQUIRED
+    check: Callable[[object], bool] = lambda value: True
+    message: str = ""
+    tasks: tuple[str, ...] = ()
+
+
+def _read(data, keys: dict[str, Key], name: str, task: str = "", build: Callable = dict,
+          errors: Optional[str] = None):
+    """build(**values) of the keys of data, converted; errors words ("{}" is the error) a key's
+    TypeError, ValueError or KeyError, and a ValueError of build is a ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} section must be an object")
+    for key in data:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in the {name} section; "
+                              f"known keys: {list(keys)}")
+    values = {}
+    for key, row in keys.items():
+        try:
+            if key in data:
+                values[key] = row.convert(data[key])
+                if not row.check(values[key]):
+                    raise ConfigError(row.message)
+            elif row.default is not REQUIRED:
+                values[key] = None if row.default is None else row.convert(row.default)
+            elif row.tasks and task not in row.tasks:
+                values[key] = None
+            else:
+                raise ConfigError(row.message) if row.message else KeyError(key)
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, ConfigError) or errors is None:
+                raise
+            raise ConfigError(errors.format(exc)) from exc
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+number, integer = finite_number, partial(finite_number, convert=int)
+numbers = partial(finite_number, convert=float_array)
+
+
+def _coefficient(name: str, spec) -> CoefficientSpec:
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError(f"coefficient {name!r} must be an object with a 'kind' key")
+    if spec["kind"] not in tuple(COEFFICIENTS):
+        raise ConfigError(f"coefficient {name!r} has unknown kind {spec['kind']!r}")
+    try:
+        return _read(spec, COEFFICIENTS[spec["kind"]], f"params.{name}", build=CoefficientSpec)
+    except KeyError as exc:
+        raise ConfigError(f"coefficient {name!r} is missing field {exc}") from exc
+
+
+def _system(tag) -> SystemKind:
+    try:
+        return SystemKind(tag)
+    except ValueError as exc:
+        raise ConfigError(f"unknown system kind {tag!r}") from exc
+
+
+def _sweep_values(values) -> list[float]:
+    if not isinstance(values, list) or not values:
+        raise ConfigError(SWEEP_VALUES)
+    return [number(v) for v in values]
+
+
+def _groups(groups) -> list[str]:
+    if not isinstance(groups, list):
+        raise ConfigError("verify groups must be a list of group names")
+    if not groups:
+        raise ConfigError(f"verify groups must name at least one group; "
+                          f"available: {list(CHECKERS)}")
+    unknown = [gname for gname in groups if gname not in tuple(CHECKERS)]
+    if unknown:
+        raise ConfigError(f"unknown verify groups: {unknown}; available: {list(CHECKERS)}")
+    return groups
+
+
+def _initial(spec) -> dict:
+    if not isinstance(spec, dict) or spec.get("kind") not in tuple(INITIAL):
+        raise ConfigError("initial data kind must be constant, random, or eigenfunction")
+    keys = INITIAL[spec["kind"]]
+    fields = [key for key in keys if key != "kind"]
+    return _read(spec, keys, "initial",
+                 errors=f"initial data fields {fields} must be numbers: {{}}")
+
+
+NUMBERS = "solver settings, seed and sweep values must be numbers: {}"
+TASK_NAMES = f"task must name one of {tuple(TASKS)}"
+SWEEP_VALUES = "sweep task needs a non-empty list of values"
+GRID = {"a": Key(number), "b": Key(number), "n": Key(integer)}
+PARAMS = {"d1": Key(number), "d2": Key(number), "d3": Key(number, ModelParams.d3),
+          "b": Key(number, ModelParams.b), "c": Key(number, ModelParams.c),
+          **{name: Key(partial(_coefficient, name)) for name in ("alpha", "beta", "m")}}
+KIND = Key()  # picks the table of a coefficient or of initial data, and is checked first
+COEFFICIENTS = {"constant": {"kind": KIND, "value": Key(number)},
+                "cosine_profile": {"kind": KIND, "mean": Key(number), "amplitude": Key(number),
+                                   "frequency": Key(integer, CoefficientSpec.frequency)},
+                "samples": {"kind": KIND, "values": Key(numbers)}}
+# A random seed of None is the scenario's seed when the task runs, so that --seed sets it.
+INITIAL = {"constant": {"kind": KIND, "values": Key(numbers, message=(
+               "constant initial data needs per-component values"))},
+           "random": {"kind": KIND, "low": Key(number, 0.1), "high": Key(number, 0.5),
+                      "seed": Key(integer, None)},
+           "eigenfunction": {"kind": KIND, "scale": Key(number, 0.1)}}
+# Names are matched against tuples, so an unhashable one is rejected, not raised on.
+TASK = {
+    "name": Key(check=lambda name: name in tuple(TASKS), message=TASK_NAMES),
+    "threshold_name": Key(check=lambda name: name in tuple(an.THRESHOLDS), tasks=("threshold",),
+                          message="threshold task needs threshold_name in "
+                                  f"{{{', '.join(an.THRESHOLDS)}}}"),
+    "parameter": Key(check=lambda name: name in an.SWEEP_PARAMETERS, tasks=("sweep",),
+                     message=f"sweep task needs parameter in {{{', '.join(an.SWEEP_PARAMETERS)}}}"),
+    "values": Key(_sweep_values, tasks=("sweep",), message=SWEEP_VALUES),
+    "groups": Key(_groups, None, tasks=("verify",)),
+}
+SOLVER = {**{key: Key(number, getattr(SolverOptions, key), lambda x: x > 0,
+                      "solver dt, tol, t_max, sample_every must all be positive")
+             for key in ("dt", "tol", "t_max", "sample_every")},
+          "scan_points": Key(integer, 64)}
+CONFIG = {
+    "grid": Key(partial(_read, keys=GRID, name="grid", build=Grid,
+                        errors="invalid or missing grid section: {}"),
+                message="invalid or missing grid section: 'grid'"),
+    "params": Key(partial(_read, keys=PARAMS, name="params", build=ModelParams,
+                          errors="invalid or missing params section: {}"),
+                  message="invalid or missing params section: 'params'"),
+    "system": Key(_system, SystemKind.SUBMODEL.value),
+    # parse_config reads the task section, for the task that runs.
+    "task": Key(lambda spec: {"name": spec} if isinstance(spec, str) else spec,
+                check=lambda spec: isinstance(spec, dict), message=TASK_NAMES),
+    "solver": Key(partial(_read, keys=SOLVER, name="solver", errors=NUMBERS), {}),
+    "initial": Key(_initial, {"kind": "random"}),
+    "output": Key(default="out", check=lambda path: isinstance(path, str),
+                  message="output must be a path"),
+    "seed": Key(integer, 0),
+}
+# Every table by the section it reads, as README's config reference lists them.
+SCHEMA = {"top level": CONFIG, "grid": GRID, "params": PARAMS, "task": TASK, "solver": SOLVER,
+          **{f"coefficient {kind}": keys for kind, keys in COEFFICIENTS.items()},
+          **{f"initial {kind}": keys for kind, keys in INITIAL.items()}}
+
+
+def parse_config(data: dict, base_dir: Path = Path("."),
+                 task: Optional[str] = None) -> ScenarioConfig:
+    """The scenario of a json config, checked for the task that runs (by default the config's
+    own).  Raises ConfigError for a config the schema rejects."""
+    top = _read(data, CONFIG, "top-level", errors=NUMBERS)
+    task = task or top["task"].get("name")
+    spec = _read(top["task"], TASK, "task", task, errors=NUMBERS)
+    initial, system, solver = top["initial"], top["system"], top["solver"]
+    if task in ("steady", "simulate"):
+        if initial["kind"] == "constant" and np.shape(initial["values"]) != (system.n_components,):
+            raise ConfigError(f"constant initial data needs per-component values: "
+                              f"{system.n_components} for the {system.value} system")
+        if initial["kind"] == "eigenfunction" and system.n_components != 2:
+            raise ConfigError("eigenfunction initial data is only defined for two-component "
+                              "systems")
+    return ScenarioConfig(
+        grid=top["grid"], params=top["params"], system=system, task=task,
+        output_dir=base_dir / top["output"], seed=top["seed"],
+        scan_points=solver.pop("scan_points"), solver=SolverOptions(**solver),
+        threshold_name=spec["threshold_name"], sweep_parameter=spec["parameter"],
+        sweep_values=spec["values"], initial=initial, verify_groups=spec["groups"])
+
+
+def load_config(path: str | Path, task: Optional[str] = None) -> ScenarioConfig:
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    return parse_config(data, path.parent, task)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -539,19 +523,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    config = replace(config, task=args.command)
     if args.out is not None:
         config = replace(config, output_dir=Path(args.out))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
 
     artifacts = run_scenario(config)
-    if artifacts.report_path is not None:
-        print(artifacts.report_path.read_text(encoding="utf-8"), end="")
+    print(artifacts.report_path.read_text(encoding="utf-8"), end="")
     return artifacts.exit_status
 
 

@@ -22,11 +22,16 @@ def finite_number(value, convert: Callable = float):
     """convert(value), raising ValueError unless the result is finite.  TypeError and
     ValueError keep their messages; json reads NaN, Infinity and 1e400 (as inf), so a
     non-finite result, or an OverflowError (int() of an infinity, float() of a huge int),
-    raises ValueError."""
+    raises ValueError.  So do a boolean, or a list holding one, and for convert=int a
+    float that is not integral, which int() would truncate."""
+    if any(isinstance(x, bool) for x in (value if isinstance(value, list) else [value])):
+        raise ValueError(f"booleans are not numbers: {value!r}")
     try:
         number = convert(value)
     except OverflowError as exc:
         raise ValueError(str(exc)) from exc
+    if convert is int and isinstance(value, float) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
     if not (isinstance(number, int) or np.isfinite(number).all()):
         raise ValueError(f"{value!r} is not a finite number")
     return number

@@ -40,7 +40,7 @@ class CoefficientSpec:
     mean: float = 0.0
     amplitude: float = 0.0
     frequency: int = 1
-    samples: Optional[np.ndarray] = None
+    values: Optional[np.ndarray] = None
 
     @staticmethod
     def constant(value: float) -> "CoefficientSpec":
@@ -57,7 +57,7 @@ class CoefficientSpec:
 
     @staticmethod
     def from_samples(samples: Sequence[float]) -> "CoefficientSpec":
-        return CoefficientSpec(kind="samples", samples=finite_number(samples, float_array))
+        return CoefficientSpec(kind="samples", values=finite_number(samples, float_array))
 
 
 def sample_coefficient(spec: CoefficientSpec, grid: Grid) -> np.ndarray:
@@ -68,10 +68,10 @@ def sample_coefficient(spec: CoefficientSpec, grid: Grid) -> np.ndarray:
         phase = spec.frequency * np.pi * (grid.nodes - grid.a) / (grid.b - grid.a)
         return spec.mean + spec.amplitude * np.cos(phase)
     if spec.kind == "samples":
-        if spec.samples is None or spec.samples.shape != (grid.n,):
-            got = None if spec.samples is None else spec.samples.shape
+        if spec.values is None or spec.values.shape != (grid.n,):
+            got = None if spec.values is None else spec.values.shape
             raise ValueError(f"sample array shape {got} does not match grid ({grid.n},)")
-        return spec.samples.copy()
+        return spec.values.copy()
     raise ValueError(f"unknown coefficient kind: {spec.kind!r}")
 
 
@@ -331,8 +331,8 @@ def require_constant(spec: CoefficientSpec, name: str) -> float:
     """Constant value of a spec, for analyses that assume spatially constant rates."""
     if spec.kind == "constant":
         return spec.value
-    if spec.kind == "samples" and spec.samples is not None:
-        lo, hi = float(np.min(spec.samples)), float(np.max(spec.samples))
+    if spec.kind == "samples" and spec.values is not None:
+        lo, hi = float(np.min(spec.values)), float(np.max(spec.values))
         if hi - lo <= 1e-14 * max(1.0, abs(hi)):
             return lo
     if spec.kind == "cosine_profile" and spec.amplitude == 0.0:

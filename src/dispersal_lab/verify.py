@@ -3,7 +3,7 @@
 Every check is oracle-based or property-based: dense eigensolves,
 central differences, analytic limits, and cross-checks between the
 spectral and dynamical routes.  The battery is deterministic for a
-fixed seed and takes about half a minute of CPU at the default
+fixed seed and takes about 41 s of CPU at the default
 resolutions (n = 201 for dynamics, 401 for eigenvalue thresholds, 801
 for the small-diffusion limit).
 

@@ -1,28 +1,47 @@
 import json
 import math
+import string
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 from dispersal_lab.cli import (
+    COEFFICIENTS,
+    CONFIG,
     EXIT_CHECK_FAILED,
     EXIT_HYPOTHESIS,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    GRID,
+    INITIAL,
+    PARAMS,
+    REQUIRED,
+    SCHEMA,
+    SOLVER,
+    TASK,
+    TASKS,
     ConfigError,
+    integer,
     load_config,
     main,
+    number,
+    numbers,
     parse_config,
     run_scenario,
 )
 from dispersal_lab.mesh import build_grid
 from dispersal_lab.spectral import scalar_eigenvalue
-from dispersal_lab.model import CoefficientSpec, ModelParams, sample_coefficients
-from dispersal_lab.analysis import THRESHOLDS, find_threshold, subsystem_steady
+from dispersal_lab.model import CoefficientSpec, ModelParams, SystemKind, sample_coefficients
+from dispersal_lab.analysis import SWEEP_PARAMETERS, THRESHOLDS, find_threshold, subsystem_steady
 from dispersal_lab.verify import CHECKERS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+THRESHOLD_NAME = ("threshold task needs threshold_name in "
+                  "{d_c, d_0, beta_c, alpha_c, mu_star, mu_zero}")
 
 
 def base_config(tmp_path: Path, **overrides) -> dict:
@@ -334,76 +353,112 @@ def test_malformed_config_is_a_validation_error(tmp_path, overrides):
 PROPERTY = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 finite = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+SECTION = None  # a key whose value is a section, drawn as its own table
+
+# A strategy of valid values for every key of every schema table, by table label.  Values that
+# depend on another key are fixed in valid_configs: grid b = a + width, d2 = d1 * factor, and a
+# constant initial state has one value per component.
+VALID = {
+    "top level": {"grid": SECTION, "params": SECTION, "task": SECTION, "solver": SECTION,
+                  "initial": SECTION, "system": st.sampled_from([k.value for k in SystemKind]),
+                  "output": st.just("out"), "seed": st.integers(0, 2**31)},
+    "grid": {"a": finite(-2.0, 1.0), "b": finite(0.1, 3.0), "n": st.integers(3, 2001)},
+    "params": {"d1": finite(0.01, 1.0), "d2": finite(1.0, 20.0), "d3": finite(0.01, 5.0),
+               "b": finite(0.0, 3.0), "c": finite(0.0, 3.0),
+               "alpha": SECTION, "beta": SECTION, "m": SECTION},
+    "task": {"name": SECTION, "threshold_name": st.sampled_from(list(THRESHOLDS)),
+             "parameter": st.sampled_from(list(SWEEP_PARAMETERS)),
+             "values": st.lists(finite(0.01, 5.0), min_size=1, max_size=4),
+             "groups": st.lists(st.sampled_from(list(CHECKERS)), min_size=1, max_size=3,
+                                unique=True)},
+    "solver": {"dt": finite(1e-4, 1.0), "tol": finite(1e-12, 1e-3), "t_max": finite(1.0, 1e4),
+               "sample_every": finite(0.1, 10.0), "scan_points": st.integers(2, 200)},
+    "coefficient constant": {"kind": SECTION, "value": finite(0.1, 3.0)},
+    "coefficient cosine_profile": {"kind": SECTION, "mean": finite(-1.0, 1.0),
+                                   "amplitude": finite(0.0, 1.0), "frequency": st.integers(1, 4)},
+    "coefficient samples": {"kind": SECTION,
+                            "values": st.lists(finite(0.1, 3.0), min_size=1, max_size=4)},
+    "initial constant": {"kind": SECTION, "values": st.just([0.2])},
+    "initial random": {"kind": SECTION, "low": finite(0.0, 0.3), "high": finite(0.3, 1.0),
+                       "seed": st.integers(0, 2**31)},
+    "initial eigenfunction": {"kind": SECTION, "scale": finite(0.01, 1.0)},
+}
+
+
+def test_every_schema_key_has_a_valid_strategy():
+    assert {label: set(keys) for label, keys in VALID.items()} == {
+        label: set(table) for label, table in SCHEMA.items()}
 
 
 @st.composite
 def valid_configs(draw):
-    a = draw(finite(-2.0, 1.0))
-    d1 = draw(finite(0.01, 1.0))
-    task = draw(st.sampled_from(["eigen", "steady", "threshold", "sweep", "verify"]))
-    task_spec = {"name": task}
-    if task == "threshold":
-        task_spec["threshold_name"] = draw(st.sampled_from(list(THRESHOLDS)))
-    elif task == "sweep":
-        task_spec["parameter"] = draw(st.sampled_from(["d3", "beta", "alpha"]))
-        task_spec["values"] = draw(st.lists(finite(0.01, 5.0), min_size=1, max_size=4))
-    elif task == "verify":
-        groups = st.sampled_from(list(CHECKERS))
-        task_spec["groups"] = draw(st.lists(groups, min_size=1, max_size=3, unique=True))
-    return {
-        "grid": {"a": a, "b": a + draw(finite(0.1, 3.0)), "n": draw(st.integers(3, 2001))},
-        "params": {
-            "d1": d1, "d2": d1 * draw(finite(1.0, 20.0)), "d3": draw(finite(0.01, 5.0)),
-            "b": draw(finite(0.0, 3.0)), "c": draw(finite(0.0, 3.0)),
-            "alpha": {"kind": "constant", "value": draw(finite(0.1, 3.0))},
-            "beta": {"kind": "constant", "value": draw(finite(0.1, 3.0))},
-            "m": {"kind": "cosine_profile", "mean": draw(finite(-1.0, 1.0)),
-                  "amplitude": draw(finite(0.0, 1.0)), "frequency": draw(st.integers(1, 4))},
-        },
-        "system": draw(st.sampled_from(["submodel", "two_species_general", "logistic",
-                                        "three_component"])),
-        "task": task_spec,
-        "solver": draw(st.fixed_dictionaries({}, optional={
-            "dt": finite(1e-4, 1.0), "tol": finite(1e-12, 1e-3), "t_max": finite(1.0, 1e4),
-            "sample_every": finite(0.1, 10.0), "store_fields": st.booleans(),
-            "scan_points": st.integers(2, 200),
-        })),
-        "seed": draw(st.integers(0, 2**31)),
-        "output": "out",
-    }
+    """Configs that parse: every required key of the schema, each optional one or not."""
+    def section(label: str, **given) -> dict:
+        for key, row in SCHEMA[label].items():
+            wanted = row.default is REQUIRED and not row.tasks or draw(st.booleans())
+            if key not in given and VALID[label][key] is not SECTION and wanted:
+                given[key] = draw(VALID[label][key])
+        return given
+
+    def coefficient() -> dict:
+        kind = draw(st.sampled_from(list(COEFFICIENTS)))
+        return section(f"coefficient {kind}", kind=kind)
+
+    system = draw(VALID["top level"]["system"])
+    task = draw(st.sampled_from(list(TASKS)))
+    data = section("top level", system=system, grid=section("grid"), solver=section("solver"),
+                   params=section("params", alpha=coefficient(), beta=coefficient(),
+                                  m=coefficient()),
+                   task=section("task", name=task, **{
+                       key: draw(VALID["task"][key]) for key, row in TASK.items()
+                       if task in row.tasks and row.default is REQUIRED}))
+    data["grid"]["b"] += data["grid"]["a"]
+    data["params"]["d2"] *= data["params"]["d1"]
+    n_components = SystemKind(system).n_components
+    kinds = [kind for kind in INITIAL if kind != "eigenfunction" or n_components == 2
+             or task not in ("steady", "simulate")]
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(kinds))
+        data["initial"] = section(f"initial {kind}", kind=kind)
+        if "values" in data["initial"]:
+            data["initial"]["values"] = [0.2] * n_components
+    return data
 
 
 @PROPERTY
 @given(data=valid_configs())
 def test_valid_configs_round_trip(data):
+    """Every key of every table reads back as drawn, or as its default when absent."""
     config = parse_config(data, base_dir=Path("base"))
-    solver, params, task = data["solver"], data["params"], data["task"]
-    assert (config.grid.a, config.grid.b, config.grid.n) == tuple(data["grid"].values())
-    assert (config.params.d1, config.params.d2, config.params.d3, config.params.b,
-            config.params.c) == tuple(params[k] for k in ("d1", "d2", "d3", "b", "c"))
-    assert config.params.alpha.value == params["alpha"]["value"]
-    assert config.params.m.mean == params["m"]["mean"]
-    assert config.system.value == data["system"]
-    assert config.task == task["name"]
-    assert config.output_dir == Path("base") / "out"
-    assert config.seed == data["seed"]
-    assert config.scan_points == solver.get("scan_points", 64)
-    assert config.solver.dt == solver.get("dt", 0.01)
-    assert config.solver.tol == solver.get("tol", 1e-9)
-    assert config.solver.t_max == solver.get("t_max", 2000.0)
-    assert config.solver.sample_every == solver.get("sample_every", 1.0)
-    assert config.solver.store_fields is False
-    assert config.threshold_name == task.get("threshold_name")
-    assert config.sweep_parameter == task.get("parameter")
-    assert config.sweep_values == task.get("values")
-    assert config.verify_groups == task.get("groups")
+    task = {"name": config.task, "threshold_name": config.threshold_name,
+            "parameter": config.sweep_parameter, "values": config.sweep_values,
+            "groups": config.verify_groups}
+    top = {"system": config.system.value, "output": str(config.output_dir.relative_to("base")),
+           "seed": config.seed}
+    initial = data.get("initial", {"kind": "random"})
+    tables = [(CONFIG, data, top), (GRID, data["grid"], vars(config.grid)),
+              (PARAMS, data["params"], vars(config.params)), (TASK, data["task"], task),
+              (SOLVER, data["solver"], vars(config.solver) | {"scan_points": config.scan_points}),
+              (INITIAL[initial["kind"]], initial, config.initial)]
+    tables += [(COEFFICIENTS[data["params"][name]["kind"]], data["params"][name],
+                vars(getattr(config.params, name))) for name in ("alpha", "beta", "m")]
+    for table, drawn, parsed in tables:
+        for key, row in table.items():
+            expected = drawn.get(key, None if row.default is REQUIRED else row.default)
+            if isinstance(expected, list):
+                assert np.array_equal(parsed[key], expected), key
+            elif not isinstance(expected, dict):  # a dict is a section, read as its own table
+                assert parsed[key] == expected, key
 
 
 def converts(convert, value):
-    """Whether convert(value) gives a finite number, as parse_config requires."""
+    """Whether convert(value) is a finite number that parse_config takes: no boolean, and no
+    float that int() would truncate."""
     try:
         number = convert(value)
     except (TypeError, ValueError, OverflowError):
+        return False
+    if isinstance(value, bool) or convert is int and isinstance(value, float) and number != value:
         return False
     return isinstance(number, int) or math.isfinite(number)
 
@@ -413,78 +468,178 @@ junk = st.one_of(st.text(max_size=6), st.lists(st.integers(), max_size=2),
                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2), st.none())
 # json writes these as NaN, Infinity and -Infinity, and Python's json reads them back.
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# "table.key" of every number key of the schema, and sweep values, with its converter.
+NUMBER_KEYS = {f"{label}.{key}": row.convert for label, table in SCHEMA.items()
+               for key, row in table.items() if row.convert in (number, integer, numbers)}
+NUMBER_KEYS["task.values"] = number
+# A valid example of each kind of coefficient and of initial data.
+KIND_EXAMPLES = {"constant": {"value": 0.4}, "cosine_profile": {"mean": 0.4, "amplitude": 0.3},
+                 "samples": {"values": [0.4] * 101}}
 
 
-INITIAL_FIELDS = {"random_low": ("random", "low"), "random_high": ("random", "high"),
-                  "random_seed": ("random", "seed"), "eigenfunction_scale": ("eigenfunction", "scale")}
-GRID_FIELDS = {"grid_a": "a", "grid_b": "b", "grid_n": "n"}
-PARAMS_FIELDS = ("d1", "d2", "d3", "b", "c")
-# field -> (coefficient, its spec with the number at the key that is None)
-COEFFICIENT_FIELDS = {
-    "alpha_value": ("alpha", {"kind": "constant", "value": None}),
-    "m_mean": ("m", {"kind": "cosine_profile", "mean": None, "amplitude": 0.3}),
-    "m_amplitude": ("m", {"kind": "cosine_profile", "mean": 0.4, "amplitude": None}),
-    "m_frequency": ("m", {"kind": "cosine_profile", "mean": 0.4, "amplitude": 0.3,
-                          "frequency": None}),
-}
-INTEGRAL_FIELDS = ("seed", "scan_points", "random_seed", "grid_n", "m_frequency")
+def with_number(data: dict, field: str, value) -> dict:
+    """data with value at field, a key of NUMBER_KEYS; in a list of numbers, as its last one."""
+    label, key = field.rsplit(".", 1)
+    if NUMBER_KEYS[field] is numbers or field == "task.values":
+        value = {"initial constant": [0.2], "task": [0.1]}.get(label, [0.4] * 100) + [value]
+    if label == "top level":
+        data[key] = value
+    elif label in ("grid", "params"):
+        data[label][key] = value
+    elif label == "solver":
+        data["solver"] = {key: value}
+    elif label == "task":
+        data["task"] = {"name": "sweep", "parameter": "d3", "values": value}
+    elif label.startswith("coefficient "):
+        kind = label.split()[1]
+        data["params"]["m"] = {"kind": kind, **KIND_EXAMPLES[kind], key: value}
+    else:
+        data["initial"] = {"kind": label.split()[1], key: value}
+    return data
 
 
 @PROPERTY
-@given(field=st.sampled_from(["dt", "tol", "t_max", "sample_every", "scan_points", "seed",
-                              "sweep_value", "m_sample", "constant_value", *INITIAL_FIELDS,
-                              *GRID_FIELDS, *PARAMS_FIELDS, *COEFFICIENT_FIELDS]),
-       value=st.one_of(junk, non_finite))
-@example(field="dt", value="abc")
-@example(field="seed", value="x")
-@example(field="scan_points", value="x")
-@example(field="sweep_value", value="a")
-@example(field="random_seed", value=None)
-@example(field="random_low", value=[1])
-@example(field="random_high", value="x")
-@example(field="eigenfunction_scale", value={})
-@example(field="t_max", value=math.inf)
-@example(field="m_frequency", value=math.inf)
-@example(field="grid_n", value=math.inf)
-@example(field="random_high", value=math.inf)
-@example(field="tol", value=math.inf)
-@example(field="d3", value=math.inf)
-@example(field="sample_every", value=math.inf)
-@example(field="dt", value=math.inf)
-@example(field="sweep_value", value=math.inf)
-@example(field="b", value=math.inf)
-@example(field="alpha_value", value=math.nan)
-@example(field="grid_a", value=-math.inf)
-@example(field="m_sample", value=math.nan)
-@example(field="constant_value", value=-math.inf)
-@example(field="d2", value=10**400)
+@given(field=st.sampled_from(sorted(NUMBER_KEYS)),
+       value=st.one_of(junk, non_finite, st.booleans(), finite(-1e3, 1e3)))
+@example(field="solver.dt", value="abc")
+@example(field="top level.seed", value="x")
+@example(field="solver.scan_points", value="x")
+@example(field="task.values", value="a")
+@example(field="initial random.seed", value=None)
+@example(field="initial random.low", value=[1])
+@example(field="initial random.high", value="x")
+@example(field="initial eigenfunction.scale", value={})
+@example(field="solver.t_max", value=math.inf)
+@example(field="coefficient cosine_profile.frequency", value=math.inf)
+@example(field="grid.n", value=math.inf)
+@example(field="initial random.high", value=math.inf)
+@example(field="solver.tol", value=math.inf)
+@example(field="params.d3", value=math.inf)
+@example(field="solver.sample_every", value=math.inf)
+@example(field="solver.dt", value=math.inf)
+@example(field="task.values", value=math.inf)
+@example(field="params.b", value=math.inf)
+@example(field="coefficient constant.value", value=math.nan)
+@example(field="grid.a", value=-math.inf)
+@example(field="coefficient samples.values", value=math.nan)
+@example(field="initial constant.values", value=-math.inf)
+@example(field="params.d2", value=10**400)
+# Integer keys take no fraction and no boolean, which int() truncated to 1, 3, 201, 64, 2, 1.
+@example(field="coefficient cosine_profile.frequency", value=1.9)
+@example(field="top level.seed", value=3.7)
+@example(field="grid.n", value=201.6)
+@example(field="solver.scan_points", value=64.9)
+@example(field="initial random.seed", value=2.5)
+@example(field="grid.n", value=1.5)
+@example(field="top level.seed", value=True)
+@example(field="grid.n", value=True)
+# Nor does any number key take a boolean.
+@example(field="params.d1", value=True)
+@example(field="solver.dt", value=True)
+@example(field="initial constant.values", value=False)
 def test_malformed_number_exits_with_validation_code(tmp_path, field, value):
     """Numbers that do not convert, and non-finite ones, exit 2 before any task runs."""
-    assume(not converts(int if field in INTEGRAL_FIELDS else float, value))
-    data = base_config(tmp_path)
-    if field == "seed":
-        data["seed"] = value
-    elif field == "sweep_value":
-        data["task"] = {"name": "sweep", "parameter": "d3", "values": [0.1, value]}
-    elif field in INITIAL_FIELDS or field == "constant_value":
-        kind, key = INITIAL_FIELDS.get(field, ("constant", "values"))
-        data["task"] = {"name": "simulate"}
-        data["solver"] = {"t_max": 0.05}
-        data["initial"] = {"kind": kind, key: [0.2, value] if kind == "constant" else value}
-    elif field in GRID_FIELDS:
-        data["grid"][GRID_FIELDS[field]] = value
-    elif field in PARAMS_FIELDS:
-        data["params"][field] = value
-    elif field in COEFFICIENT_FIELDS:
-        name, spec = COEFFICIENT_FIELDS[field]
-        data["params"][name] = {k: value if v is None else v for k, v in spec.items()}
-    elif field == "m_sample":
-        data["params"]["m"] = {"kind": "samples", "values": [0.4] * 100 + [value]}
-    else:
-        data["solver"] = {field: value}
+    assume(not converts(NUMBER_KEYS[field] is integer and int or float, value))
+    data = with_number(base_config(tmp_path), field, value)
     path = write_config(tmp_path, data)
     assert main([data["task"]["name"], "--config", str(path)]) == EXIT_VALIDATION
     assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_reads_as_an_integer(tmp_path):
+    data = base_config(tmp_path, grid={"a": 0.0, "b": 1.0, "n": 101.0}, seed=7.0)
+    config = parse_config(data)
+    assert (config.grid.n, config.seed) == (101, 7)
+    assert type(config.grid.n) is int and type(config.seed) is int
+    with pytest.raises(ValueError):
+        build_grid(0.0, 1.0, 101.5)
+    with pytest.raises(ValueError):
+        CoefficientSpec.cosine(0.4, 0.3, True)
+
+
+# Every dict of a valid config can be given a key that no table names.
+unknown_keys = st.text(string.ascii_letters + "_", min_size=1, max_size=12).filter(
+    lambda key: all(key not in table for table in SCHEMA.values()))
+
+
+def sections_of(data: dict) -> list[dict]:
+    return [data] + [s for value in data.values() if isinstance(value, dict)
+                     for s in sections_of(value)]
+
+
+@PROPERTY
+@given(data=valid_configs(), choice=st.data(), key=unknown_keys)
+def test_unknown_key_at_any_level_exits_with_validation_code(tmp_path, capsys, data, choice,
+                                                             key):
+    choice.draw(st.sampled_from(sections_of(data)))[key] = 1.0
+    data["output"] = str(tmp_path / "out")
+    capsys.readouterr()
+    path = write_config(tmp_path, data)
+    assert main([data["task"]["name"], "--config", str(path)]) == EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,key,name,table", [
+    ("solver", "tmax", "solver", SOLVER),
+    ("solver", "store_fields", "solver", SOLVER),  # a field of SolverOptions, not a config key
+    ("params", "D3", "params", PARAMS),
+    (None, "outputs", "top-level", CONFIG),
+    ("grid", "N", "grid", GRID),
+    ("alpha", "mean", "params.alpha", COEFFICIENTS["constant"]),
+    ("task", "name_of_threshold", "task", TASK),
+    ("initial", "sed", "initial", INITIAL["random"]),
+])
+def test_unknown_key_in_each_section_exits_with_validation_code(tmp_path, capsys, where, key,
+                                                                name, table):
+    data = base_config(tmp_path, solver={}, initial={"kind": "random"})
+    section = {None: data, "alpha": data["params"]["alpha"]}.get(where) or data[where]
+    section[key] = 1.0
+    assert main(["eigen", "--config", str(write_config(tmp_path, data))]) == EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == (
+        f"error: unknown key {key!r} in the {name} section; known keys: {list(table)}\n")
+
+
+@pytest.mark.parametrize("config,command,message", [
+    ("reference.json", "threshold", THRESHOLD_NAME),
+    ("sweep_d3.json", "threshold", THRESHOLD_NAME),
+    ("reference.json", "sweep", "sweep task needs parameter in {d3, beta, alpha}"),
+    ("threshold_dc.json", "sweep", "sweep task needs parameter in {d3, beta, alpha}"),
+])
+def test_subcommand_checks_the_config_for_its_own_task(tmp_path, capsys, config, command,
+                                                       message):
+    data = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
+    data["output"] = str(tmp_path / "out")
+    assert main([command, "--config", str(write_config(tmp_path, data))]) == EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sweep_values_are_checked_when_the_config_names_another_task(tmp_path):
+    data = base_config(tmp_path, task={"name": "eigen", "parameter": "d3",
+                                       "values": [0.1, math.nan]})
+    assert main(["sweep", "--config", str(write_config(tmp_path, data))]) == EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("system,initial", [
+    ("submodel", {"kind": "constant", "values": [0.2, 0.2, 0.2]}),
+    ("logistic", {"kind": "constant", "values": [0.2, 0.2]}),
+    ("three_component", {"kind": "constant", "values": 0.2}),
+    ("logistic", {"kind": "eigenfunction"}),
+    ("three_component", {"kind": "eigenfunction", "scale": 0.2}),
+])
+def test_initial_data_that_does_not_fit_the_system_is_rejected_by_steady_and_simulate(
+        tmp_path, system, initial):
+    data = base_config(tmp_path, system=system, initial=initial)
+    for command in ("steady", "simulate"):
+        with pytest.raises(ConfigError):
+            parse_config(data, task=command)
+        assert main([command, "--config", str(write_config(tmp_path, data))]) == EXIT_VALIDATION
+        assert not (tmp_path / "out").exists()
+    for command in ("eigen", "verify"):  # tasks that read no initial data
+        assert parse_config(data, task=command).initial["kind"] == initial["kind"]
 
 
 @PROPERTY

@@ -1,7 +1,9 @@
-"""README's "Library use" example runs as written against the package's top-level names."""
+"""README's "Library use" example runs as written, and its config reference lists the schema."""
 
 import re
 from pathlib import Path
+
+from dispersal_lab.cli import SCHEMA
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +15,13 @@ def test_library_use_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     lam0, root, bracket = capsys.readouterr().out.split(maxsplit=2)
     assert float(lam0) > 0 and 0.1 < float(root) < 1.0
+
+
+def test_config_reference_lists_every_schema_key_and_no_other():
+    """Each row of the table is | section | `key`, `key` | value | default |."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Scenario configuration", 1)[1].split("\n## ", 1)[0]
+    listed = {(label.replace("`", ""), key)
+              for label, keys in re.findall(r"^\| ([^|]+?) \| ([^|]+?) \|", section, re.M)
+              for key in re.findall(r"`(\w+)`", keys)}
+    assert listed == {(label, key) for label, table in SCHEMA.items() for key in table}

@@ -7,8 +7,11 @@ threshold tasks on ``configs/threshold_dc.json`` at n = 401 and 801 (the
 ``mu_`` thresholds with a sign-changing growth rate of negative mean, as
 they require), and two ``verify`` runs on ``configs/reference.json`` whose
 scenario changes make groups skip: constant m = 3 (the growth hypothesis
-fails) and d3 = 2 (outside (d1, d2), which the switching groups need).
-Each run is a separate ``python -m dispersal_lab`` process
+fails) and d3 = 2 (outside (d1, d2), which the switching groups need),
+and ``eigen`` runs of ``configs/reference.json`` with one key the parser
+rejects: a misspelled solver or params key, a fractional grid ``n`` and
+a boolean seed, so the diff covers the exit code and message of a
+rejection.  Each run is a separate ``python -m dispersal_lab`` process
 on the ``src/`` tree next to this script, and gets one directory under OUT
 holding its output files in ``files/`` and its ``stdout``, ``stderr`` and
 ``exit`` code.  Run the script from two checkouts and compare them with
@@ -37,6 +40,13 @@ SKIP_RUNS = {
                            ["invasion-brackets", "exclusion-dynamics", *SWITCHING_GROUPS]),
     "verify_skip_d3": ({"d3": 2.0}, SWITCHING_GROUPS),
 }
+# run name -> (section of configs/reference.json, None for the top level, key, value)
+REJECT_RUNS = {
+    "reject_solver_tmax": ("solver", "tmax", 1.0),
+    "reject_params_D3": ("params", "D3", 9.0),
+    "reject_grid_n_fraction": ("grid", "n", 201.5),
+    "reject_seed_boolean": (None, "seed", True),
+}
 
 
 def runs(out: Path) -> list[tuple[str, str, Path]]:
@@ -64,6 +74,12 @@ def runs(out: Path) -> list[tuple[str, str, Path]]:
         path = generated / f"{name}.json"
         path.write_text(json.dumps(config, indent=1), encoding="utf-8")
         plan.append((name, "verify", path))
+    for name, (section, key, value) in REJECT_RUNS.items():
+        config = copy.deepcopy(reference)
+        (config[section] if section else config)[key] = value
+        path = generated / f"{name}.json"
+        path.write_text(json.dumps(config, indent=1), encoding="utf-8")
+        plan.append((name, "eigen", path))
     return plan
 
 
