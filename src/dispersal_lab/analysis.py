@@ -210,8 +210,7 @@ def _scanned(roots: list[ThresholdResult], error: type[Exception], message: str)
     return ThresholdCurve(roots)
 
 
-def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients,
-         scan_points: int) -> ThresholdCurve:
+def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Zero of the scalar invasion eigenvalue at (u*, v*, 0) in d3 on (d1, weighted average)."""
     check_hypothesis_h(params, grid, coeffs)
     alpha, beta = _constant_rates(params)
@@ -229,8 +228,7 @@ def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients,
     return _bracketed("d_c", curve, lo, hi, f_lo, f_hi)
 
 
-def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients,
-         scan_points: int) -> ThresholdCurve:
+def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Every zero of lambda2(d3) on the D0_SCAN_POINTS lattice."""
     return _scanned(lambda2_sign_changes(params, grid, coeffs),
                     ConvergenceError, "no sign change of the invasion eigenvalue found for d_0")
@@ -250,8 +248,7 @@ def _rate_curve(params: ModelParams, grid: Grid, coeffs: Coefficients,
     return curve
 
 
-def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients,
-            scan_points: int) -> ThresholdCurve:
+def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Zero of lambda2(beta) on (1e-4 hi, hi), hi = (d2 - d3) / (d3 - d1) * alpha."""
     check_hypothesis_h(params, grid, coeffs)
     alpha, _ = _check_section5_setting(params, coeffs, "alpha")
@@ -265,8 +262,7 @@ def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients,
     return _bracketed("beta_c", curve, lo, hi, f_lo, f_hi)
 
 
-def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients,
-             scan_points: int) -> ThresholdCurve:
+def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Zero of lambda2(alpha) above lo = (d3 - d1) / (d2 - d3) * beta; hi by doubling."""
     check_hypothesis_h(params, grid, coeffs)
     _, beta = _check_section5_setting(params, coeffs, "beta")
@@ -286,53 +282,46 @@ def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients,
     return _bracketed("alpha_c", curve, lo, hi, f_lo, f_hi)
 
 
-def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients,
-             scan_points: int) -> ThresholdCurve:
+def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """mu* = 1/d* at the zero of the scalar eigenvalue in d (spectral.mu_star_scalar)."""
-    return ThresholdCurve([mu_star_scalar(grid, coeffs.m, scan_points=scan_points)])
+    return ThresholdCurve([mu_star_scalar(grid, coeffs.m)])
 
 
-def _mu_zero(params: ModelParams, grid: Grid, coeffs: Coefficients,
-             scan_points: int) -> ThresholdCurve:
+def _mu_zero(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Every zero of the pair eigenvalue with growth mu*m, for mu in (1e-2, 1e2)."""
     curve = lambda mu: lambda_of_mu(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta,
                                     coeffs.m, mu)
-    return _scanned(find_mu_roots(curve, (1e-2, 1e2), name="mu_zero", scan_points=scan_points),
-                    HypothesisError,
+    return _scanned(find_mu_roots(curve, (1e-2, 1e2), name="mu_zero"), HypothesisError,
                     "no critical growth scaling found; the mean growth may already be favorable")
 
 
 # The one definition of each threshold.  Each entry computes its steady state
 # once and returns the curve with its roots; it checks the preconditions itself
 # or, for d_0 and mu_star, leaves them to the function that finds the roots.
-# All take (params, grid, coeffs, scan_points); only mu_star and mu_zero read
-# scan_points.
+# All take (params, grid, coeffs).
 THRESHOLDS: dict[str, Callable[..., ThresholdCurve]] = {
     "d_c": _d_c, "d_0": _d_0, "beta_c": _beta_c,
     "alpha_c": _alpha_c, "mu_star": _mu_star, "mu_zero": _mu_zero,
 }
 
 
-def threshold_curve(name: str, params: ModelParams, grid: Grid,
-                    scan_points: int = 64) -> ThresholdCurve:
+def threshold_curve(name: str, params: ModelParams, grid: Grid) -> ThresholdCurve:
     """The named threshold's curve from THRESHOLDS; see find_threshold."""
     if name not in THRESHOLDS:
         raise ValueError(f"unknown threshold name {name!r}")
-    return THRESHOLDS[name](params, grid, sample_coefficients(params, grid), scan_points)
+    return THRESHOLDS[name](params, grid, sample_coefficients(params, grid))
 
 
-def find_threshold(name: str, params: ModelParams, grid: Grid,
-                   scan_points: int = 64) -> ThresholdResult:
+def find_threshold(name: str, params: ModelParams, grid: Grid) -> ThresholdResult:
     """First root of one of the six thresholds, each defined once in THRESHOLDS.
 
     d_c, beta_c and alpha_c refine the root of a verified sign bracket by
     Brent's method (spectral.bisect_curve).  d_0 scans lambda2(d3) on a
     fixed 17-point lattice (lambda2_sign_changes gives every root);
-    mu_star and mu_zero scan log lattices of scan_points points and do
-    not need the growth hypothesis.  scan_points sizes those two
-    lattices only: the other four names ignore it.
+    mu_star and mu_zero scan 64-point log lattices (spectral.find_mu_roots)
+    and do not need the growth hypothesis.
     """
-    return threshold_curve(name, params, grid, scan_points).roots[0]
+    return threshold_curve(name, params, grid).roots[0]
 
 
 def lambda2_sign_changes(
@@ -404,14 +393,14 @@ def sweep_outcomes(
     grid: Grid,
     parameter: str,
     values: list[float],
-    opts: Optional[SolverOptions] = None,
+    opts: SolverOptions,
 ) -> SweepReport:
     """Eigenvalue signs and simulated outcome of the three-species race.
 
     For each swept value: both semi-trivial invasion eigenvalues are
-    computed, the full system is integrated from a fixed mixed initial
-    state, and the endpoint is classified by the extinct/persistent
-    mass thresholds (two orders apart).  Empirical exclusion bounds are
+    computed, the full system is integrated with opts from a fixed mixed
+    initial state, and the endpoint is classified by the
+    extinct/persistent mass thresholds (two orders apart).  Empirical exclusion bounds are
     the largest prefix / smallest suffix of the sorted lattice on which
     the winner is uniform.
     """
@@ -421,7 +410,6 @@ def sweep_outcomes(
     check_hypothesis_h(params, grid, base_coeffs)
     if parameter in ("beta", "alpha"):
         _check_section5_setting(params, base_coeffs, "alpha" if parameter == "beta" else "beta")
-    sim_opts = opts or SolverOptions(dt=0.02, sample_every=5.0)
     values_sorted = sorted(float(v) for v in values)
 
     locals_, eigenvalues, starts = [], [], []
@@ -451,7 +439,7 @@ def sweep_outcomes(
         locals_.append(local)
 
     # All points step as one block; their errors are handled in point order.
-    sims = integrate_runs(SystemKind.THREE_COMPONENT, locals_, grid, starts, sim_opts)
+    sims = integrate_runs(SystemKind.THREE_COMPONENT, locals_, grid, starts, opts)
     points: list[SweepPoint] = []
     for value, (lam_uv0, lam_00w), sim in zip(values_sorted, eigenvalues, sims):
         note = ""

@@ -76,7 +76,6 @@ class ScenarioConfig:
     sweep_parameter: Optional[str]
     sweep_values: Optional[list[float]]
     initial: dict
-    scan_points: int
     verify_groups: Optional[list[str]]
 
 
@@ -203,8 +202,7 @@ def _task_evolve(config: ScenarioConfig, out: Path, demand_steady: bool) -> RunA
 
 def _task_threshold(config: ScenarioConfig, out: Path) -> RunArtifacts:
     name = config.threshold_name
-    threshold = an.threshold_curve(name, config.params, config.grid,
-                                   scan_points=config.scan_points)
+    threshold = an.threshold_curve(name, config.params, config.grid)
     results = threshold.roots
     csv_path = _write_csv(
         out / "threshold.csv",
@@ -412,13 +410,18 @@ def _initial(spec) -> dict:
         raise ConfigError("initial data kind must be constant, random, or eigenfunction")
     keys = INITIAL[spec["kind"]]
     fields = [key for key in keys if key != "kind"]
-    return _read(spec, keys, "initial",
-                 errors=f"initial data fields {fields} must be numbers: {{}}")
+    initial = _read(spec, keys, "initial",
+                    errors=f"initial data fields {fields} must be numbers: {{}}")
+    if spec["kind"] == "random" and not 0 <= initial["low"] < initial["high"]:
+        raise ConfigError(f"random initial data needs 0 <= low < high, "
+                          f"got ({initial['low']}, {initial['high']})")
+    return initial
 
 
 NUMBERS = "solver settings, seed and sweep values must be numbers: {}"
 TASK_NAMES = f"task must name one of {tuple(TASKS)}"
 SWEEP_VALUES = "sweep task needs a non-empty list of values"
+SEED = Key(integer, 0, lambda seed: seed >= 0, "a seed must be at least 0")
 GRID = {"a": Key(number), "b": Key(number), "n": Key(integer)}
 PARAMS = {"d1": Key(number), "d2": Key(number), "d3": Key(number, ModelParams.d3),
           "b": Key(number, ModelParams.b), "c": Key(number, ModelParams.c),
@@ -432,8 +435,9 @@ COEFFICIENTS = {"constant": {"kind": KIND, "value": Key(number)},
 INITIAL = {"constant": {"kind": KIND, "values": Key(numbers, message=(
                "constant initial data needs per-component values"))},
            "random": {"kind": KIND, "low": Key(number, 0.1), "high": Key(number, 0.5),
-                      "seed": Key(integer, None)},
-           "eigenfunction": {"kind": KIND, "scale": Key(number, 0.1)}}
+                      "seed": replace(SEED, default=None)},
+           "eigenfunction": {"kind": KIND, "scale": Key(number, 0.1, lambda scale: scale > 0,
+                                                        "scale must be positive")}}
 # Names are matched against tuples, so an unhashable one is rejected, not raised on.
 TASK = {
     "name": Key(check=lambda name: name in tuple(TASKS), message=TASK_NAMES),
@@ -445,10 +449,9 @@ TASK = {
     "values": Key(_sweep_values, tasks=("sweep",), message=SWEEP_VALUES),
     "groups": Key(_groups, None, tasks=("verify",)),
 }
-SOLVER = {**{key: Key(number, getattr(SolverOptions, key), lambda x: x > 0,
-                      "solver dt, tol, t_max, sample_every must all be positive")
-             for key in ("dt", "tol", "t_max", "sample_every")},
-          "scan_points": Key(integer, 64)}
+SOLVER = {key: Key(number, getattr(SolverOptions, key), lambda x: x > 0,
+                   "solver dt, tol, t_max, sample_every must all be positive")
+          for key in ("dt", "tol", "t_max", "sample_every")}
 CONFIG = {
     "grid": Key(partial(_read, keys=GRID, name="grid", build=Grid,
                         errors="invalid or missing grid section: {}"),
@@ -460,11 +463,12 @@ CONFIG = {
     # parse_config reads the task section, for the task that runs.
     "task": Key(lambda spec: {"name": spec} if isinstance(spec, str) else spec,
                 check=lambda spec: isinstance(spec, dict), message=TASK_NAMES),
-    "solver": Key(partial(_read, keys=SOLVER, name="solver", errors=NUMBERS), {}),
+    "solver": Key(partial(_read, keys=SOLVER, name="solver", build=SolverOptions,
+                          errors=NUMBERS), {}),
     "initial": Key(_initial, {"kind": "random"}),
     "output": Key(default="out", check=lambda path: isinstance(path, str),
                   message="output must be a path"),
-    "seed": Key(integer, 0),
+    "seed": SEED,
 }
 # Every table by the section it reads, as README's config reference lists them.
 SCHEMA = {"top level": CONFIG, "grid": GRID, "params": PARAMS, "task": TASK, "solver": SOLVER,
@@ -479,7 +483,7 @@ def parse_config(data: dict, base_dir: Path = Path("."),
     top = _read(data, CONFIG, "top-level", errors=NUMBERS)
     task = task or top["task"].get("name")
     spec = _read(top["task"], TASK, "task", task, errors=NUMBERS)
-    initial, system, solver = top["initial"], top["system"], top["solver"]
+    initial, system = top["initial"], top["system"]
     if task in ("steady", "simulate"):
         if initial["kind"] == "constant" and np.shape(initial["values"]) != (system.n_components,):
             raise ConfigError(f"constant initial data needs per-component values: "
@@ -489,8 +493,7 @@ def parse_config(data: dict, base_dir: Path = Path("."),
                               "systems")
     return ScenarioConfig(
         grid=top["grid"], params=top["params"], system=system, task=task,
-        output_dir=base_dir / top["output"], seed=top["seed"],
-        scan_points=solver.pop("scan_points"), solver=SolverOptions(**solver),
+        output_dir=base_dir / top["output"], seed=top["seed"], solver=top["solver"],
         threshold_name=spec["threshold_name"], sweep_parameter=spec["parameter"],
         sweep_values=spec["values"], initial=initial, verify_groups=spec["groups"])
 
@@ -524,6 +527,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         config = load_config(args.config, args.command)
+        if args.seed is not None and not SEED.check(args.seed):
+            raise ConfigError(SEED.message)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -15,14 +15,14 @@ P is, so a block shares that call overhead across its runs:
 - Diffusion.  I - dt*d*L, symmetrized by the square roots of the
   quadrature weights, is symmetric positive definite and tridiagonal.
   Each (component, run) field keeps its own L D L^T factor of it from
-  LAPACK ``pttrf``.  ``DiffusionSolver`` lays the K*P factors end to end
-  as one block-diagonal tridiagonal factor, so one ``pttrs`` call solves
-  every field.  The block is exact: the off-diagonal entry that couples
-  the last node of one field to the first node of the next is exactly
-  0, so there the forward and back substitutions subtract 0 * x = +0
-  (x is finite and nonnegative), which changes no value, and every
-  other operation is the one a solve of that field alone does.  Results
-  are bit-identical to K*P separate solves.
+  LAPACK ``pttrf``.  ``spectral.DiffusionSolver`` lays the K*P factors
+  end to end as one block-diagonal tridiagonal factor, so one ``pttrs``
+  call solves every field.  The block is exact: the off-diagonal entry
+  that couples the last node of one field to the first node of the next
+  is exactly 0, so there the forward and back substitutions subtract
+  0 * x = +0 (x is finite and nonnegative), which changes no value, and
+  every other operation is the one a solve of that field alone does.
+  Results are bit-identical to K*P separate solves.
 - Reaction.  ``model.reaction_rhs`` is elementwise, over a block as over
   one run, in the same operation order.
 - Validation.  The explicit stage is checked once per block for
@@ -49,6 +49,8 @@ dt/2 with its clock re-based there, up to MAX_DT_HALVINGS times.
 ``newton_steady`` finds the logistic and the switching-pair steady states
 by pseudo-transient Newton on the banded layout of the eigensolver, and
 solves each Newton step by its LAPACK call, ``spectral.solve_band``.
+Both banded solvers belong to spectral's banded-solve layer, so this
+module calls LAPACK only through them.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .mesh import Grid, NeumannLaplacian
 from .model import (
@@ -69,7 +70,7 @@ from .model import (
     reaction_rhs,
     sample_coefficients,
 )
-from .spectral import EigenResult, assemble_banded, solve_band
+from .spectral import DiffusionSolver, EigenResult, assemble_banded, solve_band
 
 NEGATIVITY_TOLERANCE = 1e-13
 CHECK_EVERY = 10  # steps between residual checks
@@ -79,8 +80,6 @@ STEADY_TOL = 1e-9  # rhs_residual at which newton_steady calls a state steady
 NEWTON_MAX_ITER = 100
 TAU_NEWTON = 1e8  # pseudo-time step from which a rounding-level step ends newton_steady
 NEWTON_ROUNDING = 1e-12  # a step no larger than this times max(1, |x|) is at rounding level
-
-_PTTRF, _PTTRS = get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0),))
 
 
 class StepOvershootError(RuntimeError):
@@ -170,50 +169,6 @@ def kind_diffusions(kind: SystemKind, params: ModelParams) -> tuple[float, ...]:
     return (params.d1, params.d2)
 
 
-class DiffusionSolver:
-    """Block-diagonal solver for (I - dt*d_i*L) x_i = y_i over a stack of fields.
-
-    Each field i has its own factor: the matrix, symmetrized by the square
-    roots of the quadrature weights, is symmetric positive definite and
-    tridiagonal, and LAPACK ``pttrf`` factors it once as L D L^T.
-    ``select`` lays the factors of chosen fields end to end, so ``solve``
-    handles the whole stack with one ``pttrs`` call; the off-diagonal
-    entry between two fields is exactly 0.
-    """
-
-    def __init__(self, grid: Grid, diffusions: Sequence[float], dt: float):
-        n, h2 = grid.n, grid.h * grid.h
-        sqrt_w = np.sqrt(grid.quadrature_weights)
-        self._factors = []
-        for d in diffusions:
-            r = dt * d / h2
-            upper = np.full(n - 1, -r)
-            upper[0] = -2.0 * r
-            # Symmetrized off-diagonal: S[i, i+1] = sqrt(w_i / w_{i+1}) * A[i, i+1].
-            diag, off, info = _PTTRF(np.full(n, 1.0 + 2.0 * r), upper * sqrt_w[:-1] / sqrt_w[1:])
-            if info != 0:
-                raise ValueError(f"LAPACK pttrf failed with info={info} for d={d}, dt={dt}")
-            # The trailing 0 is the off-diagonal entry to the next field of a block.
-            self._factors.append((diag, np.append(off, 0.0)))
-        self._sqrt_w = sqrt_w
-        self.select(range(len(self._factors)))
-
-    def select(self, fields: Sequence[int]) -> None:
-        """Solve for the given fields, in that order, from the stored factors."""
-        self._diag = np.concatenate([self._factors[i][0] for i in fields])
-        self._off = np.concatenate([self._factors[i][1] for i in fields])[:-1]
-
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """Solution for a finite right-hand side whose rows are the selected fields in
-        order, e.g. (K, P, n) (the caller checks finiteness)."""
-        z, info = _PTTRS(self._diag, self._off, (self._sqrt_w * y).reshape(-1), overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
-        z = z.reshape(y.shape)
-        z /= self._sqrt_w
-        return z
-
-
 class ImexStepper:
     """One-step map of the IMEX scheme for P runs of one kind at one dt.
 
@@ -222,27 +177,20 @@ class ImexStepper:
     block, ``keep`` drops runs from it, and ``step`` is the one-run map.
     """
 
-    def __init__(
-        self,
-        kind: SystemKind,
-        params: Union[ModelParams, Sequence[ModelParams]],
-        grid: Grid,
-        dt: float,
-    ):
+    def __init__(self, kind: SystemKind, params: Sequence[ModelParams], grid: Grid, dt: float):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        runs = [params] if isinstance(params, ModelParams) else list(params)
-        if any((p.b, p.c) != (runs[0].b, runs[0].c) for p in runs):
+        if any((p.b, p.c) != (params[0].b, params[0].c) for p in params):
             raise ValueError("the runs of one block must share b and c")
         self.kind = kind
-        self.params = runs[0]
+        self.params = params[0]
         self.grid = grid
         self.dt = dt
-        self._coeffs = [sample_coefficients(p, grid) for p in runs]
-        diffusions = [kind_diffusions(kind, p) for p in runs]
+        self._coeffs = [sample_coefficients(p, grid) for p in params]
+        diffusions = [kind_diffusions(kind, p) for p in params]
         self.solver = DiffusionSolver(grid, [d for ds in zip(*diffusions) for d in ds], dt)
         self._all_diffusions = np.array(diffusions).T  # (K, runs)
-        self.keep(range(len(runs)))
+        self.keep(range(len(params)))
 
     def keep(self, runs: Sequence[int]) -> None:
         """Step only the given runs, numbered as at construction, from now on."""
@@ -582,7 +530,7 @@ def lyapunov_identity(
     u, v = state.components
     before = float(np.sum(w * (psi1 * u + psi2 * v)))
     sink = -float(np.sum(w * (psi1 * u * (u + b * v) + psi2 * v * (c * u + v))))
-    after_state = ImexStepper(kind, params, grid, dt).step(state)
+    after_state = ImexStepper(kind, [params], grid, dt).step(state)
     ua, va = after_state.components
     after = float(np.sum(w * (psi1 * ua + psi2 * va)))
     return (after - before) / dt, sink

@@ -246,12 +246,7 @@ def larger_quadratic_root_k0(b: float, c: float) -> float:
     return (s + np.sqrt(disc)) / (2.0 * bc)
 
 
-def classify_regime(
-    params: ModelParams,
-    grid: Grid,
-    coeffs: Optional[Coefficients] = None,
-    test_s1: bool = True,
-) -> RegimeReport:
+def classify_regime(params: ModelParams, grid: Grid, test_s1: bool = True) -> RegimeReport:
     """Evaluate the eventual-competition and eventual-cooperation tests.
 
     The competitive test needs min m > 0 and raises HypothesisError when
@@ -260,8 +255,7 @@ def classify_regime(
     """
     if params.b <= 0 or params.c <= 0:
         raise HypothesisError("regime classification requires b > 0 and c > 0")
-    if coeffs is None:
-        coeffs = sample_coefficients(params, grid)
+    coeffs = sample_coefficients(params, grid)
     a_lo, a_hi = float(np.min(coeffs.alpha)), float(np.max(coeffs.alpha))
     b_lo, b_hi = float(np.min(coeffs.beta)), float(np.max(coeffs.beta))
     m_lo, m_hi = float(np.min(coeffs.m)), float(np.max(coeffs.m))

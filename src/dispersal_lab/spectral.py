@@ -8,12 +8,18 @@ with sigma above the principal eigenvalue is an inverse M-matrix, hence
 entrywise positive, and power iteration on it converges to the unique
 positive eigenpair.  Shifts are updated from Collatz-Wielandt / residual
 information, so convergence is superlinear in practice.
+
+This module is also the lab's one banded-solve layer, and the only one
+that binds LAPACK: ``solve_band`` makes the one-shot ``gtsv``/``gbsv``
+solves of the eigensolver and of dynamics' Newton steps, and
+``DiffusionSolver`` the factor-once ``pttrf``/``pttrs`` solves of the
+IMEX diffusion step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -155,7 +161,8 @@ class BandedOperator:
         return solve_band(self.shifted_bands(sigma), rhs)
 
 
-_GTSV, _GBSV = get_lapack_funcs(("gtsv", "gbsv"), (np.empty(0),))
+_GTSV, _GBSV, _PTTRF, _PTTRS = get_lapack_funcs(("gtsv", "gbsv", "pttrf", "pttrs"),
+                                                 (np.empty(0),))
 
 
 def solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -180,6 +187,50 @@ def solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK gtsv/gbsv")
     return x
+
+
+class DiffusionSolver:
+    """Block-diagonal solver for (I - dt*d_i*L) x_i = y_i over a stack of fields.
+
+    Each field i has its own factor: the matrix, symmetrized by the square
+    roots of the quadrature weights, is symmetric positive definite and
+    tridiagonal, and LAPACK ``pttrf`` factors it once as L D L^T.
+    ``select`` lays the factors of chosen fields end to end, so ``solve``
+    handles the whole stack with one ``pttrs`` call; the off-diagonal
+    entry between two fields is exactly 0.
+    """
+
+    def __init__(self, grid: Grid, diffusions: Sequence[float], dt: float):
+        n, h2 = grid.n, grid.h * grid.h
+        sqrt_w = np.sqrt(grid.quadrature_weights)
+        self._factors = []
+        for d in diffusions:
+            r = dt * d / h2
+            upper = np.full(n - 1, -r)
+            upper[0] = -2.0 * r
+            # Symmetrized off-diagonal: S[i, i+1] = sqrt(w_i / w_{i+1}) * A[i, i+1].
+            diag, off, info = _PTTRF(np.full(n, 1.0 + 2.0 * r), upper * sqrt_w[:-1] / sqrt_w[1:])
+            if info != 0:
+                raise ValueError(f"LAPACK pttrf failed with info={info} for d={d}, dt={dt}")
+            # The trailing 0 is the off-diagonal entry to the next field of a block.
+            self._factors.append((diag, np.append(off, 0.0)))
+        self._sqrt_w = sqrt_w
+        self.select(range(len(self._factors)))
+
+    def select(self, fields: Sequence[int]) -> None:
+        """Solve for the given fields, in that order, from the stored factors."""
+        self._diag = np.concatenate([self._factors[i][0] for i in fields])
+        self._off = np.concatenate([self._factors[i][1] for i in fields])[:-1]
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """Solution for a finite right-hand side whose rows are the selected fields in
+        order, e.g. (K, P, n) (the caller checks finiteness)."""
+        z, info = _PTTRS(self._diag, self._off, (self._sqrt_w * y).reshape(-1), overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
+        z = z.reshape(y.shape)
+        z /= self._sqrt_w
+        return z
 
 
 def assemble_banded(lap: NeumannLaplacian, diffusions: tuple[float, ...],
@@ -301,16 +352,13 @@ def _finish(problem: EigenProblem, v: np.ndarray, lam: float, residual: float, i
     return EigenResult(lam=lam, eigenfunctions=fields, residual=residual, iterations=it)
 
 
-def adjoint_principal_eigen(
-    problem: EigenProblem, primal: Optional[EigenResult] = None
-) -> EigenResult:
+def adjoint_principal_eigen(problem: EigenProblem, primal: EigenResult) -> EigenResult:
     """Positive eigenpair of the quadrature-adjoint operator.
 
-    The adjoint eigenvalue must agree with the primal one; a mismatch
-    beyond ADJOINT_MATCH_TOL (relative) signals a solver failure.
+    The adjoint eigenvalue must agree with primal's, the principal
+    eigenpair of problem; a mismatch beyond ADJOINT_MATCH_TOL (relative)
+    signals a solver failure.
     """
-    if primal is None:
-        primal = principal_eigen(problem)
     result = principal_eigen(problem.adjoint())
     if abs(result.lam - primal.lam) > ADJOINT_MATCH_TOL * (1.0 + abs(primal.lam)):
         raise ConvergenceError(
@@ -495,12 +543,8 @@ def scan_roots(curve: Callable[[float], float], lattice: np.ndarray,
     return roots
 
 
-def find_mu_roots(
-    curve: Callable[[float], float],
-    bracket: tuple[float, float],
-    name: str = "mu_star",
-    scan_points: int = 64,
-) -> list[ThresholdResult]:
+def find_mu_roots(curve: Callable[[float], float], bracket: tuple[float, float], name: str,
+                  scan_points: int = 64) -> list[ThresholdResult]:
     """All sign changes of a curve on a log-spaced lattice, refined by bisect_curve.
 
     An empty list is a valid outcome (no sign change on the bracket).
@@ -516,7 +560,7 @@ def find_mu_roots(
     return roots
 
 
-def mu_star_scalar(grid: Grid, e: np.ndarray, scan_points: int = 64) -> ThresholdResult:
+def mu_star_scalar(grid: Grid, e: np.ndarray) -> ThresholdResult:
     """Critical scaling mu* for a sign-changing potential with negative mean.
 
     Located through the unique diffusion rate d* where the scalar
@@ -529,7 +573,7 @@ def mu_star_scalar(grid: Grid, e: np.ndarray, scan_points: int = 64) -> Threshol
     if integrate(grid, e) >= 0:
         raise HypothesisError("mu* requires a potential with negative integral")
     curve = lambda d: scalar_eigenvalue(grid, d, e).lam
-    roots = find_mu_roots(curve, D_BRACKET, name="d_root", scan_points=scan_points)
+    roots = find_mu_roots(curve, D_BRACKET, name="d_root")
     if len(roots) != 1:
         raise ConvergenceError(
             f"expected exactly one zero crossing in d for mu*, found {len(roots)}"

@@ -582,7 +582,8 @@ def check_exclusion_dynamics(ctx: VerifyContext) -> list[Check]:
     out = []
     g = ctx.grid
     params = ctx.params
-    sweep = an.sweep_outcomes(params, g, "d3", [0.05, 0.08, 0.6, 1.5])
+    sweep = an.sweep_outcomes(params, g, "d3", [0.05, 0.08, 0.6, 1.5],
+                              SolverOptions(dt=0.02, sample_every=5.0))
     expected = {0.05: "w_wins", 0.08: "w_wins", 0.6: "uv_wins", 1.5: "uv_wins"}
     for point in sweep.points:
         out.append(

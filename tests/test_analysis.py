@@ -34,6 +34,9 @@ from dispersal_lab.spectral import (
     switching_problem,
 )
 
+# The race options of the exclusion-dynamics verify group.
+RACE = SolverOptions(dt=0.02, sample_every=5.0)
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -194,12 +197,12 @@ def test_classify_endpoint():
 
 def test_sweep_validates_parameter(params, grid):
     with pytest.raises(ValueError):
-        sweep_outcomes(params, grid, "d1", [0.1])
+        sweep_outcomes(params, grid, "d1", [0.1], RACE)
 
 
 def test_sweep_end_members(params):
     coarse = build_grid(0, 1, 101)
-    report = sweep_outcomes(params, coarse, "d3", [0.05, 1.5])
+    report = sweep_outcomes(params, coarse, "d3", [0.05, 1.5], RACE)
     outcomes = {p.value: p.outcome for p in report.points}
     assert outcomes[0.05] == "w_wins"
     assert outcomes[1.5] == "uv_wins"
@@ -223,7 +226,7 @@ def test_sweep_propagates_programming_errors(params, monkeypatch):
 
     monkeypatch.setattr(analysis, "integrate_runs", broken_race)
     with pytest.raises(TypeError, match="bug in the race"):
-        sweep_outcomes(params, build_grid(0, 1, 31), "d3", [0.05])
+        sweep_outcomes(params, build_grid(0, 1, 31), "d3", [0.05], RACE)
 
 
 def test_sweep_records_a_run_past_the_dt_halvings(params):
@@ -242,4 +245,4 @@ def test_sweep_raises_run_errors_in_point_order(params, monkeypatch):
               TypeError("third point")]
     monkeypatch.setattr(analysis, "integrate_runs", lambda *args, **kwargs: errors)
     with pytest.raises(ValueError, match="second point"):
-        sweep_outcomes(params, build_grid(0, 1, 31), "d3", [0.05, 0.08, 1.5])
+        sweep_outcomes(params, build_grid(0, 1, 31), "d3", [0.05, 0.08, 1.5], RACE)

@@ -34,6 +34,54 @@ def test_every_traced_target_resolves():
     assert not missing, f"bench/tracing.py targets missing from dispersal_lab: {missing}"
 
 
+# Installed on the lab as bench/worker.py imports it, the tracer must wrap every target and see
+# the diffusion solves of a short run: a class or function moved to another module must still
+# be traced where the lab calls it.
+INSTALLED_RUN = """
+import importlib.util, json, sys
+from dispersal_lab import cli, svgplot  # the lab as bench/worker.py imports it
+from dispersal_lab import dynamics, mesh, model
+
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+lab = {name: module for name, module in sys.modules.items() if name.startswith("dispersal_lab.")}
+targets = {f"{mod}.{func}": getattr(lab[f"dispersal_lab.{mod}"], func, None)
+           for mod, func, _ in tracing.FUNCTIONS}
+targets |= {f"{mod}.{cls}.{method}": getattr(getattr(lab[f"dispersal_lab.{mod}"], cls, None),
+                                             method, None)
+            for mod, cls, method in tracing.METHODS}
+unwrapped = [name for name, target in targets.items() if not hasattr(target, "__wrapped__")]
+
+# Ten steps of dt = 0.01 of the switching pair on 21 nodes.
+kind = model.SystemKind.SUBMODEL
+params = model.ModelParams(d1=0.1, d2=1.0, alpha=model.CoefficientSpec.constant(1.0),
+                           beta=model.CoefficientSpec.constant(1.0),
+                           m=model.CoefficientSpec.cosine(0.4, 0.3, 1))
+grid = mesh.build_grid(0, 1, 21)
+dynamics.integrate_to_steady(kind, params, grid, dynamics.constant_state(kind, grid, [0.2, 0.2]),
+                             dynamics.SolverOptions(dt=0.01, t_max=0.1))
+calls = {name: list(tracer.name_id).count(i) for i, name in enumerate(tracer.names)}
+print(json.dumps({"unwrapped": unwrapped, "calls": calls}))
+"""
+
+
+def test_installed_tracer_wraps_every_target_and_sees_the_diffusion_solves():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", INSTALLED_RUN, str(TRACING)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["unwrapped"] == []
+    calls = out["calls"]
+    assert calls["dynamics.integrate_to_steady"] == 1
+    assert calls["dynamics.ImexStepper.__init__"] == 1
+    assert calls["dynamics.DiffusionSolver.solve"] == 10
+
+
 # The benchmark also calls lab names directly; a deletion that removes one breaks
 # bench/ without failing any other test.
 BENCH_SCRIPTS = ("worker.py", "oracle_selftest.py")

@@ -113,14 +113,6 @@ def test_threshold_task_solves_its_steady_state_once(tmp_path, monkeypatch, name
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name", ["mu_star", "mu_zero"])
-def test_scan_lattice_without_a_cell_is_a_validation_error(tmp_path, name):
-    data = base_config(tmp_path, task={"name": "threshold", "threshold_name": name})
-    data["params"]["m"] = {"kind": "cosine_profile", "mean": -0.1, "amplitude": 0.3}
-    data["solver"] = {"scan_points": 1}
-    assert run_scenario(parse_config(data)).exit_status == EXIT_VALIDATION
-
-
 def test_parse_rejects_empty_sweep(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(base_config(tmp_path, task={"name": "sweep", "parameter": "d3", "values": []}))
@@ -372,14 +364,14 @@ VALID = {
              "groups": st.lists(st.sampled_from(list(CHECKERS)), min_size=1, max_size=3,
                                 unique=True)},
     "solver": {"dt": finite(1e-4, 1.0), "tol": finite(1e-12, 1e-3), "t_max": finite(1.0, 1e4),
-               "sample_every": finite(0.1, 10.0), "scan_points": st.integers(2, 200)},
+               "sample_every": finite(0.1, 10.0)},
     "coefficient constant": {"kind": SECTION, "value": finite(0.1, 3.0)},
     "coefficient cosine_profile": {"kind": SECTION, "mean": finite(-1.0, 1.0),
                                    "amplitude": finite(0.0, 1.0), "frequency": st.integers(1, 4)},
     "coefficient samples": {"kind": SECTION,
                             "values": st.lists(finite(0.1, 3.0), min_size=1, max_size=4)},
     "initial constant": {"kind": SECTION, "values": st.just([0.2])},
-    "initial random": {"kind": SECTION, "low": finite(0.0, 0.3), "high": finite(0.3, 1.0),
+    "initial random": {"kind": SECTION, "low": finite(0.0, 0.29), "high": finite(0.3, 1.0),
                        "seed": st.integers(0, 2**31)},
     "initial eigenfunction": {"kind": SECTION, "scale": finite(0.01, 1.0)},
 }
@@ -438,7 +430,7 @@ def test_valid_configs_round_trip(data):
     initial = data.get("initial", {"kind": "random"})
     tables = [(CONFIG, data, top), (GRID, data["grid"], vars(config.grid)),
               (PARAMS, data["params"], vars(config.params)), (TASK, data["task"], task),
-              (SOLVER, data["solver"], vars(config.solver) | {"scan_points": config.scan_points}),
+              (SOLVER, data["solver"], vars(config.solver)),
               (INITIAL[initial["kind"]], initial, config.initial)]
     tables += [(COEFFICIENTS[data["params"][name]["kind"]], data["params"][name],
                 vars(getattr(config.params, name))) for name in ("alpha", "beta", "m")]
@@ -503,7 +495,6 @@ def with_number(data: dict, field: str, value) -> dict:
        value=st.one_of(junk, non_finite, st.booleans(), finite(-1e3, 1e3)))
 @example(field="solver.dt", value="abc")
 @example(field="top level.seed", value="x")
-@example(field="solver.scan_points", value="x")
 @example(field="task.values", value="a")
 @example(field="initial random.seed", value=None)
 @example(field="initial random.low", value=[1])
@@ -524,11 +515,10 @@ def with_number(data: dict, field: str, value) -> dict:
 @example(field="coefficient samples.values", value=math.nan)
 @example(field="initial constant.values", value=-math.inf)
 @example(field="params.d2", value=10**400)
-# Integer keys take no fraction and no boolean, which int() truncated to 1, 3, 201, 64, 2, 1.
+# Integer keys take no fraction and no boolean, which int() truncated to 1, 3, 201, 2, 1.
 @example(field="coefficient cosine_profile.frequency", value=1.9)
 @example(field="top level.seed", value=3.7)
 @example(field="grid.n", value=201.6)
-@example(field="solver.scan_points", value=64.9)
 @example(field="initial random.seed", value=2.5)
 @example(field="grid.n", value=1.5)
 @example(field="top level.seed", value=True)
@@ -544,6 +534,55 @@ def test_malformed_number_exits_with_validation_code(tmp_path, field, value):
     path = write_config(tmp_path, data)
     assert main([data["task"]["name"], "--config", str(path)]) == EXIT_VALIDATION
     assert not (tmp_path / "out").exists()
+
+
+# Numbers that convert but break a rule of their own key, or of initial data, exit 2 before any
+# task runs too.  The task is simulate, the one that reads the initial data and the seed.
+def rejected_by_simulate(tmp_path, capsys, data: dict, message: str, *args: str) -> None:
+    capsys.readouterr()
+    path = write_config(tmp_path, data)
+    assert main(["simulate", "--config", str(path), *args]) == EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@PROPERTY
+@given(field=st.sampled_from(["top level.seed", "initial random.seed", "--seed"]),
+       seed=st.integers(max_value=-1))
+@example(field="top level.seed", seed=-3)
+@example(field="--seed", seed=-1)
+def test_negative_seed_exits_with_validation_code(tmp_path, capsys, field, seed):
+    data = base_config(tmp_path, task={"name": "simulate"})
+    args = ["--seed", str(seed)] if field == "--seed" else []
+    if not args:
+        with_number(data, field, seed)
+    rejected_by_simulate(tmp_path, capsys, data, "a seed must be at least 0", *args)
+
+
+@PROPERTY
+@given(low=st.none() | finite(-1e3, 1e3), high=st.none() | finite(-1e3, 1e3))
+@example(low=0.6, high=None)  # above the default high
+@example(low=None, high=0.05)  # below the default low
+@example(low=0.3, high=0.3)
+@example(low=-0.1, high=0.5)
+def test_random_initial_data_outside_its_range_exits_with_validation_code(tmp_path, capsys,
+                                                                         low, high):
+    given = {key: value for key, value in (("low", low), ("high", high)) if value is not None}
+    low, high = (given.get(key, INITIAL["random"][key].default) for key in ("low", "high"))
+    assume(not 0 <= low < high)
+    data = base_config(tmp_path, task={"name": "simulate"}, initial={"kind": "random", **given})
+    rejected_by_simulate(tmp_path, capsys, data,
+                         f"random initial data needs 0 <= low < high, got ({low}, {high})")
+
+
+@PROPERTY
+@given(scale=finite(-1e3, 0.0))
+@example(scale=0.0)
+@example(scale=-1.0)
+def test_nonpositive_eigenfunction_scale_exits_with_validation_code(tmp_path, capsys, scale):
+    data = base_config(tmp_path, task={"name": "simulate"},
+                       initial={"kind": "eigenfunction", "scale": scale})
+    rejected_by_simulate(tmp_path, capsys, data, "scale must be positive")
 
 
 def test_integral_float_reads_as_an_integer(tmp_path):

@@ -64,14 +64,14 @@ def test_zero_state_is_fixed(grid):
     params = scenario_params()
     for kind in SystemKind:
         zero = constant_state(kind, grid, [0.0] * kind.n_components)
-        after = ImexStepper(kind, params, grid, 0.01).step(zero)
+        after = ImexStepper(kind, [params], grid, 0.01).step(zero)
         assert np.max(np.abs(after.components)) == 0.0
 
 
 def test_logistic_constant_step_is_exact(grid):
     params = scenario_params(m=CoefficientSpec.constant(1.0))
     start = constant_state(SystemKind.LOGISTIC, grid, [0.5])
-    after = ImexStepper(SystemKind.LOGISTIC, params, grid, 0.01).step(start)
+    after = ImexStepper(SystemKind.LOGISTIC, [params], grid, 0.01).step(start)
     assert np.allclose(after.components, 0.5025, atol=1e-13)
 
 
@@ -79,7 +79,7 @@ def test_step_rejects_large_overshoot(grid):
     params = scenario_params(m=CoefficientSpec.cosine(-0.5, 1.0, 2))
     start = constant_state(SystemKind.LOGISTIC, grid, [1.0])
     with pytest.raises(StepOvershootError):
-        ImexStepper(SystemKind.LOGISTIC, params, grid, 5.0).step(start)
+        ImexStepper(SystemKind.LOGISTIC, [params], grid, 5.0).step(start)
 
 
 def test_integrate_halves_dt_on_overshoot(grid):
@@ -96,7 +96,7 @@ def test_integrate_halves_dt_on_overshoot(grid):
 def test_cooperative_step_stays_in_rectangle(grid):
     params = scenario_params()
     start = constant_state(SystemKind.SUBMODEL, grid, [0.3, 0.3])
-    after = ImexStepper(SystemKind.SUBMODEL, params, grid, 0.01).step(start)
+    after = ImexStepper(SystemKind.SUBMODEL, [params], grid, 0.01).step(start)
     assert np.all(after.components >= 0.0)
     assert np.all(after.components[0] <= 1.0) and np.all(after.components[1] <= 1.0)
 
@@ -228,7 +228,7 @@ def test_monitor_lyapunov_zero_trajectory(grid):
     )
     coeffs = sample_coefficients(params, grid)
     problem = switching_problem(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta, coeffs.m)
-    adjoint = adjoint_principal_eigen(problem)
+    adjoint = adjoint_principal_eigen(problem, principal_eigen(problem))
     series = monitor_lyapunov(result.trajectory, adjoint)
     assert np.max(np.abs(series)) == 0.0
 
@@ -338,7 +338,7 @@ def same_bits(a, b):
 def test_step_is_bit_identical_to_reference(grid, kind):
     params = scenario_params(b=0.7, c=1.3, m=CoefficientSpec.cosine(0.2, 0.6, 1))
     dt = 0.02
-    fast = ImexStepper(kind, params, grid, dt)
+    fast = ImexStepper(kind, [params], grid, dt)
     slow = ReferenceStepper(kind, params, grid, dt)
     start = random_state(kind, grid, 0.0, 0.8, seed=3)
     comps = start.components.copy()
@@ -395,7 +395,7 @@ def test_run_reaching_t_max_counts_its_steps(t0, dt, steps):
 
 def test_step_rejects_nonfinite_stage(grid):
     params = scenario_params()
-    stepper = ImexStepper(SystemKind.SUBMODEL, params, grid, 0.01)
+    stepper = ImexStepper(SystemKind.SUBMODEL, [params], grid, 0.01)
     comps = np.full((2, grid.n), 0.3)
     with np.errstate(invalid="ignore"):
         for bad in (np.nan, np.inf):

@@ -234,7 +234,7 @@ def test_s1_requires_positive_min_growth(grid):
 def test_s1_membership_implies_edge_inequalities(grid):
     params = make_params(CoefficientSpec.constant(1.0), alpha=0.05, beta=0.05, b=0.5, c=0.5)
     coeffs = sample_coefficients(params, grid)
-    report = classify_regime(params, grid, coeffs)
+    report = classify_regime(params, grid)
     assert report.in_s1
     m_hi = float(np.max(coeffs.m))
     b_hi = float(np.max(coeffs.beta))

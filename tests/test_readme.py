@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from dispersal_lab.cli import SCHEMA
+from dispersal_lab.cli import SCHEMA, integer
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +25,11 @@ def test_config_reference_lists_every_schema_key_and_no_other():
               for label, keys in re.findall(r"^\| ([^|]+?) \| ([^|]+?) \|", section, re.M)
               for key in re.findall(r"`(\w+)`", keys)}
     assert listed == {(label, key) for label, table in SCHEMA.items() for key in table}
+
+
+def test_integer_key_rule_lists_every_integer_key_and_no_other():
+    """The rules name the integer keys once each, as "An integer key (`n`, ...) takes"."""
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"An integer key\s+\(([^)]*)\)", text).group(1)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(
+        {key for table in SCHEMA.values() for key, row in table.items() if row.convert is integer})

@@ -85,7 +85,7 @@ def test_adjoint_biorthogonal_to_secondary_eigenvector(grid):
     problem = switching_problem(
         grid, 0.1, 1.0, np.full(grid.n, 1.0), np.full(grid.n, 0.6), np.full(grid.n, 0.4)
     )
-    adj = adjoint_principal_eigen(problem)
+    adj = adjoint_principal_eigen(problem, principal_eigen(problem))
     dense = assemble_dense(problem)
     eigvals, eigvecs = np.linalg.eig(dense)
     order = np.argsort(-eigvals.real)
@@ -214,12 +214,12 @@ def test_scaling_identity(grid):
 def test_find_mu_roots_no_sign_change(grid):
     e = np.cos(2 * np.pi * grid.nodes) + 0.05  # nonnegative mean: always positive
     curve = lambda d: scalar_eigenvalue(grid, d, e).lam
-    assert find_mu_roots(curve, (0.05, 20.0), scan_points=16) == []
+    assert find_mu_roots(curve, (0.05, 20.0), "d_root", scan_points=16) == []
 
 
 def test_find_mu_roots_keeps_root_on_lattice_point():
     lattice = np.geomspace(1e-2, 1e2, 64)
-    roots = find_mu_roots(lambda x: x - lattice[20], (1e-2, 1e2))
+    roots = find_mu_roots(lambda x: x - lattice[20], (1e-2, 1e2), "mu_star")
     assert len(roots) == 1
     assert roots[0].root == lattice[20]
     assert roots[0].bracket == (lattice[19], lattice[21])

@@ -51,7 +51,7 @@ def sweeps_without_time_stepping(monkeypatch):
     """Stub analysis.sweep_outcomes; return the values swept per parameter, latest call last."""
     swept = {}
 
-    def without_time_stepping(params, grid, parameter, values, opts=None):
+    def without_time_stepping(params, grid, parameter, values, opts):
         swept[parameter] = values
         return SimpleNamespace(points=[
             SimpleNamespace(value=v, outcome="undetermined", lambda_uv0=0.0, lambda_00w=0.0)

@@ -2,16 +2,17 @@
 
 Usage: python3 tools/all_outputs.py OUT
 
-Runs each task of ``cli.TASKS`` on each ``configs/*.json``, and the six
-threshold tasks on ``configs/threshold_dc.json`` at n = 401 and 801 (the
-``mu_`` thresholds with a sign-changing growth rate of negative mean, as
-they require), and two ``verify`` runs on ``configs/reference.json`` whose
-scenario changes make groups skip: constant m = 3 (the growth hypothesis
-fails) and d3 = 2 (outside (d1, d2), which the switching groups need),
-and ``eigen`` runs of ``configs/reference.json`` with one key the parser
-rejects: a misspelled solver or params key, a fractional grid ``n`` and
-a boolean seed, so the diff covers the exit code and message of a
-rejection.  Each run is a separate ``python -m dispersal_lab`` process
+Runs each task of ``cli.TASKS`` on each ``configs/*.json``, and each
+threshold of ``analysis.THRESHOLDS`` on ``configs/threshold_dc.json`` at
+n = 401 and 801 (the ``mu_`` thresholds with a sign-changing growth rate
+of negative mean, as they require), and two ``verify`` runs on
+``configs/reference.json`` whose scenario changes make groups skip:
+constant m = 3 (the growth hypothesis fails) and d3 = 2 (outside
+(d1, d2), which the switching groups need), and ``eigen`` runs of
+``configs/reference.json`` with one key the parser rejects: a misspelled
+solver or params key, a fractional grid ``n``, a boolean seed, a
+negative seed and ``solver.scan_points``, a key the schema does not
+name, so the diff covers the exit code and message of a rejection.  Each run is a separate ``python -m dispersal_lab`` process
 on the ``src/`` tree next to this script, and gets one directory under OUT
 holding its output files in ``files/`` and its ``stdout``, ``stderr`` and
 ``exit`` code.  Run the script from two checkouts and compare them with
@@ -29,8 +30,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TASKS = ("eigen", "steady", "simulate", "threshold", "sweep", "verify")
-THRESHOLD_NAMES = ("d_c", "d_0", "beta_c", "alpha_c", "mu_star", "mu_zero")
+sys.path.insert(0, str(ROOT / "src"))
+from dispersal_lab import analysis, cli  # noqa: E402  (the lab of this checkout)
+
 THRESHOLD_SIZES = (401, 801)
 SIGN_CHANGING_M = {"kind": "cosine_profile", "mean": -0.1, "amplitude": 0.3, "frequency": 1}
 SWITCHING_GROUPS = ["switching-thresholds", "switching-dynamics"]
@@ -46,18 +48,20 @@ REJECT_RUNS = {
     "reject_params_D3": ("params", "D3", 9.0),
     "reject_grid_n_fraction": ("grid", "n", 201.5),
     "reject_seed_boolean": (None, "seed", True),
+    "reject_seed_negative": (None, "seed", -3),
+    "reject_solver_scan_points": ("solver", "scan_points", 64),
 }
 
 
 def runs(out: Path) -> list[tuple[str, str, Path]]:
     """(run name, task, config path) of every run, writing the generated configs under out."""
     plan = [(f"{cfg.stem}/{task}", task, cfg)
-            for cfg in sorted((ROOT / "configs").glob("*.json")) for task in TASKS]
+            for cfg in sorted((ROOT / "configs").glob("*.json")) for task in cli.TASKS]
     base = json.loads((ROOT / "configs" / "threshold_dc.json").read_text(encoding="utf-8"))
     generated = out / "configs"
     generated.mkdir(parents=True, exist_ok=True)
     for n in THRESHOLD_SIZES:
-        for name in THRESHOLD_NAMES:
+        for name in analysis.THRESHOLDS:
             config = copy.deepcopy(base)
             config["grid"]["n"] = n
             config["task"] = {"name": "threshold", "threshold_name": name}
