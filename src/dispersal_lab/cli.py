@@ -301,9 +301,13 @@ def _failed(config: ScenarioConfig, out: Path, status: str, exit_status: int) ->
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
-    """Execute the configured task, writing all artifacts to the output directory."""
+    """Execute the configured task, writing all artifacts to the output directory; raises
+    ConfigError if that directory cannot be created."""
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     try:
         return TASKS[config.task](config, out)
     except HypothesisError as exc:
@@ -390,7 +394,10 @@ def _system(tag) -> SystemKind:
 def _sweep_values(values) -> list[float]:
     if not isinstance(values, list) or not values:
         raise ConfigError(SWEEP_VALUES)
-    return [number(v) for v in values]
+    values = [number(v) for v in values]
+    if min(values) <= 0:  # d3, beta and alpha alike
+        raise ConfigError(f"sweep values must be positive, got {values}")
+    return values
 
 
 def _groups(groups) -> list[str]:
@@ -529,15 +536,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = load_config(args.config, args.command)
         if args.seed is not None and not SEED.check(args.seed):
             raise ConfigError(SEED.message)
+        if args.out is not None:
+            config = replace(config, output_dir=Path(args.out))
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
+        artifacts = run_scenario(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.out is not None:
-        config = replace(config, output_dir=Path(args.out))
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-
-    artifacts = run_scenario(config)
     print(artifacts.report_path.read_text(encoding="utf-8"), end="")
     return artifacts.exit_status
 

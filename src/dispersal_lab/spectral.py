@@ -13,16 +13,23 @@ This module is also the lab's one banded-solve layer, and the only one
 that binds LAPACK: ``solve_band`` makes the one-shot ``gtsv``/``gbsv``
 solves of the eigensolver and of dynamics' Newton steps, and
 ``DiffusionSolver`` the factor-once ``pttrf``/``pttrs`` solves of the
-IMEX diffusion step.
+IMEX diffusion step.  The four routines are taken from scipy's compiled
+LAPACK module, ``scipy/linalg/_flapack``, loaded from its file: they are
+the objects ``scipy.linalg.get_lapack_funcs`` returns for float64, but
+importing the ``scipy.linalg`` package would run its ``__init__``, which
+pulls in about 320 modules the lab never uses: over half of the lab's
+start-up time and a third of its peak memory.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .mesh import Grid, NeumannLaplacian, integrate
 from .model import HypothesisError
@@ -161,8 +168,24 @@ class BandedOperator:
         return solve_band(self.shifted_bands(sigma), rhs)
 
 
-_GTSV, _GBSV, _PTTRF, _PTTRS = get_lapack_funcs(("gtsv", "gbsv", "pttrf", "pttrs"),
-                                                 (np.empty(0),))
+def _flapack():
+    """The float64 gtsv, gbsv, pttrf and pttrs of scipy's compiled LAPACK module, loaded from
+    its file without running any scipy package code; find_spec only locates scipy."""
+    name = "scipy.linalg._flapack"
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("the lab needs scipy, which is not installed", name="scipy")
+    path = Path(scipy.submodule_search_locations[0], "linalg",
+                "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not path.is_file():
+        raise ImportError(f"scipy's LAPACK module {path} is missing", name=name, path=str(path))
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module.dgtsv, module.dgbsv, module.dpttrf, module.dpttrs
+
+
+_GTSV, _GBSV, _PTTRF, _PTTRS = _flapack()
 
 
 def solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -537,11 +537,12 @@ def test_malformed_number_exits_with_validation_code(tmp_path, field, value):
 
 
 # Numbers that convert but break a rule of their own key, or of initial data, exit 2 before any
-# task runs too.  The task is simulate, the one that reads the initial data and the seed.
-def rejected_by_simulate(tmp_path, capsys, data: dict, message: str, *args: str) -> None:
+# task runs too.  The command is the config's task: simulate, the one that reads the initial
+# data and the seed, or sweep.
+def rejected(tmp_path, capsys, data: dict, message: str, *args: str) -> None:
     capsys.readouterr()
     path = write_config(tmp_path, data)
-    assert main(["simulate", "--config", str(path), *args]) == EXIT_VALIDATION
+    assert main([data["task"]["name"], "--config", str(path), *args]) == EXIT_VALIDATION
     assert not (tmp_path / "out").exists()
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -556,7 +557,7 @@ def test_negative_seed_exits_with_validation_code(tmp_path, capsys, field, seed)
     args = ["--seed", str(seed)] if field == "--seed" else []
     if not args:
         with_number(data, field, seed)
-    rejected_by_simulate(tmp_path, capsys, data, "a seed must be at least 0", *args)
+    rejected(tmp_path, capsys, data, "a seed must be at least 0", *args)
 
 
 @PROPERTY
@@ -571,8 +572,8 @@ def test_random_initial_data_outside_its_range_exits_with_validation_code(tmp_pa
     low, high = (given.get(key, INITIAL["random"][key].default) for key in ("low", "high"))
     assume(not 0 <= low < high)
     data = base_config(tmp_path, task={"name": "simulate"}, initial={"kind": "random", **given})
-    rejected_by_simulate(tmp_path, capsys, data,
-                         f"random initial data needs 0 <= low < high, got ({low}, {high})")
+    rejected(tmp_path, capsys, data,
+             f"random initial data needs 0 <= low < high, got ({low}, {high})")
 
 
 @PROPERTY
@@ -582,7 +583,38 @@ def test_random_initial_data_outside_its_range_exits_with_validation_code(tmp_pa
 def test_nonpositive_eigenfunction_scale_exits_with_validation_code(tmp_path, capsys, scale):
     data = base_config(tmp_path, task={"name": "simulate"},
                        initial={"kind": "eigenfunction", "scale": scale})
-    rejected_by_simulate(tmp_path, capsys, data, "scale must be positive")
+    rejected(tmp_path, capsys, data, "scale must be positive")
+
+
+@PROPERTY
+@given(parameter=st.sampled_from(list(SWEEP_PARAMETERS)),
+       values=st.lists(finite(-1e3, 1e3), max_size=3), bad=finite(-1e3, 0.0),
+       at=st.integers(0, 3))
+@example(parameter="d3", values=[], bad=-0.5, at=0)
+@example(parameter="beta", values=[0.5, 1.0], bad=0.0, at=1)
+@example(parameter="alpha", values=[0.2], bad=-1e-300, at=1)
+def test_nonpositive_sweep_value_exits_with_validation_code(tmp_path, capsys, parameter, values,
+                                                             bad, at):
+    values = values[:at] + [bad] + values[at:]
+    data = base_config(tmp_path, task={"name": "sweep", "parameter": parameter, "values": values})
+    rejected(tmp_path, capsys, data, f"sweep values must be positive, got {values}")
+
+
+@pytest.mark.parametrize("source", ["--out", "output"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
+def test_output_directory_that_cannot_be_created_exits_with_validation_code(tmp_path, capsys,
+                                                                            source, below):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n", encoding="utf-8")
+    out = taken / below
+    data = base_config(tmp_path, **({"output": str(out)} if source == "output" else {}))
+    args = ["--out", str(out)] if source == "--out" else []
+    capsys.readouterr()
+    assert main(["eigen", "--config", str(write_config(tmp_path, data)), *args]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}: ") and err.count("\n") == 1
+    assert taken.read_text(encoding="utf-8") == "a file\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_integral_float_reads_as_an_integer(tmp_path):

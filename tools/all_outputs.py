@@ -12,11 +12,14 @@ constant m = 3 (the growth hypothesis fails) and d3 = 2 (outside
 ``configs/reference.json`` with one key the parser rejects: a misspelled
 solver or params key, a fractional grid ``n``, a boolean seed, a
 negative seed and ``solver.scan_points``, a key the schema does not
-name, so the diff covers the exit code and message of a rejection.  Each run is a separate ``python -m dispersal_lab`` process
-on the ``src/`` tree next to this script, and gets one directory under OUT
-holding its output files in ``files/`` and its ``stdout``, ``stderr`` and
-``exit`` code.  Run the script from two checkouts and compare them with
-``diff -r OUT_A OUT_B``; no file records a path, a time or a version.
+name, and a ``sweep`` run of it with a negative d3 value, so the diff
+covers the exit code and message of a rejection; and an ``eigen`` run of
+it whose output directory is taken by a file.  Each run is a separate
+``python -m dispersal_lab`` process on the ``src/`` tree next to this
+script, and gets one directory under OUT holding its output files in
+``files/`` and its ``stdout``, ``stderr`` and ``exit`` code.  Run the
+script from two checkouts and compare them with ``diff -r OUT_A OUT_B``;
+no file records a path, a time or a version.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ SKIP_RUNS = {
                            ["invasion-brackets", "exclusion-dynamics", *SWITCHING_GROUPS]),
     "verify_skip_d3": ({"d3": 2.0}, SWITCHING_GROUPS),
 }
-# run name -> (section of configs/reference.json, None for the top level, key, value)
+# run name -> (section of configs/reference.json, None for the top level, key, value); each runs
+# the task its changed config names
 REJECT_RUNS = {
     "reject_solver_tmax": ("solver", "tmax", 1.0),
     "reject_params_D3": ("params", "D3", 9.0),
@@ -50,7 +54,10 @@ REJECT_RUNS = {
     "reject_seed_boolean": (None, "seed", True),
     "reject_seed_negative": (None, "seed", -3),
     "reject_solver_scan_points": ("solver", "scan_points", 64),
+    "reject_sweep_value_negative": (None, "task", {"name": "sweep", "parameter": "d3",
+                                                   "values": [-0.5]}),
 }
+OUTPUT_IS_FILE = "reject_output_is_file"  # an eigen run of configs/reference.json
 
 
 def runs(out: Path) -> list[tuple[str, str, Path]]:
@@ -83,13 +90,16 @@ def runs(out: Path) -> list[tuple[str, str, Path]]:
         (config[section] if section else config)[key] = value
         path = generated / f"{name}.json"
         path.write_text(json.dumps(config, indent=1), encoding="utf-8")
-        plan.append((name, "eigen", path))
+        plan.append((name, config["task"]["name"], path))
+    plan.append((OUTPUT_IS_FILE, "eigen", ROOT / "configs" / "reference.json"))
     return plan
 
 
 def run_one(out: Path, name: str, task: str, config: Path) -> str:
     run_dir = out / name
     run_dir.mkdir(parents=True, exist_ok=True)
+    if name == OUTPUT_IS_FILE:  # a file where the run's output directory goes
+        (run_dir / "files").write_text("not a directory\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1")
     # Relative --out and cwd = run_dir, so no output can hold an absolute path.
