@@ -9,8 +9,9 @@ right-hand side, which is independent of dt.  ``integrate_to_steady``
 and ``ImexStepper.step`` are its one-run case; ``_step_block`` is the
 only stepping loop.
 
-A step costs about 25 numpy and LAPACK calls of about 1 us each whatever
-P is, so a block shares that call overhead across its runs:
+A step costs about 20 numpy and LAPACK calls, each with about 1 us of
+call overhead whatever P is, so a block shares that overhead across its
+runs:
 
 - Diffusion.  I - dt*d*L, symmetrized by the square roots of the
   quadrature weights, is symmetric positive definite and tridiagonal.
@@ -25,11 +26,14 @@ P is, so a block shares that call overhead across its runs:
   Results are bit-identical to K*P separate solves.
 - Reaction.  ``model.reaction_rhs`` is elementwise, over a block as over
   one run, in the same operation order.
-- Validation.  The explicit stage is checked once per block for
-  overshoot and for NaN or inf, and the new block for negative entries;
-  only when a check fails is it repeated per run, to find the runs that
-  failed.  A failed run's stage is zeroed before the solve, since
-  0 * nan would cross the zero coupling entry into the next field.
+- Validation.  The explicit stage is checked once per block, by its
+  minimum and maximum, for overshoot and for NaN or inf; only when that
+  check fails is it repeated per run, to find the runs that failed.  A
+  failed run's stage is zeroed before the solve, since 0 * nan would
+  cross the zero coupling entry into the next field.  The new block
+  needs no check: the stage is clamped to >= +0, and
+  ``spectral.DiffusionSolver`` maps a right-hand side >= +0 to a
+  solution >= +0.
 - Residual checks.  The reaction of each new block is computed once: it
   serves the next step's explicit stage and, every CHECK_EVERY steps,
   one block-wide evaluation of the right-hand side, whose per-run
@@ -44,7 +48,10 @@ neither shifts a sample nor adds a step.  A run that converges, reaches
 t_max or fails leaves the block, and the block factor is re-sliced from
 the stored factors without refactoring.  A run whose explicit stage
 overshoots leaves the block at its last state and continues alone at
-dt/2 with its clock re-based there, up to MAX_DT_HALVINGS times.
+dt/2 with its clock re-based there, up to MAX_DT_HALVINGS times.  The
+runs of a block step in lockstep, and the loop looks at a run only at
+the steps where it takes a sample, checks its residual or reaches t_max,
+or when its step fails.
 
 ``newton_steady`` finds the logistic and the switching-pair steady states
 by pseudo-transient Newton on the banded layout of the eigensolver, and
@@ -97,7 +104,9 @@ class State:
         comps = np.asarray(self.components, dtype=float)
         if comps.ndim != 2:
             raise ValueError(f"components must be 2-D (K, n), got shape {comps.shape}")
-        _check_nonnegative(float(np.min(comps)))
+        worst = float(np.min(comps))
+        if worst < -NEGATIVITY_TOLERANCE:
+            raise ValueError(f"state has negative entries (min {worst:.3e})")
         object.__setattr__(self, "components", np.maximum(comps, 0.0))
 
     @classmethod
@@ -107,11 +116,6 @@ class State:
         object.__setattr__(state, "t", t)
         object.__setattr__(state, "components", components)
         return state
-
-
-def _check_nonnegative(worst: float) -> None:
-    if worst < -NEGATIVITY_TOLERANCE:
-        raise ValueError(f"state has negative entries (min {worst:.3e})")
 
 
 @dataclass
@@ -159,6 +163,16 @@ class SolverOptions:
     t_max: float = 2000.0
     sample_every: float = 1.0
     store_fields: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("dt", "sample_every"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if math.isnan(self.t_max):
+            raise ValueError("t_max must not be NaN")
+        if not self.tol >= 0:  # tol = 0 steps to t_max: verify's fixed-horizon runs
+            raise ValueError(f"tol must be nonnegative, got {self.tol}")
 
 
 def kind_diffusions(kind: SystemKind, params: ModelParams) -> tuple[float, ...]:
@@ -212,8 +226,9 @@ class ImexStepper:
         """The (K, P, n) block one step on, and the errors of the runs whose step failed.
 
         rates is reaction_rhs of the block, and is consumed.  Errors are
-        keyed by position in the block; the new block holds zeros or
-        clamped values at those positions.
+        keyed by position in the block; the new block holds zeros at those
+        positions.  The new block needs no check: the solve of a stage
+        clamped to >= +0 is >= +0 (see DiffusionSolver).
         """
         if block.shape != self._shape:
             raise ValueError(f"block shape {block.shape} != {self._shape}")
@@ -221,7 +236,9 @@ class ImexStepper:
         stage *= self.dt
         stage += block
         failed: dict[int, Exception] = {}
-        if float(stage.min()) < -NEGATIVITY_TOLERANCE or not np.isfinite(stage).all():
+        # One gate for overshoot, NaN and +-inf: each makes the comparison False.
+        if not (np.minimum.reduce(stage, axis=None) >= -NEGATIVITY_TOLERANCE
+                and np.maximum.reduce(stage, axis=None) < np.inf):
             for p in range(stage.shape[1]):
                 worst = float(stage[:, p].min())
                 if worst < -NEGATIVITY_TOLERANCE:
@@ -233,15 +250,7 @@ class ImexStepper:
             for p in failed:
                 stage[:, p] = 0.0  # 0 * inf or 0 * nan would cross into the next field
         np.maximum(stage, 0.0, out=stage)
-        new = self.solver.solve(stage)
-        if float(new.min()) < -NEGATIVITY_TOLERANCE:
-            for p in range(new.shape[1]):
-                try:
-                    _check_nonnegative(float(new[:, p].min()))
-                except ValueError as exc:
-                    failed.setdefault(p, exc)
-        np.maximum(new, 0.0, out=new)
-        return new, failed
+        return self.solver.solve(stage), failed
 
     def residuals(self, block: np.ndarray, rates: np.ndarray, lap: NeumannLaplacian) -> np.ndarray:
         """rhs_residual of each run of the block, rates its reaction_rhs, bit for bit:
@@ -297,6 +306,18 @@ def _steps_to(t_max: float, t0: float, dt: float) -> int:
     return max(0, math.ceil((t_max - t0) / dt * (1.0 - 1e-12)))
 
 
+def _next_event(next_sample: float, t0: float, steps0: int, k: int, k_max: int,
+                dt: float) -> int:
+    """The first block step after k at which a run takes a sample, checks its residual
+    or reaches k_max; steps0 is the steps the block's runs had taken when it started."""
+    # A check comes within CHECK_EVERY steps, so walk the grid with the loop's own test.
+    limit = min(k_max, k + CHECK_EVERY - (steps0 + k) % CHECK_EVERY)
+    event = k + 1
+    while event < limit and t0 + event * dt < next_sample - 1e-12:
+        event += 1
+    return event
+
+
 def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[_Run],
                 opts: SolverOptions) -> None:
     """Step the runs together at opts.dt until each has converged, reached t_max or failed.
@@ -308,21 +329,31 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
     stepper = ImexStepper(kind, [r.params for r in runs], grid, dt)
     block = np.stack([r.state.components for r in runs], axis=1)
     live = list(range(len(runs)))  # run number at each block position
-    # Each run's clock counts its steps at this dt: after k of them its time is t0 + k*dt.
+    # The live runs step in lockstep: after k block steps at this dt a run's time is
+    # t0 + k*dt and it has taken steps0 + k steps (a block starts from 0 steps, a halved
+    # run, which steps alone, from its own); event_at holds each run's next event.
     t0 = [r.state.t for r in runs]
-    k = [0] * len(runs)
+    steps0 = runs[0].steps
     k_max = [_steps_to(opts.t_max, t, dt) for t in t0]
+    event_at = [_next_event(runs[i].next_sample, t0[i], steps0, 0, k_max[i], dt) for i in live]
+    first_event = min(event_at)
+    k = 0
     rates = reaction_rhs(kind, stepper.params, stepper.coeffs, block)
     while live:
         new, failed = stepper.advance(block, rates)
         # The reaction of the new block serves its residual checks and the next stage.
         rates = reaction_rhs(kind, stepper.params, stepper.coeffs, new)
+        k += 1
+        if k < first_event and not failed:
+            block = new
+            continue
         residuals = None
         stay = []
         for pos, i in enumerate(live):
             run = runs[i]
             if pos in failed:
-                run.state = State._trusted(t0[i] + k[i] * dt, block[:, pos].copy())
+                run.steps = steps0 + k - 1
+                run.state = State._trusted(t0[i] + (k - 1) * dt, block[:, pos].copy())
                 exc = failed[pos]
                 if isinstance(exc, StepOvershootError) and run.halvings < MAX_DT_HALVINGS:
                     run.halvings += 1
@@ -330,9 +361,11 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
                 else:
                     run.error = exc
                 continue
-            k[i] += 1
-            run.steps += 1
-            t = t0[i] + k[i] * dt
+            if k < event_at[i]:
+                stay.append(pos)
+                continue
+            run.steps = steps0 + k
+            t = t0[i] + k * dt
             comps = new[:, pos]
             if t >= run.next_sample - 1e-12:
                 run.log.record(State._trusted(t, comps.copy()))
@@ -342,16 +375,19 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
                 if residuals is None:
                     residuals = stepper.residuals(new, rates, lap)
                 run.converged = float(residuals[pos]) <= opts.tol
-            if run.converged or k[i] >= k_max[i]:
+            if run.converged or k >= k_max[i]:
                 run.state = State._trusted(t, comps.copy())
             else:
                 stay.append(pos)
+                event_at[i] = _next_event(run.next_sample, t0[i], steps0, k, k_max[i], dt)
         if len(stay) < len(live):
             live = [live[pos] for pos in stay]
             if live:
                 stepper.keep(live)
             new = np.take(new, stay, axis=1)
             rates = np.take(rates, stay, axis=1)
+        if live:
+            first_event = min(event_at[i] for i in live)
         block = new
 
 

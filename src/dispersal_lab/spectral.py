@@ -221,6 +221,13 @@ class DiffusionSolver:
     ``select`` lays the factors of chosen fields end to end, so ``solve``
     handles the whole stack with one ``pttrs`` call; the off-diagonal
     entry between two fields is exactly 0.
+
+    Each factor has D > 0 and an off-diagonal <= 0, which ``__init__``
+    checks.  A solve therefore keeps signs: each forward step
+    b_i - b_{i-1}*l and each backward step b_i/d_i - b_{i+1}*l adds two
+    nonnegative terms, and the scaling by the positive square roots of
+    the weights keeps every sign, so a right-hand side >= +0 (no -0.0)
+    gives a solution >= +0.
     """
 
     def __init__(self, grid: Grid, diffusions: Sequence[float], dt: float):
@@ -235,6 +242,9 @@ class DiffusionSolver:
             diag, off, info = _PTTRF(np.full(n, 1.0 + 2.0 * r), upper * sqrt_w[:-1] / sqrt_w[1:])
             if info != 0:
                 raise ValueError(f"LAPACK pttrf failed with info={info} for d={d}, dt={dt}")
+            if not (diag.min() > 0.0 and off.max(initial=0.0) <= 0.0):
+                raise ValueError(f"pttrf factor for d={d}, dt={dt} does not keep signs: "
+                                 "it needs D > 0 and an off-diagonal <= 0")
             # The trailing 0 is the off-diagonal entry to the next field of a block.
             self._factors.append((diag, np.append(off, 0.0)))
         self._sqrt_w = sqrt_w
@@ -244,16 +254,18 @@ class DiffusionSolver:
         """Solve for the given fields, in that order, from the stored factors."""
         self._diag = np.concatenate([self._factors[i][0] for i in fields])
         self._off = np.concatenate([self._factors[i][1] for i in fields])[:-1]
+        # The weights' square roots once per selected field, so that solve scales
+        # arrays of one shape instead of broadcasting.
+        self._scale = np.tile(self._sqrt_w, len(fields))
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Solution for a finite right-hand side whose rows are the selected fields in
         order, e.g. (K, P, n) (the caller checks finiteness)."""
-        z, info = _PTTRS(self._diag, self._off, (self._sqrt_w * y).reshape(-1), overwrite_b=True)
+        z, info = _PTTRS(self._diag, self._off, self._scale * y.reshape(-1), overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
-        z = z.reshape(y.shape)
-        z /= self._sqrt_w
-        return z
+        z /= self._scale
+        return z.reshape(y.shape)
 
 
 def assemble_banded(lap: NeumannLaplacian, diffusions: tuple[float, ...],

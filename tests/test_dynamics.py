@@ -28,6 +28,7 @@ from dispersal_lab.dynamics import (
     StepOvershootError,
     SteadyResult,
     TrajectoryLog,
+    _next_event,
     constant_state,
     integrate_runs,
     integrate_to_steady,
@@ -377,6 +378,43 @@ def test_diffusion_block_equals_fields_solved_alone(n, diffusions, dt, seed, dat
     assert same_bits(block.solve(y[chosen]), alone[chosen])
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 60), diffusions=st.lists(st.floats(1e-4, 100.0), min_size=1, max_size=4),
+       dt=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_diffusion_solve_keeps_signs(n, diffusions, dt, seed):
+    """A right-hand side >= +0 gives a solution >= +0: no negative entry and no -0.0,
+    for exact zeros and subnormals too, so the step need not check or clamp it."""
+    grid = build_grid(0, 1, n)
+    rng = np.random.default_rng(seed)
+    shape = (len(diffusions), n)
+    y = rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.uniform(-300.0, 3.0, shape)
+    draw = rng.uniform(size=shape)
+    y[draw < 0.3] = 0.0
+    subnormal = draw > 0.7
+    y[subnormal] = rng.integers(1, 2**52, np.count_nonzero(subnormal)) * 5e-324
+    x = DiffusionSolver(grid, diffusions, dt).solve(y)
+    assert not np.signbit(x).any()
+
+
+@pytest.mark.parametrize("diffusion, dt", [(1.0, -1e-6), (np.nan, 0.01)])
+def test_diffusion_solver_rejects_a_factor_that_flips_signs(grid, diffusion, dt):
+    # dt < 0 gives pttrf a positive off-diagonal; a NaN rate gives D = NaN.
+    with pytest.raises(ValueError, match="does not keep signs"):
+        DiffusionSolver(grid, [0.5, diffusion], dt)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("dt", [0.0, -0.01, np.inf, np.nan]),
+    ("sample_every", [0.0, -1.0, np.inf, np.nan]),
+    ("t_max", [np.nan]),
+    ("tol", [-1e-9, np.nan]),
+])
+def test_solver_options_reject_values_that_cannot_run(name, bad):
+    for value in bad:
+        with pytest.raises(ValueError, match=name):
+            SolverOptions(**{name: value})
+
+
 @settings(max_examples=10, deadline=None)
 @given(t0=st.floats(0.0, 50.0), dt=st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.3]),
        steps=st.integers(1, 60))
@@ -488,18 +526,32 @@ def assert_same_run(result, expected):
 
 @st.composite
 def block_runs(draw, kind):
-    """P runs of one kind with their own fields, rates and states (with exact zeros).
+    """P runs of one kind with their own fields, rates, states (with exact zeros) and start times.
 
-    The runs share one tol and t_max; their own fields and states make
-    them converge, and so leave the block, at different steps.
+    The runs share one dt, tol, t_max and sample_every; their own fields
+    and states make them converge, and so leave the block, at different
+    steps.  Half the draws are on the step grid, as every shipped config
+    is: t = 0, dt = 0.05, sample_every a multiple of dt and t_max on the
+    grid.  The other half start at their own nonzero t, with sample_every
+    no multiple of dt and t_max off every run's grid, so samples and the
+    last step fall between grid points; at the larger dt some runs
+    overshoot and go on alone at dt/2.
     """
     n_runs = draw(st.integers(1, 4))
     grid = build_grid(0, 1, 21)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     b, c = draw(st.floats(0.5, 1.5)), draw(st.floats(0.5, 1.5))
-    opts = SolverOptions(dt=0.05, tol=draw(st.sampled_from([0.0, 1e-3, 1e-2, 5e-2])),
-                         t_max=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
-                         sample_every=0.25, store_fields=draw(st.booleans()))
+    tol = draw(st.sampled_from([0.0, 1e-3, 1e-2, 5e-2]))
+    if draw(st.booleans()):
+        start, jitter = 0.0, 0.0
+        opts = SolverOptions(dt=0.05, tol=tol, t_max=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
+                             sample_every=0.25, store_fields=draw(st.booleans()))
+    else:
+        dt = draw(st.sampled_from([0.013, 0.05, 0.07, 0.6]))
+        start, jitter = draw(st.floats(0.1, 50.0)), 0.5
+        opts = SolverOptions(dt=dt, tol=tol, t_max=start + dt * draw(st.floats(2.0, 80.0)),
+                             sample_every=dt * (draw(st.integers(0, 6)) + draw(st.floats(0.1, 0.9))),
+                             store_fields=draw(st.booleans()))
     params, initials = [], []
     for _ in range(n_runs):
         d1 = rng.uniform(0.05, 0.5)
@@ -514,12 +566,12 @@ def block_runs(draw, kind):
         comps[rng.uniform(size=comps.shape) < 0.2] = 0.0
         if draw(st.booleans()):
             comps[rng.integers(kind.n_components)] = 0.0  # an extinct component
-        initials.append(State(t=0.0, components=comps))
+        initials.append(State(t=start + rng.uniform(0.0, jitter), components=comps))
     return params, grid, initials, opts
 
 
 @pytest.mark.parametrize("kind", list(SystemKind))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_block_is_bit_identical_to_reference_runs(kind, data):
     params, grid, initials, opts = data.draw(block_runs(kind))
@@ -541,6 +593,40 @@ def test_overshooting_run_leaves_the_block_and_halves_dt_alone(grid):
         assert_same_run(result, integrate_to_steady(SystemKind.LOGISTIC, params, grid, start, opts))
         halvings.append(halved)
     assert halvings[0] == halvings[2] == 0 and halvings[1] > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(t0=st.one_of(st.floats(0.0, 50.0), st.floats(1e3, 1e6)),
+       dt=st.sampled_from([1e-3, 0.01, 0.013, 0.05, 0.07, 0.1, 0.3, 2.0]),
+       ahead=st.integers(1, 12), offset=st.sampled_from([0.0, 1e-12, -1e-12, 2e-12, 5e-13]),
+       steps0=st.integers(0, 500), k=st.integers(0, 10**5), horizon=st.integers(1, 50))
+def test_next_event_is_the_first_step_the_loop_acts_on(t0, dt, ahead, offset, steps0, k,
+                                                       horizon):
+    # A sample time near the step grid, where rounding decides the loop's test.
+    next_sample = t0 + (k + ahead) * dt + offset
+    k_max = k + horizon
+
+    def samples(s):  # the loop's test; monotone in s
+        return t0 + s * dt >= next_sample - 1e-12
+
+    assume(not samples(k))
+    last = min(k_max, next(s for s in range(k + 1, k + 11) if (steps0 + s) % 10 == 0))
+    event = _next_event(next_sample, t0, steps0, k, k_max, dt)
+    assert k < event <= last
+    assert event == last or samples(event)
+    assert event == k + 1 or not samples(event - 1)
+
+
+def test_halved_run_checks_on_its_whole_step_count(grid):
+    # configs/reference.json at dt = 2 halves at steps 3 and 87, so the checks of
+    # each halved leg fall at offsets 7 and 3 of its own steps; it converges after 140.
+    params = scenario_params()
+    opts = SolverOptions(dt=2.0, t_max=200.0)
+    start = constant_state(SystemKind.SUBMODEL, grid, [0.2, 0.2])
+    expected, halved = reference_integrate(SystemKind.SUBMODEL, params, grid, start, opts)
+    assert (halved, expected.steps, expected.converged) == (2, 140, True)
+    for result in integrate_runs(SystemKind.SUBMODEL, [params] * 2, grid, [start] * 2, opts):
+        assert_same_run(result, expected)
 
 
 def test_nonfinite_stage_fails_its_run_only(grid):

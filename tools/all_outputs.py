@@ -13,8 +13,12 @@ constant m = 3 (the growth hypothesis fails) and d3 = 2 (outside
 solver or params key, a fractional grid ``n``, a boolean seed, a
 negative seed and ``solver.scan_points``, a key the schema does not
 name, and a ``sweep`` run of it with a negative d3 value, so the diff
-covers the exit code and message of a rejection; and an ``eigen`` run of
-it whose output directory is taken by a file.  Each run is a separate
+covers the exit code and message of a rejection; an ``eigen`` run of
+it whose output directory is taken by a file; and a ``steady`` run at
+dt = 1 and a ``simulate`` run at dt = 2 of it, both to t_max = 200,
+whose explicit stages overshoot so that the runs halve dt (once at step
+191, then end at t_max with exit 3; and at steps 3 and 87, then converge
+after 140 steps).  Each run is a separate
 ``python -m dispersal_lab`` process on the ``src/`` tree next to this
 script, and gets one directory under OUT holding its output files in
 ``files/`` and its ``stdout``, ``stderr`` and ``exit`` code.  Run the
@@ -58,6 +62,11 @@ REJECT_RUNS = {
                                                    "values": [-0.5]}),
 }
 OUTPUT_IS_FILE = "reject_output_is_file"  # an eigen run of configs/reference.json
+# run name -> (task, solver changes to configs/reference.json)
+HALVING_RUNS = {
+    "halve_steady_dt1": ("steady", {"dt": 1.0, "t_max": 200.0}),
+    "halve_simulate_dt2": ("simulate", {"dt": 2.0, "t_max": 200.0}),
+}
 
 
 def runs(out: Path) -> list[tuple[str, str, Path]]:
@@ -92,6 +101,13 @@ def runs(out: Path) -> list[tuple[str, str, Path]]:
         path.write_text(json.dumps(config, indent=1), encoding="utf-8")
         plan.append((name, config["task"]["name"], path))
     plan.append((OUTPUT_IS_FILE, "eigen", ROOT / "configs" / "reference.json"))
+    for name, (task, changes) in HALVING_RUNS.items():
+        config = copy.deepcopy(reference)
+        config["solver"].update(changes)
+        config["task"] = {"name": task}
+        path = generated / f"{name}.json"
+        path.write_text(json.dumps(config, indent=1), encoding="utf-8")
+        plan.append((name, task, path))
     return plan
 
 
