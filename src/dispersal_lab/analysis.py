@@ -42,14 +42,16 @@ from .dynamics import (
 )
 from .spectral import (
     ConvergenceError,
+    EigenProblem,
     EigenResult,
     ThresholdResult,
     bisect_curve,
     find_mu_roots,
-    lambda_of_mu,
+    mu_family,
     mu_star_scalar,
     principal_eigen,
     scalar_eigenvalue,
+    scalar_problem,
     scan_roots,
     switching_problem,
 )
@@ -154,15 +156,19 @@ def pair_linearization_dense(
     return np.vstack([top, bottom])
 
 
+def _lambda2_problem(params: ModelParams, grid: Grid, w_star: np.ndarray,
+                     coeffs: Coefficients) -> EigenProblem:
+    return switching_problem(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta,
+                             coeffs.m - w_star)
+
+
 def lambda2_eigenpair(
     params: ModelParams, grid: Grid, w_star: np.ndarray, coeffs: Optional[Coefficients] = None
 ) -> EigenResult:
     """Invasion eigenpair of the switching pair at (0, 0, w*)."""
     if coeffs is None:
         coeffs = sample_coefficients(params, grid)
-    problem = switching_problem(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta,
-                                coeffs.m - w_star)
-    return principal_eigen(problem)
+    return principal_eigen(_lambda2_problem(params, grid, w_star, coeffs))
 
 
 def _constant_rates(params: ModelParams) -> tuple[float, float]:
@@ -186,22 +192,32 @@ def _check_section5_setting(params: ModelParams, coeffs: Coefficients, size_boun
 class ThresholdCurve:
     """A threshold's eigenvalue curve, built once, and every root of it in order.
 
-    curve and bracket are set when the bracket is a verified sign bracket
-    whose one root spectral.bisect_curve refines (d_c, beta_c, alpha_c).
-    Those curves are pure and memoized, so a plot of the curve does not
-    solve the bracket endpoints again.  The other thresholds scan a
-    lattice; d_0's curve is not memoized, because its warm start makes
-    its values depend on the order of evaluation.
+    curve, bracket and family are set when the bracket is a verified sign
+    bracket whose one root spectral.bisect_curve refines (d_c, beta_c,
+    alpha_c).  family maps the varied value to its eigenproblem, and curve
+    is its principal eigenvalue.  Those curves are pure and memoized, so a
+    plot of the curve does not solve the bracket endpoints again.  The
+    other thresholds scan a lattice (spectral.scan_roots) and keep only
+    their roots; d_0's family warm-starts w*, so its problems depend on
+    the order of evaluation.
     """
 
     roots: list[ThresholdResult]
     curve: Optional[Callable[[float], float]] = None
     bracket: Optional[tuple[float, float]] = None
+    family: Optional[Callable[[float], EigenProblem]] = None
 
 
-def _bracketed(name: str, curve: Callable[[float], float], lo: float, hi: float,
-                f_lo: float, f_hi: float) -> ThresholdCurve:
-    return ThresholdCurve([bisect_curve(curve, lo, hi, f_lo, f_hi, name=name)], curve, (lo, hi))
+def _eigen_curve(family: Callable[[float], EigenProblem]) -> Callable[[float], float]:
+    """The memoized principal eigenvalue of a pure problem family."""
+    return functools.cache(lambda value: principal_eigen(family(value)).lam)
+
+
+def _bracketed(name: str, family: Callable[[float], EigenProblem],
+               curve: Callable[[float], float], lo: float, hi: float,
+               f_lo: float, f_hi: float) -> ThresholdCurve:
+    return ThresholdCurve([bisect_curve(curve, lo, hi, f_lo, f_hi, name=name)], curve, (lo, hi),
+                          family)
 
 
 def _scanned(roots: list[ThresholdResult], error: type[Exception], message: str) -> ThresholdCurve:
@@ -219,13 +235,14 @@ def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurv
     potential = coeffs.m - u - v
     if float(np.max(potential)) - float(np.min(potential)) <= 1e-6:
         raise HypothesisError("m - u* - v* is numerically constant; bracket theory void")
-    curve = functools.cache(lambda d3: scalar_eigenvalue(grid, d3, potential).lam)
+    family = lambda d3: scalar_problem(grid, d3, potential)
+    curve = _eigen_curve(family)
     f_lo, f_hi = curve(lo), curve(hi)
     if not (f_lo > 0 > f_hi):
         raise HypothesisError(
             f"endpoint signs violate the d_c bracket: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
         )
-    return _bracketed("d_c", curve, lo, hi, f_lo, f_hi)
+    return _bracketed("d_c", family, curve, lo, hi, f_lo, f_hi)
 
 
 def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
@@ -234,39 +251,41 @@ def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurv
                     ConvergenceError, "no sign change of the invasion eigenvalue found for d_0")
 
 
-def _rate_curve(params: ModelParams, grid: Grid, coeffs: Coefficients,
-                rate: str) -> Callable[[float], float]:
-    """lambda2 at (0, 0, w*) as the constant switching rate `rate` varies, w* held fixed."""
+def _rate_family(params: ModelParams, grid: Grid, coeffs: Coefficients,
+                 rate: str) -> Callable[[float], EigenProblem]:
+    """The lambda2 problem at (0, 0, w*) as the constant switching rate `rate` varies,
+    w* held fixed."""
     (w_star,) = logistic_steady(params, grid, coeffs).state.components
     growth = coeffs.m - w_star
 
-    @functools.cache
-    def curve(value: float) -> float:
+    def family(value: float) -> EigenProblem:
         rates = {"alpha": coeffs.alpha, "beta": coeffs.beta, rate: np.full(grid.n, value)}
-        return principal_eigen(switching_problem(grid, params.d1, params.d2, rates["alpha"],
-                                                 rates["beta"], growth)).lam
-    return curve
+        return switching_problem(grid, params.d1, params.d2, rates["alpha"], rates["beta"],
+                                 growth)
+    return family
 
 
 def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Zero of lambda2(beta) on (1e-4 hi, hi), hi = (d2 - d3) / (d3 - d1) * alpha."""
     check_hypothesis_h(params, grid, coeffs)
     alpha, _ = _check_section5_setting(params, coeffs, "alpha")
-    curve = _rate_curve(params, grid, coeffs, "beta")
+    family = _rate_family(params, grid, coeffs, "beta")
+    curve = _eigen_curve(family)
     hi = (params.d2 - params.d3) / (params.d3 - params.d1) * alpha
     lo = 1e-4 * hi
     f_lo, f_hi = curve(lo), curve(hi)
     if not (f_lo < 0 < f_hi):
         raise HypothesisError(f"endpoint signs violate the beta_c bracket: "
                               f"f({lo:.3e})={f_lo:.3e}, f({hi:.3e})={f_hi:.3e}")
-    return _bracketed("beta_c", curve, lo, hi, f_lo, f_hi)
+    return _bracketed("beta_c", family, curve, lo, hi, f_lo, f_hi)
 
 
 def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Zero of lambda2(alpha) above lo = (d3 - d1) / (d2 - d3) * beta; hi by doubling."""
     check_hypothesis_h(params, grid, coeffs)
     _, beta = _check_section5_setting(params, coeffs, "beta")
-    curve = _rate_curve(params, grid, coeffs, "alpha")
+    family = _rate_family(params, grid, coeffs, "alpha")
+    curve = _eigen_curve(family)
     lo = (params.d3 - params.d1) / (params.d2 - params.d3) * beta
     f_lo = curve(lo)
     if f_lo <= 0:
@@ -279,7 +298,7 @@ def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> Threshold
             break
     else:
         raise HypothesisError("lambda2(alpha) never became negative while doubling alpha")
-    return _bracketed("alpha_c", curve, lo, hi, f_lo, f_hi)
+    return _bracketed("alpha_c", family, curve, lo, hi, f_lo, f_hi)
 
 
 def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
@@ -289,9 +308,8 @@ def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients) -> Threshold
 
 def _mu_zero(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Every zero of the pair eigenvalue with growth mu*m, for mu in (1e-2, 1e2)."""
-    curve = lambda mu: lambda_of_mu(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta,
-                                    coeffs.m, mu)
-    return _scanned(find_mu_roots(curve, (1e-2, 1e2), name="mu_zero"), HypothesisError,
+    family = mu_family(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta, coeffs.m)
+    return _scanned(find_mu_roots(family, (1e-2, 1e2), name="mu_zero"), HypothesisError,
                     "no critical growth scaling found; the mean growth may already be favorable")
 
 
@@ -329,8 +347,8 @@ def lambda2_sign_changes(
 ) -> list[ThresholdResult]:
     """All zeros of lambda2(d3) on D0_SCAN_POINTS points of the bracket (uniqueness is not assumed).
 
-    w* is recomputed at every candidate d3, warm-started from the
-    previous one.
+    w* is recomputed at every d3 whose problem the scan builds,
+    warm-started from the previous one (see spectral.scan_roots).
     """
     if coeffs is None:
         coeffs = sample_coefficients(params, grid)
@@ -339,13 +357,13 @@ def lambda2_sign_changes(
     bracket = (params.d1, weighted_average_diffusion(params, alpha, beta))
     warm: dict[str, Optional[np.ndarray]] = {"w": None}
 
-    def curve(d3: float) -> float:
+    def family(d3: float) -> EigenProblem:
         local = replace(params, d3=d3)
         w_res = logistic_steady(local, grid, coeffs, warm_start=warm["w"])
         warm["w"] = w_res.state.components[0]
-        return lambda2_eigenpair(local, grid, warm["w"], coeffs).lam
+        return _lambda2_problem(local, grid, warm["w"], coeffs)
 
-    return scan_roots(curve, np.linspace(*bracket, D0_SCAN_POINTS), "d_0")
+    return scan_roots(family, np.linspace(*bracket, D0_SCAN_POINTS), "d_0")
 
 
 def lambda2_sensitivity(

@@ -104,6 +104,8 @@ class State:
         comps = np.asarray(self.components, dtype=float)
         if comps.ndim != 2:
             raise ValueError(f"components must be 2-D (K, n), got shape {comps.shape}")
+        if not np.isfinite(comps).all():
+            raise ValueError("state contains infs or NaNs")
         worst = float(np.min(comps))
         if worst < -NEGATIVITY_TOLERANCE:
             raise ValueError(f"state has negative entries (min {worst:.3e})")
@@ -169,8 +171,8 @@ class SolverOptions:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if math.isnan(self.t_max):
-            raise ValueError("t_max must not be NaN")
+        if not math.isfinite(self.t_max):
+            raise ValueError(f"t_max must be finite, got {self.t_max}")
         if not self.tol >= 0:  # tol = 0 steps to t_max: verify's fixed-horizon runs
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
 
@@ -218,7 +220,7 @@ class ImexStepper:
             beta=np.stack([c.beta for c in chosen]),
             m=np.stack([c.m for c in chosen]),
         )
-        self._diffusions = self._all_diffusions[:, runs]
+        self._diffusions = self._all_diffusions[:, runs, None]  # (K, P, 1), as _steady_rhs takes it
         self._shape = (self.kind.n_components, len(runs), self.grid.n)
 
     def advance(self, block: np.ndarray,
@@ -267,12 +269,12 @@ class ImexStepper:
         return State._trusted(state.t + self.dt, new.reshape(state.components.shape))
 
 
-def _steady_rhs(comps: np.ndarray, diffusions: Sequence[float] | np.ndarray,
-                rates: np.ndarray, lap: NeumannLaplacian) -> np.ndarray:
+def _steady_rhs(comps: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
+                lap: NeumannLaplacian) -> np.ndarray:
     """Diffusion plus reaction of (K, n) or (K, P, n) fields, rates their reaction_rhs and
-    diffusions the rate of each field (K values, or K by P)."""
+    diffusions the rate of each field as a column, (K, 1) or (K, P, 1)."""
     rhs = lap.apply(comps)
-    rhs *= np.reshape(diffusions, comps.shape[:-1] + (1,))
+    rhs *= diffusions
     rhs += rates
     return rhs
 
@@ -281,7 +283,7 @@ def rhs_residual(kind: SystemKind, params: ModelParams, grid: Grid, coeffs: Coef
                  comps: np.ndarray, lap: NeumannLaplacian) -> float:
     """Sup-norm of diffusion plus reaction at the given fields, lap the grid's Laplacian."""
     rates = reaction_rhs(kind, params, coeffs, comps)
-    rhs = _steady_rhs(comps, kind_diffusions(kind, params), rates, lap)
+    rhs = _steady_rhs(comps, np.reshape(kind_diffusions(kind, params), (-1, 1)), rates, lap)
     return float(np.max(np.abs(rhs)))
 
 
@@ -498,14 +500,15 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
     K, n = kind.n_components, grid.n
     lap = grid.laplacian
     diffusions = kind_diffusions(kind, params)
+    column = np.reshape(diffusions, (K, 1))
     x = initial.components.copy()
-    f = _steady_rhs(x, diffusions, reaction_rhs(kind, params, coeffs, x), lap)
+    f = _steady_rhs(x, column, reaction_rhs(kind, params, coeffs, x), lap)
     f_norm, tau, stopped = float(np.max(np.abs(f))), 1.0, False
     for steps in range(1, NEWTON_MAX_ITER + 1):
         jac = assemble_banded(lap, diffusions, _jacobian_coupling(kind, coeffs, x))
         dx = solve_band(jac.shifted_bands(1.0 / tau), f.T.ravel()).reshape(n, K).T
         x += dx
-        f = _steady_rhs(x, diffusions, reaction_rhs(kind, params, coeffs, x), lap)
+        f = _steady_rhs(x, column, reaction_rhs(kind, params, coeffs, x), lap)
         new_norm = float(np.max(np.abs(f)))
         step_limit = NEWTON_ROUNDING * max(1.0, float(np.max(np.abs(x))))
         if tau >= TAU_NEWTON and float(np.max(np.abs(dx))) <= step_limit:

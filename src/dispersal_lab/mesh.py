@@ -104,16 +104,36 @@ class NeumannLaplacian:
     lower: np.ndarray  # entry (i, i-1), length n-1
     diag: np.ndarray  # entry (i, i), length n
     upper: np.ndarray  # entry (i, i+1), length n-1
+    # (lower, diag, upper) repeated for M fields laid end to end, by M
+    _stacked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """L f for a field f, or for each field of a stack (..., n)."""
+        """L f for a finite field f, or for each field of a finite stack (..., n).
+
+        The M fields of the stack are taken end to end as one flat array
+        and multiplied by bands repeated M times, with a 0 where a band
+        would reach into the next field; the repeated bands are built on
+        first use for each M.  So no (n,) band is broadcast over strided
+        slices of the stack, and each field gets its products in the same
+        order as alone.  The products with 0 are zeros for finite fields,
+        which leave every nonzero entry of L f bit for bit as it was.
+        """
         f = np.asarray(f, dtype=float)
-        if f.ndim == 0 or f.shape[-1] != self.grid.n:
-            raise ValueError(f"field shape {f.shape} does not match grid size ({self.grid.n},)")
-        out = self.diag * f
-        out[..., :-1] += self.upper * f[..., 1:]
-        out[..., 1:] += self.lower * f[..., :-1]
-        return out
+        n = self.grid.n
+        if f.ndim == 0 or f.shape[-1] != n:
+            raise ValueError(f"field shape {f.shape} does not match grid size ({n},)")
+        flat = f.reshape(-1)
+        fields = flat.size // n
+        bands = self._stacked.get(fields)
+        if bands is None:
+            bands = self._stacked[fields] = (np.tile(np.append(self.lower, 0.0), fields)[:-1],
+                                             np.tile(self.diag, fields),
+                                             np.tile(np.append(self.upper, 0.0), fields)[:-1])
+        lower, diag, upper = bands
+        out = diag * flat
+        out[:-1] += upper * flat[1:]
+        out[1:] += lower * flat[:-1]
+        return out.reshape(f.shape)
 
     def to_dense(self) -> np.ndarray:
         n = self.grid.n

@@ -9,6 +9,14 @@ entrywise positive, and power iteration on it converges to the unique
 positive eigenpair.  Shifts are updated from Collatz-Wielandt / residual
 information, so convergence is superlinear in practice.
 
+The same iteration has a sign mode for lattice scans: started from the
+iterate of the previous lattice point, it stops as soon as the
+Collatz-Wielandt enclosure [min (Av)_i/v_i, max (Av)_i/v_i] of its
+iterate clears 0 by more than the rounding of A v.  scan_roots reads
+each lattice point's sign that way and solves to convergence only
+where a value is used, so its roots are those of a scan that solves
+every point.
+
 This module is also the lab's one banded-solve layer, and the only one
 that binds LAPACK: ``solve_band`` makes the one-shot ``gtsv``/``gbsv``
 solves of the eigensolver and of dynamics' Newton steps, and
@@ -27,7 +35,7 @@ import importlib.machinery
 import importlib.util
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +50,7 @@ BISECT_MAX_ITER = 200  # curve evaluations bisect_curve may make
 MAX_ROOTS = 8  # per log-lattice scan
 D_BRACKET = (1e-3, 1e3)  # diffusion rates scanned for mu*
 GROUND_STATE_TOL = 1e-6  # relative, for lambda_prime_at_zero's checks of the mu = 0 state
+SIGN_ROUNDING = 8.0 * np.finfo(float).eps  # per band term, in the rounding bound of a sign
 
 
 class CooperativityError(ValueError):
@@ -310,9 +319,10 @@ class EigenResult:
     eigenfunctions: np.ndarray
     residual: float
     iterations: int
+    certified_sign: int = 0  # sign mode only: the certified sign of the eigenvalue, or 0
 
 
-def principal_eigen(problem: EigenProblem) -> EigenResult:
+def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = None) -> EigenResult:
     """Rightmost eigenpair via inverse iteration on the shifted resolvent.
 
     The shift stays above the principal eigenvalue (Collatz-Wielandt
@@ -321,6 +331,16 @@ def principal_eigen(problem: EigenProblem) -> EigenResult:
     positive vector and stays positive.  Stops when the eigenpair
     residual reaches the rounding floor of the operator norm and the
     eigenvalue estimate has stabilized to EIGEN_TOL.
+
+    Sign mode: sign_from is a positive start vector in the interleaved
+    layout, say the iterate of a neighbouring problem, in place of ones.
+    The iteration then also stops as soon as the Collatz-Wielandt
+    enclosure [min (Av)_i/v_i, max (Av)_i/v_i] of an iterate v, which
+    holds the principal eigenvalue, clears 0 by more than the rounding
+    bound of A v (see _certified_sign); certified_sign is then that sign,
+    and lam only the estimate at v.  Where no iterate certifies a sign,
+    certified_sign is 0: the iteration then ends where the cold one
+    would stop or raise, and sign mode never raises ConvergenceError.
     """
     A = assemble_banded(problem.grid.laplacian, problem.diffusions, problem.coupling)
     K = problem.n_components
@@ -329,13 +349,17 @@ def principal_eigen(problem: EigenProblem) -> EigenResult:
         raise ValueError("array must not contain infs or NaNs")
     anorm = A.inf_norm()
     resid_floor = max(EIGEN_TOL, 40.0 * np.finfo(float).eps * anorm)
+    sign_slack = SIGN_ROUNDING * (2 * K + 1) * anorm
 
-    v = np.ones(A.size)
+    v = np.ones(A.size) if sign_from is None else np.asarray(sign_from, dtype=float)
     y = A.matvec(v)
-    up = float(np.max(y))  # Collatz-Wielandt upper bound at v = ones
-    lo = float(np.min(y))
+    ratio = y if sign_from is None else y / v
+    up = float(np.max(ratio))  # Collatz-Wielandt upper bound at v
+    lo = float(np.min(ratio))
     lam = float((w_big @ (v * y)) / (w_big @ (v * v)))
     residual = float(np.max(np.abs(y - lam * v)))
+    if sign_from is not None and (sign := _certified_sign(y, v, sign_slack)):
+        return _finish(problem, v, lam, residual, 0, sign)
     if residual <= resid_floor:
         return _finish(problem, v, lam, residual, 0)
 
@@ -357,9 +381,8 @@ def principal_eigen(problem: EigenProblem) -> EigenResult:
             # Shift slipped at or below the principal eigenvalue; back away.
             failures += 1
             if failures > 25:
-                raise ConvergenceError(
-                    f"inverse iteration could not find a stable shift after {it} steps"
-                )
+                failure = f"inverse iteration could not find a stable shift after {it} steps"
+                break
             sigma = lam + backoff
             backoff *= 4.0
             continue
@@ -368,23 +391,47 @@ def principal_eigen(problem: EigenProblem) -> EigenResult:
         y = A.matvec(v)
         lam = float((w_big @ (v * y)) / (w_big @ (v * v)))
         residual = float(np.abs(y - lam * v).max())
+        if sign_from is not None and (sign := _certified_sign(y, v, sign_slack)):
+            return _finish(problem, v, lam, residual, it, sign)
         if residual <= resid_floor and abs(lam - lam_prev) <= EIGEN_TOL * (1.0 + abs(lam)):
             return _finish(problem, v, lam, residual, it)
         lam_prev = lam
         backoff = max(10.0 * residual, 1e-12 * (1.0 + abs(lam)))
         sigma = lam + max(3.0 * residual, 1e-12 * (1.0 + abs(lam)))
-    raise ConvergenceError(
-        f"principal eigenvalue iteration did not converge in {EIGEN_MAX_ITER} steps "
-        f"(last residual {residual:.3e}, floor {resid_floor:.3e})"
-    )
+    else:
+        failure = (f"principal eigenvalue iteration did not converge in {EIGEN_MAX_ITER} steps "
+                   f"(last residual {residual:.3e}, floor {resid_floor:.3e})")
+    if sign_from is not None:  # no sign certified; the caller solves from ones
+        return _finish(problem, v, lam, residual, it)
+    raise ConvergenceError(failure)
 
 
-def _finish(problem: EigenProblem, v: np.ndarray, lam: float, residual: float, it: int) -> EigenResult:
+def _certified_sign(y: np.ndarray, v: np.ndarray, slack: float) -> int:
+    """The sign of the principal eigenvalue certified at a positive v, y = A v, or 0.
+
+    By Collatz and Wielandt the eigenvalue lies in [min y_i/v_i, max y_i/v_i].
+    A computed y_i, a sum of 2K+1 band products, is off by at most about
+    (2K+1)*eps*||A||_inf*max v, and a computed ratio by that over v_i.  slack
+    is SIGN_ROUNDING*(2K+1)*||A||_inf, and the computed enclosure must clear
+    0 by slack*max v/min v, eight times that bound.
+    """
+    ratio = y / v
+    margin = slack * float(v.max()) / float(v.min())
+    if ratio.min() > margin:
+        return 1
+    if ratio.max() < -margin:
+        return -1
+    return 0
+
+
+def _finish(problem: EigenProblem, v: np.ndarray, lam: float, residual: float, it: int,
+            sign: int = 0) -> EigenResult:
     K, n = problem.n_components, problem.grid.n
     fields = v.reshape(n, K).T.copy()
     if np.min(fields) <= 0:
         raise ConvergenceError("computed eigenfunction is not strictly positive")
-    return EigenResult(lam=lam, eigenfunctions=fields, residual=residual, iterations=it)
+    return EigenResult(lam=lam, eigenfunctions=fields, residual=residual, iterations=it,
+                       certified_sign=sign)
 
 
 def adjoint_principal_eigen(problem: EigenProblem, primal: EigenResult) -> EigenResult:
@@ -407,6 +454,19 @@ def scalar_eigenvalue(grid: Grid, d: float, potential: np.ndarray) -> EigenResul
     return principal_eigen(scalar_problem(grid, d, potential))
 
 
+def mu_family(
+    grid: Grid,
+    d1: float,
+    d2: float,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    m: np.ndarray,
+) -> Callable[[float], EigenProblem]:
+    """mu -> the switching pair with growth scaled by mu, the family that mu_zero scans."""
+    m = np.asarray(m, dtype=float)
+    return lambda mu: switching_problem(grid, d1, d2, alpha, beta, mu * m)
+
+
 def lambda_of_mu(
     grid: Grid,
     d1: float,
@@ -417,8 +477,7 @@ def lambda_of_mu(
     mu: float,
 ) -> float:
     """Principal eigenvalue of the switching pair with growth scaled by mu."""
-    problem = switching_problem(grid, d1, d2, alpha, beta, mu * np.asarray(m, dtype=float))
-    return principal_eigen(problem).lam
+    return principal_eigen(mu_family(grid, d1, d2, alpha, beta, m)(mu)).lam
 
 
 def lambda_prime_at_zero(
@@ -554,33 +613,57 @@ def bisect_curve(
     )
 
 
-def scan_roots(curve: Callable[[float], float], lattice: np.ndarray,
+def scan_roots(family: Callable[[float], EigenProblem], lattice: np.ndarray,
                name: str) -> list[ThresholdResult]:
-    """Every sign change of a curve on a lattice, in lattice order.
+    """Every sign change of the principal eigenvalue of a problem family on a lattice, in order.
 
-    The lattice is evaluated in order first (a curve may warm-start from
-    its previous point), then the root in each cell with a sign change is
-    refined by bisect_curve.
-    An interior lattice point where the curve is exactly zero, between
-    neighbours of opposite sign, is a root as it stands.
+    family(x) is the problem at x.  The lattice problems are built once,
+    in lattice order, before any root is refined: a family may carry
+    state from point to point (d_0's warm-started w*), and bisect_curve's
+    calls of it then continue from the last lattice point.  The sign at
+    a lattice point comes from principal_eigen's sign mode, started from
+    the previous point's iterate (from ones at the first).  The cold principal_eigen gives the
+    value wherever a value is used: at a point whose sign is not
+    certified, and at both ends of each cell whose signs differ, where
+    bisect_curve refines the root from those values.  An interior
+    lattice point whose value is exactly zero, between neighbours of
+    opposite sign, is a root as it stands; only a cold value is zero.
+    So the roots are those of a scan that solves every point cold.
     """
-    values = [curve(x) for x in lattice]
-    if not np.all(np.isfinite(values)):
-        raise ValueError("curve returned a non-finite value on the scan lattice")
+    signs: list[float] = []
+    values: dict[int, float] = {}  # cold eigenvalues, by lattice index
+    start = previous = None
+    for i, x in enumerate(lattice):
+        problem = family(x)
+        if start is None:
+            start = np.ones(problem.n_components * problem.grid.n)
+        result = principal_eigen(problem, sign_from=start)
+        if not result.certified_sign:
+            result = principal_eigen(problem)
+            values[i] = result.lam
+        signs.append(result.certified_sign or np.sign(result.lam))
+        if i and signs[i - 1] * signs[i] < 0:
+            for j, p in ((i - 1, previous), (i, problem)):
+                if j not in values:
+                    values[j] = principal_eigen(p).lam
+        start, previous = result.eigenfunctions.T.ravel(), problem
+    if not np.isfinite(list(values.values())).all():
+        raise ValueError("non-finite eigenvalue on the scan lattice")
+    curve = lambda x: principal_eigen(family(x)).lam
     roots: list[ThresholdResult] = []
     for i in range(len(lattice) - 1):
-        f_lo, f_hi = values[i], values[i + 1]
-        if f_lo * f_hi < 0:
-            roots.append(bisect_curve(curve, lattice[i], lattice[i + 1], f_lo, f_hi, name=name))
-        elif f_hi == 0.0 and i + 2 < len(lattice) and f_lo * values[i + 2] < 0:
+        if signs[i] * signs[i + 1] < 0:
+            roots.append(bisect_curve(curve, lattice[i], lattice[i + 1], values[i], values[i + 1],
+                                      name=name))
+        elif signs[i + 1] == 0 and i + 2 < len(lattice) and signs[i] * signs[i + 2] < 0:
             roots.append(ThresholdResult(name, (lattice[i], lattice[i + 2]), lattice[i + 1], 0.0,
-                                         int(np.sign(f_lo)), int(np.sign(values[i + 2]))))
+                                         int(signs[i]), int(signs[i + 2])))
     return roots
 
 
-def find_mu_roots(curve: Callable[[float], float], bracket: tuple[float, float], name: str,
-                  scan_points: int = 64) -> list[ThresholdResult]:
-    """All sign changes of a curve on a log-spaced lattice, refined by bisect_curve.
+def find_mu_roots(family: Callable[[float], EigenProblem], bracket: tuple[float, float],
+                  name: str, scan_points: int = 64) -> list[ThresholdResult]:
+    """All sign changes of a family's eigenvalue on a log-spaced lattice (see scan_roots).
 
     An empty list is a valid outcome (no sign change on the bracket).
     Uniqueness is not assumed: every detected crossing is refined and
@@ -589,7 +672,7 @@ def find_mu_roots(curve: Callable[[float], float], bracket: tuple[float, float],
     lo, hi = bracket
     if not 0 < lo < hi or scan_points < 2:
         raise ValueError(f"need 0 < lo < hi and scan_points >= 2, got {bracket}, {scan_points}")
-    roots = scan_roots(curve, np.geomspace(lo, hi, scan_points), name)
+    roots = scan_roots(family, np.geomspace(lo, hi, scan_points), name)
     if len(roots) > MAX_ROOTS:
         raise ConvergenceError(f"more than {MAX_ROOTS} roots found for {name}")
     return roots
@@ -607,8 +690,7 @@ def mu_star_scalar(grid: Grid, e: np.ndarray) -> ThresholdResult:
         raise HypothesisError("mu* requires a sign-changing potential")
     if integrate(grid, e) >= 0:
         raise HypothesisError("mu* requires a potential with negative integral")
-    curve = lambda d: scalar_eigenvalue(grid, d, e).lam
-    roots = find_mu_roots(curve, D_BRACKET, name="d_root")
+    roots = find_mu_roots(lambda d: scalar_problem(grid, d, e), D_BRACKET, name="d_root")
     if len(roots) != 1:
         raise ConvergenceError(
             f"expected exactly one zero crossing in d for mu*, found {len(roots)}"

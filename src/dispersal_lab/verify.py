@@ -47,6 +47,7 @@ from .spectral import (
     find_mu_roots,
     lambda_of_mu,
     lambda_prime_at_zero,
+    mu_family,
     mu_star_scalar,
     principal_eigen,
     scalar_eigenvalue,
@@ -272,8 +273,9 @@ def check_growth_derivative(ctx: VerifyContext) -> list[Check]:
 
     alpha_c = np.full(g.n, 1.0)
     m0 = np.cos(2.0 * np.pi * x) - 0.15
-    curve = lambda mu: lambda_of_mu(g, d1, d2, alpha_c, alpha_c, m0, mu)
-    roots = find_mu_roots(curve, (1e-2, 1e2), name="mu_zero")
+    family = mu_family(g, d1, d2, alpha_c, alpha_c, m0)
+    curve = lambda mu: principal_eigen(family(mu)).lam
+    roots = find_mu_roots(family, (1e-2, 1e2), name="mu_zero")
     lam_at_one = curve(1.0)
     ok = len(roots) == 1 and np.sign(1.0 - roots[0].root) == np.sign(lam_at_one)
     out.append(
@@ -286,11 +288,8 @@ def check_growth_derivative(ctx: VerifyContext) -> list[Check]:
         )
     )
     if roots:
-        roots2 = find_mu_roots(
-            lambda mu: lambda_of_mu(g, d1, d2, alpha_c, alpha_c, 2.0 * m0, mu),
-            (1e-2, 1e2),
-            name="mu_zero",
-        )
+        roots2 = find_mu_roots(mu_family(g, d1, d2, alpha_c, alpha_c, 2.0 * m0), (1e-2, 1e2),
+                               name="mu_zero")
         ok2 = len(roots2) == 1 and abs(roots2[0].root - 0.5 * roots[0].root) <= 1e-6 * roots[0].root
         out.append(
             (
@@ -351,11 +350,10 @@ def check_diffusion_scaling(ctx: VerifyContext) -> list[Check]:
 
     m4 = -0.5 + 4.0 * np.cos(np.pi * x)
     ones4 = np.full(g.n, 1.0)
-    curve = lambda mu: principal_eigen(
-        switching_problem(g, 1.0, 1.2, mu * ones4, mu * ones4, mu * m4)
-    ).lam
+    family = lambda mu: switching_problem(g, 1.0, 1.2, mu * ones4, mu * ones4, mu * m4)
+    curve = lambda mu: principal_eigen(family(mu)).lam
     lam_small = curve(0.01)
-    roots = find_mu_roots(curve, (0.01, 100.0), name="mu_family", scan_points=48)
+    roots = find_mu_roots(family, (0.01, 100.0), name="mu_family", scan_points=48)
     lam_large = curve(roots[-1].root * 4.0) if roots else curve(100.0)
     ok = lam_small < 0 and lam_large > 0 and len(roots) >= 1
     out.append(
@@ -380,8 +378,7 @@ def check_dichotomy(ctx: VerifyContext) -> list[Check]:
     ones = np.full(g.n, 1.0)
     d1, d2 = 0.1, 1.0
     m0 = np.cos(2.0 * np.pi * x) - 0.15
-    curve = lambda mu: lambda_of_mu(g, d1, d2, ones, ones, m0, mu)
-    roots = find_mu_roots(curve, (1e-2, 1e2), name="mu_zero")
+    roots = find_mu_roots(mu_family(g, d1, d2, ones, ones, m0), (1e-2, 1e2), name="mu_zero")
     if len(roots) != 1:
         return [("setup-critical-scaling", False, f"{len(roots)} roots found")]
     mu0 = roots[0].root
@@ -647,7 +644,7 @@ def check_switching_thresholds(ctx: VerifyContext) -> list[Check]:
     beta = an.threshold_curve("beta_c", params, g)
     w_star = an.logistic_steady(params, g).state.components[0]
     hi_beta = beta.bracket[1]
-    lattice_roots = find_mu_roots(beta.curve, beta.bracket, name="beta_c", scan_points=64)
+    lattice_roots = find_mu_roots(beta.family, beta.bracket, name="beta_c", scan_points=64)
     out.append(
         (
             "one-sign-change-in-beta",

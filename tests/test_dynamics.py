@@ -278,6 +278,14 @@ def test_state_rejects_negative_entries(grid):
         State(t=0.0, components=-0.5 * np.ones((2, grid.n)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_rejects_nonfinite_entries(grid, bad):
+    comps = np.full((2, grid.n), 0.3)
+    comps[1, 5] = bad  # a NaN minimum compares False with any bound
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        State(t=0.0, components=comps)
+
+
 def reference_reaction(kind, params, coeffs, comps):
     """Reaction terms as separate arrays joined by np.stack."""
     al, be, m = coeffs.alpha, coeffs.beta, coeffs.m
@@ -406,7 +414,7 @@ def test_diffusion_solver_rejects_a_factor_that_flips_signs(grid, diffusion, dt)
 @pytest.mark.parametrize("name, bad", [
     ("dt", [0.0, -0.01, np.inf, np.nan]),
     ("sample_every", [0.0, -1.0, np.inf, np.nan]),
-    ("t_max", [np.nan]),
+    ("t_max", [np.nan, np.inf, -np.inf]),
     ("tol", [-1e-9, np.nan]),
 ])
 def test_solver_options_reject_values_that_cannot_run(name, bad):
@@ -438,8 +446,8 @@ def test_step_rejects_nonfinite_stage(grid):
     with np.errstate(invalid="ignore"):
         for bad in (np.nan, np.inf):
             comps[1, 17] = bad
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                stepper.step(State(t=0.0, components=comps))
+            with pytest.raises(ValueError, match="explicit stage contains infs or NaNs"):
+                stepper.step(State._trusted(0.0, comps.copy()))
 
 
 def test_residual_with_shared_laplacian_matches_fresh(grid):
@@ -635,7 +643,7 @@ def test_nonfinite_stage_fails_its_run_only(grid):
     starts = [constant_state(SystemKind.SUBMODEL, grid, [0.3, 0.2]) for _ in range(3)]
     comps = np.full((2, grid.n), 0.3)
     comps[1, -1] = np.nan  # next to the first node of the following run in the band
-    starts[1] = State(t=0.0, components=comps)
+    starts[1] = State._trusted(0.0, comps)  # State() rejects it; this start must reach the stage
     results = integrate_runs(SystemKind.SUBMODEL, [params] * 3, grid, starts, opts)
     assert isinstance(results[1], ValueError) and "infs or NaNs" in str(results[1])
     expected, _ = reference_integrate(SystemKind.SUBMODEL, params, grid, starts[0], opts)

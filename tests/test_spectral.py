@@ -26,6 +26,7 @@ from dispersal_lab.spectral import (
     find_mu_roots,
     lambda_of_mu,
     lambda_prime_at_zero,
+    mu_family,
     mu_star_scalar,
     principal_eigen,
     scalar_eigenvalue,
@@ -213,13 +214,18 @@ def test_scaling_identity(grid):
 
 def test_find_mu_roots_no_sign_change(grid):
     e = np.cos(2 * np.pi * grid.nodes) + 0.05  # nonnegative mean: always positive
-    curve = lambda d: scalar_eigenvalue(grid, d, e).lam
-    assert find_mu_roots(curve, (0.05, 20.0), "d_root", scan_points=16) == []
+    family = lambda d: scalar_problem(grid, d, e)
+    assert find_mu_roots(family, (0.05, 20.0), "d_root", scan_points=16) == []
 
 
 def test_find_mu_roots_keeps_root_on_lattice_point():
+    # A constant potential c is the eigenvalue, and exactly 0 at c = 0: the
+    # Laplacian's rows sum to exactly 0, so A v = 0 at v = ones.
+    g = build_grid(0, 1, 41)
     lattice = np.geomspace(1e-2, 1e2, 64)
-    roots = find_mu_roots(lambda x: x - lattice[20], (1e-2, 1e2), "mu_star")
+    family = lambda x: scalar_problem(g, 0.5, np.full(g.n, x - lattice[20]))
+    assert principal_eigen(family(lattice[20])).lam == 0.0
+    roots = find_mu_roots(family, (1e-2, 1e2), "mu_star")
     assert len(roots) == 1
     assert roots[0].root == lattice[20]
     assert roots[0].bracket == (lattice[19], lattice[21])
@@ -236,6 +242,25 @@ def test_mu_star_sign_law():
     assert scalar_eigenvalue(g, 2.0 / result.root, e).lam < -1e-9
 
 
+def test_mu_star_on_a_fine_grid_is_a_dense_oracle_root():
+    # The scan's points at large d, where ||A|| is about 1e10, certify their sign;
+    # solved to convergence they stall (the |delta lambda| test cannot pass there).
+    g = build_grid(0, 1, 1601)
+    e = 0.3 * np.cos(np.pi * g.nodes) - 0.1
+    result = mu_star_scalar(g, e)
+    sqrt_w = np.sqrt(g.quadrature_weights)
+
+    def dense_lam(mu):
+        # Rightmost eigenvalue of the dense operator, symmetric once scaled by the
+        # square roots of the quadrature weights.
+        matrix = assemble_dense(scalar_problem(g, 1.0 / mu, e))
+        return np.linalg.eigvalsh(sqrt_w[:, None] * matrix / sqrt_w[None, :])[-1]
+
+    assert abs(dense_lam(result.root)) <= 1e-9
+    below, above = dense_lam(result.root * (1 - 1e-7)), dense_lam(result.root * (1 + 1e-7))
+    assert below < 0 < above
+
+
 def test_mu_star_rejects_nonnegative_mean(grid):
     from dispersal_lab.model import HypothesisError
 
@@ -247,8 +272,8 @@ def test_coupled_constant_ratio_unique_root(grid):
     x = grid.nodes
     beta = np.full(grid.n, 0.8)
     m = np.cos(2 * np.pi * x) - 0.15
-    curve = lambda mu: lambda_of_mu(grid, 0.1, 1.0, 1.5 * beta, beta, m, mu)
-    roots = find_mu_roots(curve, (1e-2, 1e2), name="mu_zero")
+    roots = find_mu_roots(mu_family(grid, 0.1, 1.0, 1.5 * beta, beta, m), (1e-2, 1e2),
+                          name="mu_zero")
     assert len(roots) == 1
     assert roots[0].residual <= 1e-8
 

@@ -5,10 +5,12 @@ Usage: python3 tools/all_outputs.py OUT
 Runs each task of ``cli.TASKS`` on each ``configs/*.json``, and each
 threshold of ``analysis.THRESHOLDS`` on ``configs/threshold_dc.json`` at
 n = 401 and 801 (the ``mu_`` thresholds with a sign-changing growth rate
-of negative mean, as they require), and two ``verify`` runs on
-``configs/reference.json`` whose scenario changes make groups skip:
-constant m = 3 (the growth hypothesis fails) and d3 = 2 (outside
-(d1, d2), which the switching groups need), and ``eigen`` runs of
+of negative mean, as they require, and also at n = 1601, where the
+largest diffusion rates of the ``mu_star`` scan make ||A|| about 1e10),
+and two ``verify`` runs on ``configs/reference.json`` whose scenario
+changes make groups skip: constant m = 3 (the growth hypothesis fails)
+and d3 = 2 (outside (d1, d2), which the switching groups need), and
+``eigen`` runs of
 ``configs/reference.json`` with one key the parser rejects: a misspelled
 solver or params key, a fractional grid ``n``, a boolean seed, a
 negative seed and ``solver.scan_points``, a key the schema does not
@@ -41,6 +43,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from dispersal_lab import analysis, cli  # noqa: E402  (the lab of this checkout)
 
 THRESHOLD_SIZES = (401, 801)
+MU_SIZES = (*THRESHOLD_SIZES, 1601)  # the mu_ thresholds are also run on a fine grid
 SIGN_CHANGING_M = {"kind": "cosine_profile", "mean": -0.1, "amplitude": 0.3, "frequency": 1}
 SWITCHING_GROUPS = ["switching-thresholds", "switching-dynamics"]
 # run name -> (params changes to configs/reference.json, verify groups that skip under them)
@@ -76,8 +79,8 @@ def runs(out: Path) -> list[tuple[str, str, Path]]:
     base = json.loads((ROOT / "configs" / "threshold_dc.json").read_text(encoding="utf-8"))
     generated = out / "configs"
     generated.mkdir(parents=True, exist_ok=True)
-    for n in THRESHOLD_SIZES:
-        for name in analysis.THRESHOLDS:
+    for name in analysis.THRESHOLDS:
+        for n in MU_SIZES if name.startswith("mu_") else THRESHOLD_SIZES:
             config = copy.deepcopy(base)
             config["grid"]["n"] = n
             config["task"] = {"name": "threshold", "threshold_name": name}
