@@ -13,7 +13,6 @@ outcomes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -32,7 +31,6 @@ from .model import (
 )
 from .dynamics import (
     SolverOptions,
-    State,
     NEWTON_ROUNDING,
     SteadyResult,
     StepOvershootError,
@@ -46,6 +44,7 @@ from .spectral import (
     EigenResult,
     ThresholdResult,
     bisect_curve,
+    eigen_curve,
     find_mu_roots,
     mu_family,
     mu_star_scalar,
@@ -56,10 +55,8 @@ from .spectral import (
     switching_problem,
 )
 
-# Lattice of the d_0 scan.  It warm-starts w* from point to point, so the curve
-# is path-dependent: at 5e-12 on configs/threshold_dc.json (n = 401 and 801),
-# against 4e-9 when w* was time-stepped.  It has 17 points because on 16 the
-# halving that refined roots before Brent's method stalled at |f| = 1.05e-9.
+# Lattice of the d_0 scan.  It has 17 points because on 16 the halving that
+# refined roots before Brent's method stalled at |f| = 1.05e-9.
 D0_SCAN_POINTS = 17
 
 # The parameters a sweep can vary, for sweep_outcomes and the CLI's sweep task.
@@ -111,16 +108,12 @@ def logistic_steady(
     params: ModelParams,
     grid: Grid,
     coeffs: Optional[Coefficients] = None,
-    warm_start: Optional[np.ndarray] = None,
 ) -> SteadyResult:
     """Positive steady state of the single-species logistic equation at rate d3."""
     if coeffs is None:
         coeffs = sample_coefficients(params, grid)
-    if warm_start is not None:
-        init = State(t=0.0, components=np.maximum(warm_start, 1e-8)[None, :])
-    else:
-        level = 0.5 * float(np.max(coeffs.m))
-        init = constant_state(SystemKind.LOGISTIC, grid, [max(level, 1e-3)])
+    level = 0.5 * float(np.max(coeffs.m))
+    init = constant_state(SystemKind.LOGISTIC, grid, [max(level, 1e-3)])
     return _positive_steady(newton_steady(SystemKind.LOGISTIC, params, grid, init, coeffs),
                             "logistic equation")
 
@@ -195,22 +188,16 @@ class ThresholdCurve:
     curve, bracket and family are set when the bracket is a verified sign
     bracket whose one root spectral.bisect_curve refines (d_c, beta_c,
     alpha_c).  family maps the varied value to its eigenproblem, and curve
-    is its principal eigenvalue.  Those curves are pure and memoized, so a
+    is its memoized principal eigenvalue (spectral.eigen_curve), so a
     plot of the curve does not solve the bracket endpoints again.  The
     other thresholds scan a lattice (spectral.scan_roots) and keep only
-    their roots; d_0's family warm-starts w*, so its problems depend on
-    the order of evaluation.
+    their roots.
     """
 
     roots: list[ThresholdResult]
     curve: Optional[Callable[[float], float]] = None
     bracket: Optional[tuple[float, float]] = None
     family: Optional[Callable[[float], EigenProblem]] = None
-
-
-def _eigen_curve(family: Callable[[float], EigenProblem]) -> Callable[[float], float]:
-    """The memoized principal eigenvalue of a pure problem family."""
-    return functools.cache(lambda value: principal_eigen(family(value)).lam)
 
 
 def _bracketed(name: str, family: Callable[[float], EigenProblem],
@@ -236,7 +223,7 @@ def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurv
     if float(np.max(potential)) - float(np.min(potential)) <= 1e-6:
         raise HypothesisError("m - u* - v* is numerically constant; bracket theory void")
     family = lambda d3: scalar_problem(grid, d3, potential)
-    curve = _eigen_curve(family)
+    curve = eigen_curve(family)
     f_lo, f_hi = curve(lo), curve(hi)
     if not (f_lo > 0 > f_hi):
         raise HypothesisError(
@@ -270,7 +257,7 @@ def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdC
     check_hypothesis_h(params, grid, coeffs)
     alpha, _ = _check_section5_setting(params, coeffs, "alpha")
     family = _rate_family(params, grid, coeffs, "beta")
-    curve = _eigen_curve(family)
+    curve = eigen_curve(family)
     hi = (params.d2 - params.d3) / (params.d3 - params.d1) * alpha
     lo = 1e-4 * hi
     f_lo, f_hi = curve(lo), curve(hi)
@@ -285,7 +272,7 @@ def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> Threshold
     check_hypothesis_h(params, grid, coeffs)
     _, beta = _check_section5_setting(params, coeffs, "beta")
     family = _rate_family(params, grid, coeffs, "alpha")
-    curve = _eigen_curve(family)
+    curve = eigen_curve(family)
     lo = (params.d3 - params.d1) / (params.d2 - params.d3) * beta
     f_lo = curve(lo)
     if f_lo <= 0:
@@ -343,25 +330,20 @@ def find_threshold(name: str, params: ModelParams, grid: Grid) -> ThresholdResul
 
 
 def lambda2_sign_changes(
-    params: ModelParams, grid: Grid, coeffs: Optional[Coefficients] = None
+    params: ModelParams, grid: Grid, coeffs: Coefficients
 ) -> list[ThresholdResult]:
     """All zeros of lambda2(d3) on D0_SCAN_POINTS points of the bracket (uniqueness is not assumed).
 
-    w* is recomputed at every d3 whose problem the scan builds,
-    warm-started from the previous one (see spectral.scan_roots).
+    The problem at d3 solves its own w* (logistic_steady).
     """
-    if coeffs is None:
-        coeffs = sample_coefficients(params, grid)
     check_hypothesis_h(params, grid, coeffs)
     alpha, beta = _constant_rates(params)
     bracket = (params.d1, weighted_average_diffusion(params, alpha, beta))
-    warm: dict[str, Optional[np.ndarray]] = {"w": None}
 
     def family(d3: float) -> EigenProblem:
         local = replace(params, d3=d3)
-        w_res = logistic_steady(local, grid, coeffs, warm_start=warm["w"])
-        warm["w"] = w_res.state.components[0]
-        return _lambda2_problem(local, grid, warm["w"], coeffs)
+        (w_star,) = logistic_steady(local, grid, coeffs).state.components
+        return _lambda2_problem(local, grid, w_star, coeffs)
 
     return scan_roots(family, np.linspace(*bracket, D0_SCAN_POINTS), "d_0")
 

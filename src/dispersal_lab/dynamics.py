@@ -77,7 +77,7 @@ from .model import (
     reaction_rhs,
     sample_coefficients,
 )
-from .spectral import DiffusionSolver, EigenResult, assemble_banded, solve_band
+from .spectral import ConvergenceError, DiffusionSolver, EigenResult, assemble_banded, solve_band
 
 NEGATIVITY_TOLERANCE = 1e-13
 CHECK_EVERY = 10  # steps between residual checks
@@ -440,7 +440,7 @@ def integrate_runs(
         if converged:
             try:
                 _check_contracting_box(kind, run.params, grid, run.coeffs, comps)
-            except RuntimeError as exc:
+            except ConvergenceError as exc:
                 results.append(exc)
                 continue
         results.append(SteadyResult(run.state, residual, converged, run.steps, run.log))
@@ -468,7 +468,7 @@ def _check_contracting_box(kind: SystemKind, params: ModelParams, grid: Grid,
         beta_hi, alpha_hi = float(np.max(coeffs.beta)), float(np.max(coeffs.alpha))
         slack = 1e-8 * max(1.0, beta_hi, alpha_hi)
         if np.max(comps[0]) > beta_hi + slack or np.max(comps[1]) > alpha_hi + slack:
-            raise RuntimeError(
+            raise ConvergenceError(
                 "steady state escaped the contracting box [0, max beta] x [0, max alpha]"
             )
 

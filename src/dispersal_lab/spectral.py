@@ -31,6 +31,7 @@ start-up time and a third of its peak memory.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 from dataclasses import dataclass
@@ -467,17 +468,9 @@ def mu_family(
     return lambda mu: switching_problem(grid, d1, d2, alpha, beta, mu * m)
 
 
-def lambda_of_mu(
-    grid: Grid,
-    d1: float,
-    d2: float,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    m: np.ndarray,
-    mu: float,
-) -> float:
-    """Principal eigenvalue of the switching pair with growth scaled by mu."""
-    return principal_eigen(mu_family(grid, d1, d2, alpha, beta, m)(mu)).lam
+def eigen_curve(family: Callable[[float], EigenProblem]) -> Callable[[float], float]:
+    """x -> the principal eigenvalue of family(x), memoized; family must be pure."""
+    return functools.cache(lambda x: principal_eigen(family(x)).lam)
 
 
 def lambda_prime_at_zero(
@@ -617,18 +610,16 @@ def scan_roots(family: Callable[[float], EigenProblem], lattice: np.ndarray,
                name: str) -> list[ThresholdResult]:
     """Every sign change of the principal eigenvalue of a problem family on a lattice, in order.
 
-    family(x) is the problem at x.  The lattice problems are built once,
-    in lattice order, before any root is refined: a family may carry
-    state from point to point (d_0's warm-started w*), and bisect_curve's
-    calls of it then continue from the last lattice point.  The sign at
-    a lattice point comes from principal_eigen's sign mode, started from
-    the previous point's iterate (from ones at the first).  The cold principal_eigen gives the
-    value wherever a value is used: at a point whose sign is not
-    certified, and at both ends of each cell whose signs differ, where
-    bisect_curve refines the root from those values.  An interior
-    lattice point whose value is exactly zero, between neighbours of
-    opposite sign, is a root as it stands; only a cold value is zero.
-    So the roots are those of a scan that solves every point cold.
+    family(x) is the problem at x, a pure function of x.  The sign at a
+    lattice point comes from principal_eigen's sign mode, started from
+    the previous point's iterate (from ones at the first).  The cold
+    principal_eigen gives the value wherever a value is used: at a point
+    whose sign is not certified, and at both ends of each cell whose
+    signs differ, where bisect_curve refines the root on
+    eigen_curve(family) from those values.  An interior lattice point
+    whose value is exactly zero, between neighbours of opposite sign, is
+    a root as it stands; only a cold value is zero.  So the roots are
+    those of a scan that solves every point cold.
     """
     signs: list[float] = []
     values: dict[int, float] = {}  # cold eigenvalues, by lattice index
@@ -649,7 +640,7 @@ def scan_roots(family: Callable[[float], EigenProblem], lattice: np.ndarray,
         start, previous = result.eigenfunctions.T.ravel(), problem
     if not np.isfinite(list(values.values())).all():
         raise ValueError("non-finite eigenvalue on the scan lattice")
-    curve = lambda x: principal_eigen(family(x)).lam
+    curve = eigen_curve(family)
     roots: list[ThresholdResult] = []
     for i in range(len(lattice) - 1):
         if signs[i] * signs[i + 1] < 0:

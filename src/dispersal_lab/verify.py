@@ -3,9 +3,10 @@
 Every check is oracle-based or property-based: dense eigensolves,
 central differences, analytic limits, and cross-checks between the
 spectral and dynamical routes.  The battery is deterministic for a
-fixed seed and takes about 41 s of CPU at the default
-resolutions (n = 201 for dynamics, 401 for eigenvalue thresholds, 801
-for the small-diffusion limit).
+fixed seed.  At the default resolutions (n = 201 for dynamics, 401 for
+eigenvalue thresholds, 801 for the small-diffusion limit) run_battery
+takes about 24 s of process CPU on configs/reference.json (2-core Xeon
+VM, one BLAS thread).
 
 Each group is a function of the scenario and its three grids only, and
 returns (check name, passed, detail) triples, which run_battery turns
@@ -44,8 +45,8 @@ from .spectral import (
     adjoint_principal_eigen,
     assemble_dense,
     dense_rightmost,
+    eigen_curve,
     find_mu_roots,
-    lambda_of_mu,
     lambda_prime_at_zero,
     mu_family,
     mu_star_scalar,
@@ -238,10 +239,8 @@ def check_growth_derivative(ctx: VerifyContext) -> list[Check]:
     m = np.cos(2.0 * np.pi * x) - 0.2
     slope = lambda_prime_at_zero(g, d1, d2, alpha, beta, m)
     h = 1e-4
-    fd = (
-        lambda_of_mu(g, d1, d2, alpha, beta, m, h)
-        - lambda_of_mu(g, d1, d2, alpha, beta, m, -h)
-    ) / (2.0 * h)
+    growth_curve = eigen_curve(mu_family(g, d1, d2, alpha, beta, m))
+    fd = (growth_curve(h) - growth_curve(-h)) / (2.0 * h)
     out.append(
         (
             "closed-formula-vs-central-difference",
@@ -274,7 +273,7 @@ def check_growth_derivative(ctx: VerifyContext) -> list[Check]:
     alpha_c = np.full(g.n, 1.0)
     m0 = np.cos(2.0 * np.pi * x) - 0.15
     family = mu_family(g, d1, d2, alpha_c, alpha_c, m0)
-    curve = lambda mu: principal_eigen(family(mu)).lam
+    curve = eigen_curve(family)
     roots = find_mu_roots(family, (1e-2, 1e2), name="mu_zero")
     lam_at_one = curve(1.0)
     ok = len(roots) == 1 and np.sign(1.0 - roots[0].root) == np.sign(lam_at_one)
@@ -351,7 +350,7 @@ def check_diffusion_scaling(ctx: VerifyContext) -> list[Check]:
     m4 = -0.5 + 4.0 * np.cos(np.pi * x)
     ones4 = np.full(g.n, 1.0)
     family = lambda mu: switching_problem(g, 1.0, 1.2, mu * ones4, mu * ones4, mu * m4)
-    curve = lambda mu: principal_eigen(family(mu)).lam
+    curve = eigen_curve(family)
     lam_small = curve(0.01)
     roots = find_mu_roots(family, (0.01, 100.0), name="mu_family", scan_points=48)
     lam_large = curve(roots[-1].root * 4.0) if roots else curve(100.0)
@@ -559,7 +558,7 @@ def check_invasion_brackets(ctx: VerifyContext) -> list[Check]:
             f"lambda2({params.d1})={lam2_lo:.5f}, lambda2({d_avg:.3f})={lam2_hi:.5f}",
         )
     )
-    roots = an.lambda2_sign_changes(params, g)
+    roots = an.lambda2_sign_changes(params, g, coeffs)
     out.append(
         (
             "single-state-sign-change-found",

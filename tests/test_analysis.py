@@ -142,6 +142,19 @@ def test_d_0_matches_cli_first_root(tmp_path):
     assert format(result.root, ".17g") == row[3]
 
 
+def test_d_0_family_is_pure(params, grid, monkeypatch):
+    """The lambda2(d3) problem at a lattice point does not depend on the points built before it."""
+    scans = []
+    monkeypatch.setattr(analysis, "scan_roots", lambda *args: scans.append(args) or [])
+    analysis.lambda2_sign_changes(params, grid, sample_coefficients(params, grid))
+    (family, lattice, name), = scans
+    assert name == "d_0"
+    first = family(lattice[8]).coupling
+    for d3 in lattice:
+        family(d3)
+    assert np.array_equal(family(lattice[8]).coupling, first)
+
+
 @pytest.mark.parametrize("name", list(analysis.THRESHOLDS))
 def test_thresholds_do_not_time_step(params, name, monkeypatch):
     """Every stepping path goes through ImexStepper.advance; no threshold may reach it."""

@@ -182,6 +182,17 @@ def test_steady_task_nonconvergence_is_numerical_failure(tmp_path):
     assert "precondition" in artifacts.report_path.read_text()
 
 
+def test_steady_state_outside_the_contracting_box_is_numerical_failure(tmp_path):
+    # At tol = 1000 the start (5, 5) counts as converged, but it lies outside
+    # [0, max beta] x [0, max alpha] = [0, 1]^2.
+    data = json.loads((CONFIGS / "reference.json").read_text())
+    data.update(task={"name": "steady"}, solver={"dt": 0.01, "tol": 1000, "t_max": 10},
+                initial={"kind": "constant", "values": [5, 5]}, output=str(tmp_path / "out"))
+    assert main(["steady", "--config", str(write_config(tmp_path, data))]) == EXIT_NUMERICAL
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "status: NUMERICAL FAILURE '" in report and "contracting box" in report
+
+
 def test_hypothesis_violation_exit_code(tmp_path):
     data = base_config(tmp_path, task={"name": "threshold", "threshold_name": "d_c"})
     data["params"]["m"] = {"kind": "constant", "value": 3.0}

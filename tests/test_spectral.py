@@ -23,8 +23,8 @@ from dispersal_lab.spectral import (
     bisect_curve,
     component_weights,
     dense_rightmost,
+    eigen_curve,
     find_mu_roots,
-    lambda_of_mu,
     lambda_prime_at_zero,
     mu_family,
     mu_star_scalar,
@@ -171,7 +171,8 @@ def test_lambda_of_mu_convex(grid):
     x = grid.nodes
     alpha = np.full(grid.n, 1.0)
     m = np.cos(2 * np.pi * x) - 0.15
-    vals = [lambda_of_mu(grid, 0.1, 1.0, alpha, alpha, m, mu) for mu in (0.0, 0.5, 1.0)]
+    curve = eigen_curve(mu_family(grid, 0.1, 1.0, alpha, alpha, m))
+    vals = [curve(mu) for mu in (0.0, 0.5, 1.0)]
     assert abs(vals[0]) < 1e-10
     assert vals[1] <= 0.5 * (vals[0] + vals[2]) + 1e-9
 
@@ -191,10 +192,8 @@ def test_lambda_prime_matches_central_difference(grid):
     m = np.cos(2 * np.pi * x) - 0.2
     slope = lambda_prime_at_zero(grid, 0.1, 1.0, alpha, beta, m)
     h = 1e-4
-    fd = (
-        lambda_of_mu(grid, 0.1, 1.0, alpha, beta, m, h)
-        - lambda_of_mu(grid, 0.1, 1.0, alpha, beta, m, -h)
-    ) / (2 * h)
+    curve = eigen_curve(mu_family(grid, 0.1, 1.0, alpha, beta, m))
+    fd = (curve(h) - curve(-h)) / (2 * h)
     assert abs(slope - fd) <= 1e-5
 
 
