@@ -21,19 +21,20 @@ This module is also the lab's one banded-solve layer, and the only one
 that binds LAPACK: ``solve_band`` makes the one-shot ``gtsv``/``gbsv``
 solves of the eigensolver and of dynamics' Newton steps, and
 ``DiffusionSolver`` the factor-once ``pttrf``/``pttrs`` solves of the
-IMEX diffusion step.  The four routines are taken from scipy's compiled
-LAPACK module, ``scipy/linalg/_flapack``, loaded from its file: they are
-the objects ``scipy.linalg.get_lapack_funcs`` returns for float64, but
-importing the ``scipy.linalg`` package would run its ``__init__``, which
-pulls in about 320 modules the lab never uses: over half of the lab's
-start-up time and a third of its peak memory.
+IMEX diffusion step.  The four routines are called through ``ctypes``
+from the OpenBLAS that numpy's wheel bundles (``numpy.libs/``) and
+``import numpy`` has already loaded; it exports them, with 64-bit
+integer arguments, as ``scipy_d<routine>_64_``.  So the lab runs on
+numpy alone and loads no second BLAS.  The binding hands raw
+pointers to LAPACK, so it checks what a wrapper would (float64, memory
+order, shapes) and raises ValueError before any call it cannot make
+safely.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import importlib.machinery
-import importlib.util
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -168,7 +169,7 @@ class BandedOperator:
         return np.column_stack([self.matvec(e) for e in np.eye(self.size)])
 
     def shifted_bands(self, sigma: float) -> np.ndarray:
-        """A new band storage of sigma*I - A, in this layout (that of scipy.linalg.solve_banded)."""
+        """A new band storage of sigma*I - A, in this layout."""
         ab = -self.ab
         ab[self.halfband] += sigma
         return ab
@@ -178,43 +179,108 @@ class BandedOperator:
         return solve_band(self.shifted_bands(sigma), rhs)
 
 
-def _flapack():
-    """The float64 gtsv, gbsv, pttrf and pttrs of scipy's compiled LAPACK module, loaded from
-    its file without running any scipy package code; find_spec only locates scipy."""
-    name = "scipy.linalg._flapack"
-    scipy = importlib.util.find_spec("scipy")
-    if scipy is None:
-        raise ImportError("the lab needs scipy, which is not installed", name="scipy")
-    path = Path(scipy.submodule_search_locations[0], "linalg",
-                "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    if not path.is_file():
-        raise ImportError(f"scipy's LAPACK module {path} is missing", name=name, path=str(path))
-    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-    loader.exec_module(module)
-    return module.dgtsv, module.dgbsv, module.dpttrf, module.dpttrs
+_OPENBLAS = "libscipy_openblas64_*.so"  # in numpy.libs/ of numpy's Linux wheels
 
 
-_GTSV, _GBSV, _PTTRF, _PTTRS = _flapack()
+def _openblas_lapack():
+    """The float64 gtsv, gbsv, pttrf and pttrs of numpy's bundled OpenBLAS, which
+    ``import numpy`` has loaded: loading it again only looks its symbols up."""
+    directory = Path(np.__file__).parent.parent / "numpy.libs"
+    found = sorted(directory.glob(_OPENBLAS))
+    if not found:
+        raise ImportError(f"the lab binds LAPACK from numpy's bundled OpenBLAS, and found no "
+                          f"{_OPENBLAS} in {directory}", path=str(directory))
+    library = ctypes.CDLL(str(found[0]))
+    routines = []
+    for name in ("gtsv", "gbsv", "pttrf", "pttrs"):
+        routine = getattr(library, f"scipy_d{name}_64_")
+        # A Fortran subroutine: every argument is a ctypes reference, passed as it is.
+        routine.restype = None
+        routines.append(routine)
+    return routines
+
+
+_GTSV, _GBSV, _PTTRF, _PTTRS = _openblas_lapack()
+
+
+@functools.lru_cache(maxsize=None)
+def _int(value: int):
+    """A reference to value as LAPACK's 64-bit integer, for an argument LAPACK only reads."""
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _data(a: np.ndarray, shape: tuple[int, ...]) -> ctypes.c_double:
+    """a's first entry as a ctypes object that shares a's memory and keeps a alive, once
+    a is a C-contiguous float64 array of this shape."""
+    if a.dtype != np.float64 or a.shape != shape or not a.flags.c_contiguous:
+        raise ValueError(f"LAPACK needs a C-contiguous float64 array of shape {shape}, "
+                         f"got {a.dtype} of shape {a.shape} with strides {a.strides}")
+    return ctypes.c_double.from_buffer(a)
+
+
+def _gtsv(ab: np.ndarray, x: np.ndarray) -> int:
+    """LAPACK gtsv on the tridiagonal matrix in the (3, n) band storage ab, in place:
+    ab is overwritten, x turns from the right-hand side into the solution.  Returns info.
+    Each diagonal is passed as an offset from ab's first entry."""
+    info, n = ctypes.c_int64(), ab.shape[-1]
+    first, size = _data(ab, (3, n)), _int(n)
+    _GTSV(size, _int(1), ctypes.byref(first, 16 * n), ctypes.byref(first, 8 * n),
+          ctypes.byref(first, 8), ctypes.byref(_data(x, (n,))), size, ctypes.byref(info))
+    return info.value
+
+
+def _gbsv(work: np.ndarray, u: int, x: np.ndarray) -> int:
+    """LAPACK gbsv, in place, on the matrix with u sub- and superdiagonals whose band
+    storage fills the last 2u + 1 of the 3u + 1 rows of the Fortran-ordered work, which
+    the LU factors overwrite; x turns from the right-hand side into the solution.
+    Returns info."""
+    info, n = ctypes.c_int64(), work.shape[-1]
+    size, band = _int(n), _int(u)
+    pivots = (ctypes.c_int64 * n)()
+    # work is Fortran-ordered where its transpose is C-ordered.
+    _GBSV(size, band, band, _int(1), ctypes.byref(_data(work.T, (n, 3 * u + 1))),
+          _int(3 * u + 1), ctypes.byref(pivots), ctypes.byref(_data(x, (n,))), size,
+          ctypes.byref(info))
+    return info.value
+
+
+def _pttrf(d: np.ndarray, e: np.ndarray) -> int:
+    """LAPACK pttrf, in place: factors the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e as L D L^T, into d and e.  Returns info."""
+    info, n = ctypes.c_int64(), d.shape[0]
+    _PTTRF(_int(n), ctypes.byref(_data(d, (n,))), ctypes.byref(_data(e, (n - 1,))),
+           ctypes.byref(info))
+    return info.value
+
+
+def _bind_pttrs(d: np.ndarray, e: np.ndarray, b: np.ndarray, info: ctypes.c_int64):
+    """LAPACK pttrs with its arguments bound once: each call solves L D L^T x = b in place
+    in b, from pttrf's factors d and e, and sets info."""
+    n = d.shape[0]
+    size = _int(n)
+    return functools.partial(_PTTRS, size, _int(1), ctypes.byref(_data(d, (n,))),
+                             ctypes.byref(_data(e, (n - 1,))), ctypes.byref(_data(b, (n,))),
+                             size, ctypes.byref(info))
 
 
 def solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs, M square in band storage ab with half-bandwidth u >= 1 on both sides.
 
-    Makes the LAPACK call scipy.linalg.solve_banded((u, u), ab, rhs) makes,
-    on the same values: gtsv on the three diagonals for u = 1, gbsv on ab
-    under u zero rows otherwise.  So x is the same bit for bit, without the
-    wrapper's finiteness scans and argument checks: the caller passes
-    finite float arrays.  ab is overwritten and rhs is kept.  A singular M
-    raises np.linalg.LinAlgError.
+    Makes the LAPACK call a general banded solve makes on the same values:
+    gtsv on the three diagonals for u = 1, gbsv on ab under u zero rows
+    otherwise.  So x has the same bits as that solve's, without its
+    finiteness scans: the caller passes a finite C-contiguous float64 ab
+    and a finite float64 vector rhs.  ab is overwritten and rhs is kept.
+    A singular M raises np.linalg.LinAlgError.
     """
     u = (ab.shape[0] - 1) // 2
+    x = rhs.copy()
     if u == 1:
-        _, _, _, x, info = _GTSV(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1)
+        info = _gtsv(ab, x)
     else:
         work = np.zeros((3 * u + 1, ab.shape[1]), order="F")
         work[u:] = ab
-        _, _, x, info = _GBSV(u, u, work, rhs, overwrite_ab=1)
+        info = _gbsv(work, u, x)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -230,7 +296,9 @@ class DiffusionSolver:
     tridiagonal, and LAPACK ``pttrf`` factors it once as L D L^T.
     ``select`` lays the factors of chosen fields end to end, so ``solve``
     handles the whole stack with one ``pttrs`` call; the off-diagonal
-    entry between two fields is exactly 0.
+    entry between two fields is exactly 0.  ``select`` also binds that
+    call's arguments once, around a right-hand-side buffer the solver
+    owns, so a solve reads no data pointer.
 
     Each factor has D > 0 and an off-diagonal <= 0, which ``__init__``
     checks.  A solve therefore keeps signs: each forward step
@@ -249,7 +317,8 @@ class DiffusionSolver:
             upper = np.full(n - 1, -r)
             upper[0] = -2.0 * r
             # Symmetrized off-diagonal: S[i, i+1] = sqrt(w_i / w_{i+1}) * A[i, i+1].
-            diag, off, info = _PTTRF(np.full(n, 1.0 + 2.0 * r), upper * sqrt_w[:-1] / sqrt_w[1:])
+            diag, off = np.full(n, 1.0 + 2.0 * r), upper * sqrt_w[:-1] / sqrt_w[1:]
+            info = _pttrf(diag, off)
             if info != 0:
                 raise ValueError(f"LAPACK pttrf failed with info={info} for d={d}, dt={dt}")
             if not (diag.min() > 0.0 and off.max(initial=0.0) <= 0.0):
@@ -267,15 +336,21 @@ class DiffusionSolver:
         # The weights' square roots once per selected field, so that solve scales
         # arrays of one shape instead of broadcasting.
         self._scale = np.tile(self._sqrt_w, len(fields))
+        self._rhs = np.empty_like(self._scale)  # pttrs solves in place here
+        self._info = ctypes.c_int64()
+        self._pttrs = _bind_pttrs(self._diag, self._off, self._rhs, self._info)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Solution for a finite right-hand side whose rows are the selected fields in
         order, e.g. (K, P, n) (the caller checks finiteness)."""
-        z, info = _PTTRS(self._diag, self._off, self._scale * y.reshape(-1), overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
-        z /= self._scale
-        return z.reshape(y.shape)
+        if y.size != self._rhs.size:
+            raise ValueError(f"right-hand side has {y.size} entries, the selected fields "
+                             f"{self._rhs.size}")
+        np.multiply(self._scale, y.reshape(-1), out=self._rhs)
+        self._pttrs()
+        if self._info.value != 0:
+            raise ValueError(f"illegal value in argument {-self._info.value} of LAPACK pttrs")
+        return (self._rhs / self._scale).reshape(y.shape)
 
 
 def assemble_banded(lap: NeumannLaplacian, diffusions: tuple[float, ...],
