@@ -193,8 +193,8 @@ def _task_evolve(config: ScenarioConfig, out: Path, demand_steady: bool) -> RunA
         f"persistence floor (post-transient): {_fmt(floor)}",
     ]
     failed = demand_steady and not result.converged
-    lines.append("status: FAILED precondition 'steady state reached within t_max'" if failed
-                 else "status: OK")
+    lines.append(f"status: NUMERICAL FAILURE 'no steady state within t_max = "
+                 f"{_fmt(config.solver.t_max)}'" if failed else "status: OK")
     report = _write_report(out / "report.txt", lines)
     return RunArtifacts([traj_path, state_path], [state_svg, mass_svg], report,
                         EXIT_NUMERICAL if failed else EXIT_OK)

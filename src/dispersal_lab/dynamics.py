@@ -45,13 +45,14 @@ converged flag, residual and step count.  Time is counted in steps: after
 k steps at dt from t0 a run is at t0 + k*dt, and it reaches t_max after
 the number of steps that spans t_max - t0, so rounding in a running sum
 neither shifts a sample nor adds a step.  A run that converges, reaches
-t_max or fails leaves the block, and the block factor is re-sliced from
-the stored factors without refactoring.  A run whose explicit stage
-overshoots leaves the block at its last state and continues alone at
-dt/2 with its clock re-based there, up to MAX_DT_HALVINGS times.  The
-runs of a block step in lockstep, and the loop looks at a run only at
-the steps where it takes a sample, checks its residual or reaches t_max,
-or when its step fails.
+t_max or fails leaves the block, and the runs that remain get a new
+stepper, whose ``pttrf`` factors are the old ones bit for bit: the same
+call on the same inputs.  A run whose explicit stage overshoots leaves
+the block at its last state and continues alone at dt/2 with its clock
+re-based there, up to MAX_DT_HALVINGS times.  The runs of a block step
+in lockstep, and the loop looks at a run only at the steps where it
+takes a sample, checks its residual or reaches t_max, or when its step
+fails.
 
 ``newton_steady`` finds the logistic and the switching-pair steady states
 by pseudo-transient Newton on the banded layout of the eigensolver, and
@@ -190,7 +191,8 @@ class ImexStepper:
 
     The runs form a (K, P, n) block; they may differ in diffusion rates
     and coefficient fields, and share b and c.  ``advance`` steps the
-    block, ``keep`` drops runs from it, and ``step`` is the one-run map.
+    block, and ``step`` is the one-run map.  A stepper is fixed at
+    construction: other runs take a new stepper.
     """
 
     def __init__(self, kind: SystemKind, params: Sequence[ModelParams], grid: Grid, dt: float):
@@ -202,26 +204,17 @@ class ImexStepper:
         self.params = params[0]
         self.grid = grid
         self.dt = dt
-        self._coeffs = [sample_coefficients(p, grid) for p in params]
-        diffusions = [kind_diffusions(kind, p) for p in params]
-        self.solver = DiffusionSolver(grid, [d for ds in zip(*diffusions) for d in ds], dt)
-        self._all_diffusions = np.array(diffusions).T  # (K, runs)
-        self.keep(range(len(params)))
-
-    def keep(self, runs: Sequence[int]) -> None:
-        """Step only the given runs, numbered as at construction, from now on."""
-        runs = list(runs)
-        total = len(self._coeffs)
-        self.solver.select([k * total + p for k in range(self.kind.n_components) for p in runs])
-        chosen = [self._coeffs[p] for p in runs]
+        coeffs = [sample_coefficients(p, grid) for p in params]
         self.coeffs = Coefficients(
-            grid=self.grid,
-            alpha=np.stack([c.alpha for c in chosen]),
-            beta=np.stack([c.beta for c in chosen]),
-            m=np.stack([c.m for c in chosen]),
+            grid=grid,
+            alpha=np.stack([c.alpha for c in coeffs]),
+            beta=np.stack([c.beta for c in coeffs]),
+            m=np.stack([c.m for c in coeffs]),
         )
-        self._diffusions = self._all_diffusions[:, runs, None]  # (K, P, 1), as _steady_rhs takes it
-        self._shape = (self.kind.n_components, len(runs), self.grid.n)
+        diffusions = np.array([kind_diffusions(kind, p) for p in params]).T  # (K, P)
+        self.solver = DiffusionSolver(grid, diffusions.ravel(), dt)  # fields in (K, P) order
+        self._diffusions = diffusions[:, :, None]  # (K, P, 1), as _steady_rhs takes it
+        self._shape = (kind.n_components, len(params), grid.n)
 
     def advance(self, block: np.ndarray,
                 rates: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
@@ -254,10 +247,10 @@ class ImexStepper:
         np.maximum(stage, 0.0, out=stage)
         return self.solver.solve(stage), failed
 
-    def residuals(self, block: np.ndarray, rates: np.ndarray, lap: NeumannLaplacian) -> np.ndarray:
+    def residuals(self, block: np.ndarray, rates: np.ndarray) -> np.ndarray:
         """rhs_residual of each run of the block, rates its reaction_rhs, bit for bit:
         the same elementwise operations, reduced per run."""
-        rhs = _steady_rhs(block, self._diffusions, rates, lap)
+        rhs = _steady_rhs(block, self._diffusions, rates, self.grid.laplacian)
         return np.abs(rhs, out=rhs).max(axis=(0, 2))
 
     def step(self, state: State) -> State:
@@ -279,11 +272,12 @@ def _steady_rhs(comps: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
     return rhs
 
 
-def rhs_residual(kind: SystemKind, params: ModelParams, grid: Grid, coeffs: Coefficients,
-                 comps: np.ndarray, lap: NeumannLaplacian) -> float:
-    """Sup-norm of diffusion plus reaction at the given fields, lap the grid's Laplacian."""
+def rhs_residual(kind: SystemKind, params: ModelParams, coeffs: Coefficients,
+                 comps: np.ndarray) -> float:
+    """Sup-norm of diffusion plus reaction at the given fields, on the grid of coeffs."""
     rates = reaction_rhs(kind, params, coeffs, comps)
-    rhs = _steady_rhs(comps, np.reshape(kind_diffusions(kind, params), (-1, 1)), rates, lap)
+    rhs = _steady_rhs(comps, np.reshape(kind_diffusions(kind, params), (-1, 1)), rates,
+                      coeffs.grid.laplacian)
     return float(np.max(np.abs(rhs)))
 
 
@@ -320,8 +314,7 @@ def _next_event(next_sample: float, t0: float, steps0: int, k: int, k_max: int,
     return event
 
 
-def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[_Run],
-                opts: SolverOptions) -> None:
+def _step_block(kind: SystemKind, grid: Grid, runs: list[_Run], opts: SolverOptions) -> None:
     """Step the runs together at opts.dt until each has converged, reached t_max or failed.
 
     A run whose explicit stage overshoots leaves the block at its last
@@ -359,7 +352,7 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
                 exc = failed[pos]
                 if isinstance(exc, StepOvershootError) and run.halvings < MAX_DT_HALVINGS:
                     run.halvings += 1
-                    _step_block(kind, grid, lap, [run], replace(opts, dt=dt / 2.0))
+                    _step_block(kind, grid, [run], replace(opts, dt=dt / 2.0))
                 else:
                     run.error = exc
                 continue
@@ -375,7 +368,7 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
                     run.next_sample += opts.sample_every
             if run.steps % CHECK_EVERY == 0:
                 if residuals is None:
-                    residuals = stepper.residuals(new, rates, lap)
+                    residuals = stepper.residuals(new, rates)
                 run.converged = float(residuals[pos]) <= opts.tol
             if run.converged or k >= k_max[i]:
                 run.state = State._trusted(t, comps.copy())
@@ -385,7 +378,7 @@ def _step_block(kind: SystemKind, grid: Grid, lap: NeumannLaplacian, runs: list[
         if len(stay) < len(live):
             live = [live[pos] for pos in stay]
             if live:
-                stepper.keep(live)
+                stepper = ImexStepper(kind, [runs[i].params for i in live], grid, dt)
             new = np.take(new, stay, axis=1)
             rates = np.take(rates, stay, axis=1)
         if live:
@@ -416,17 +409,16 @@ def integrate_runs(
     for initial in initials:
         if initial.components.shape != expected:
             raise ValueError(f"initial state shape {initial.components.shape} != {expected}")
-    lap = grid.laplacian
     runs = []
     for p, initial in zip(params, initials):
         c = sample_coefficients(p, grid)
         log = TrajectoryLog(grid=grid, fields=[] if opts.store_fields else None)
         log.record(initial)
-        residual = rhs_residual(kind, p, grid, c, initial.components, lap)
+        residual = rhs_residual(kind, p, c, initial.components)
         runs.append(_Run(p, c, initial, log, initial.t + opts.sample_every, residual <= opts.tol))
     stepping = [r for r in runs if not r.converged and _steps_to(opts.t_max, r.state.t, opts.dt)]
     if stepping:
-        _step_block(kind, grid, lap, stepping, opts)
+        _step_block(kind, grid, stepping, opts)
 
     results: list[Union[SteadyResult, Exception]] = []
     for run in runs:
@@ -434,7 +426,7 @@ def integrate_runs(
             results.append(run.error)
             continue
         comps = run.state.components
-        residual = rhs_residual(kind, run.params, grid, run.coeffs, comps, lap)
+        residual = rhs_residual(kind, run.params, run.coeffs, comps)
         converged = residual <= opts.tol
         run.log.record(run.state)
         if converged:
@@ -517,7 +509,7 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
         tau = min(1e14, tau * max(2.0, f_norm / max(new_norm, 1e-300)))
         f_norm = new_norm
     state = State._trusted(initial.t, np.maximum(x, 0.0))
-    residual = rhs_residual(kind, params, grid, coeffs, state.components, lap)
+    residual = rhs_residual(kind, params, coeffs, state.components)
     # Rounding alone leaves rhs_residual near eps * max d * |L| * max|x|, |L| = 4/h^2,
     # which exceeds STEADY_TOL on fine grids.
     rounding = (4.0 * np.finfo(float).eps * max(diffusions)

@@ -293,12 +293,13 @@ class DiffusionSolver:
 
     Each field i has its own factor: the matrix, symmetrized by the square
     roots of the quadrature weights, is symmetric positive definite and
-    tridiagonal, and LAPACK ``pttrf`` factors it once as L D L^T.
-    ``select`` lays the factors of chosen fields end to end, so ``solve``
-    handles the whole stack with one ``pttrs`` call; the off-diagonal
-    entry between two fields is exactly 0.  ``select`` also binds that
-    call's arguments once, around a right-hand-side buffer the solver
-    owns, so a solve reads no data pointer.
+    tridiagonal, and LAPACK ``pttrf`` factors it once as L D L^T.  The
+    factors are laid end to end, in the order of ``diffusions``, so
+    ``solve`` handles the whole stack with one ``pttrs`` call; the
+    off-diagonal entry between two fields is exactly 0.  That call's
+    arguments are bound once, around a right-hand-side buffer the solver
+    owns, so a solve reads no data pointer.  A solver is fixed at
+    construction: a different set of fields takes a new solver.
 
     Each factor has D > 0 and an off-diagonal <= 0, which ``__init__``
     checks.  A solve therefore keeps signs: each forward step
@@ -311,7 +312,7 @@ class DiffusionSolver:
     def __init__(self, grid: Grid, diffusions: Sequence[float], dt: float):
         n, h2 = grid.n, grid.h * grid.h
         sqrt_w = np.sqrt(grid.quadrature_weights)
-        self._factors = []
+        diags, offs = [], []
         for d in diffusions:
             r = dt * d / h2
             upper = np.full(n - 1, -r)
@@ -324,27 +325,23 @@ class DiffusionSolver:
             if not (diag.min() > 0.0 and off.max(initial=0.0) <= 0.0):
                 raise ValueError(f"pttrf factor for d={d}, dt={dt} does not keep signs: "
                                  "it needs D > 0 and an off-diagonal <= 0")
-            # The trailing 0 is the off-diagonal entry to the next field of a block.
-            self._factors.append((diag, np.append(off, 0.0)))
-        self._sqrt_w = sqrt_w
-        self.select(range(len(self._factors)))
-
-    def select(self, fields: Sequence[int]) -> None:
-        """Solve for the given fields, in that order, from the stored factors."""
-        self._diag = np.concatenate([self._factors[i][0] for i in fields])
-        self._off = np.concatenate([self._factors[i][1] for i in fields])[:-1]
-        # The weights' square roots once per selected field, so that solve scales
-        # arrays of one shape instead of broadcasting.
-        self._scale = np.tile(self._sqrt_w, len(fields))
+            diags.append(diag)
+            # The trailing 0 is the off-diagonal entry to the next field of the block.
+            offs.append(np.append(off, 0.0))
+        self._diag = np.concatenate(diags)
+        self._off = np.concatenate(offs)[:-1]
+        # The weights' square roots once per field, so that solve scales arrays of one
+        # shape instead of broadcasting.
+        self._scale = np.tile(sqrt_w, len(diags))
         self._rhs = np.empty_like(self._scale)  # pttrs solves in place here
         self._info = ctypes.c_int64()
         self._pttrs = _bind_pttrs(self._diag, self._off, self._rhs, self._info)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        """Solution for a finite right-hand side whose rows are the selected fields in
+        """Solution for a finite right-hand side whose rows are the solver's fields in
         order, e.g. (K, P, n) (the caller checks finiteness)."""
         if y.size != self._rhs.size:
-            raise ValueError(f"right-hand side has {y.size} entries, the selected fields "
+            raise ValueError(f"right-hand side has {y.size} entries, the solver's fields "
                              f"{self._rhs.size}")
         np.multiply(self._scale, y.reshape(-1), out=self._rhs)
         self._pttrs()

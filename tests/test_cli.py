@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import string
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -179,7 +182,8 @@ def test_steady_task_nonconvergence_is_numerical_failure(tmp_path):
     config = parse_config(data)
     artifacts = run_scenario(config)
     assert artifacts.exit_status == EXIT_NUMERICAL
-    assert "precondition" in artifacts.report_path.read_text()
+    last = artifacts.report_path.read_text().splitlines()[-1]
+    assert last == "status: NUMERICAL FAILURE 'no steady state within t_max = 0.050000000000000003'"
 
 
 def test_steady_state_outside_the_contracting_box_is_numerical_failure(tmp_path):
@@ -394,7 +398,7 @@ def test_every_schema_key_has_a_valid_strategy():
 
 
 @st.composite
-def valid_configs(draw):
+def valid_configs(draw, tasks=tuple(TASKS)):
     """Configs that parse: every required key of the schema, each optional one or not."""
     def section(label: str, **given) -> dict:
         for key, row in SCHEMA[label].items():
@@ -408,7 +412,7 @@ def valid_configs(draw):
         return section(f"coefficient {kind}", kind=kind)
 
     system = draw(VALID["top level"]["system"])
-    task = draw(st.sampled_from(list(TASKS)))
+    task = draw(st.sampled_from(list(tasks)))
     data = section("top level", system=system, grid=section("grid"), solver=section("solver"),
                    params=section("params", alpha=coefficient(), beta=coefficient(),
                                   m=coefficient()),
@@ -749,3 +753,63 @@ def test_threshold_name_that_names_no_threshold_exits_with_validation_code(tmp_p
     assume(value not in tuple(THRESHOLDS))
     data = base_config(tmp_path, task={"name": "threshold", "threshold_name": value})
     assert main(["threshold", "--config", str(write_config(tmp_path, data))]) == EXIT_VALIDATION
+
+
+@st.composite
+def small_task_configs(draw):
+    """valid_configs of every task but verify, on at most 41 nodes and up to 200 steps, with
+    sampled coefficients of the grid's size."""
+    data = draw(valid_configs(tasks=[task for task in TASKS if task != "verify"]))
+    n = data["grid"]["n"] = draw(st.integers(3, 41))
+    for spec in (data["params"][name] for name in ("alpha", "beta", "m")):
+        if spec["kind"] == "samples":
+            spec["values"] = draw(st.lists(finite(0.1, 3.0), min_size=n, max_size=n))
+    data["solver"].update(dt=draw(finite(0.01, 1.0)), t_max=draw(finite(0.01, 2.0)))
+    return data
+
+
+# The status line that ends report.txt for each exit code of a task other than verify.
+STATUS_OF_EXIT = {EXIT_OK: ("status: OK", "status: PARTIAL"),
+                  EXIT_VALIDATION: ("status: INVALID '",),
+                  EXIT_NUMERICAL: ("status: NUMERICAL FAILURE '",),
+                  EXIT_HYPOTHESIS: ("status: FAILED precondition '",)}
+
+
+def run_main(config: Path, task: str, out: Path) -> tuple[int, dict, str]:
+    """Exit code, output files by name and stderr of main in this process."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([task, "--config", str(config), "--out", str(out)])
+    files = {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
+             if path.is_file()} if out.exists() else {}
+    return code, files, stderr.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=small_task_configs())
+@example(data={"grid": {"a": 0.0, "b": 1.0, "n": 11}, "task": "steady",
+               "params": {"d1": 0.1, "d2": 1.0, "alpha": {"kind": "constant", "value": 1.0},
+                          "beta": {"kind": "constant", "value": 1.0},
+                          "m": {"kind": "constant", "value": 0.5}},
+               "solver": {"dt": 0.01, "t_max": 0.05}})  # reaches t_max unconverged
+@example(data={"grid": {"a": 0.0, "b": 1.0, "n": 21},
+               "task": {"name": "sweep", "parameter": "d3", "values": [0.3, 2.0]},
+               "params": {"d1": 0.1, "d2": 1.0, "alpha": {"kind": "constant", "value": 1.0},
+                          "beta": {"kind": "constant", "value": 1.0},
+                          "m": {"kind": "cosine_profile", "mean": 1.5, "amplitude": 0.3}},
+               "solver": {"dt": 0.05, "t_max": 1.0}})  # PARTIAL: points stop at t_max
+def test_status_line_names_the_exit_code(data):
+    """Every task but verify ends report.txt with the one status of its exit code, or, when
+    the parser rejects the config, writes nothing and one error line; a rerun is identical."""
+    task = data["task"] if isinstance(data["task"], str) else data["task"]["name"]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), data)
+        first, second = (run_main(config, task, Path(tmp) / name) for name in ("a", "b"))
+    assert first == second
+    code, files, stderr = first
+    assert code in STATUS_OF_EXIT
+    if not files:
+        assert code == EXIT_VALIDATION and stderr.startswith("error: ") and stderr.count("\n") == 1
+        return
+    last = files[Path("report.txt")].decode("utf-8").splitlines()[-1]
+    assert [c for c, statuses in STATUS_OF_EXIT.items() if last.startswith(statuses)] == [code]

@@ -105,7 +105,7 @@ def pttrs(d, e, x):
        seed=st.integers(0, 2**32 - 1))
 def test_pttrf_and_pttrs_give_the_bits_and_info_of_scipy_lapack(sizes, seed):
     """One field alone, or a block-diagonal stack of fields with an exact 0 between two
-    fields, laid out as DiffusionSolver.select lays them."""
+    fields, laid out as DiffusionSolver lays them."""
     rng = np.random.default_rng(seed)
     diags, offs = [], []
     for n in sizes:
