@@ -30,10 +30,10 @@ from .model import (
     sample_coefficients,
 )
 from .dynamics import (
-    SolverOptions,
     NEWTON_ROUNDING,
+    NUMERICAL_FAILURES,
+    SolverOptions,
     SteadyResult,
-    StepOvershootError,
     constant_state,
     integrate_runs,
     newton_steady,
@@ -447,8 +447,7 @@ def sweep_outcomes(
             outcome = classify_endpoint(sim.state.components @ grid.quadrature_weights)
             floors = tuple(float(x) for x in sim.state.components.min(axis=1))
             converged, residual, steps = sim.converged, sim.residual, sim.steps
-        elif isinstance(sim, (StepOvershootError, ConvergenceError, HypothesisError,
-                              np.linalg.LinAlgError)):  # numerical failures are recorded, not fatal
+        elif isinstance(sim, NUMERICAL_FAILURES):  # recorded, not fatal
             outcome = "undetermined"
             floors = (np.nan, np.nan, np.nan)
             converged, residual, steps = False, np.nan, 0

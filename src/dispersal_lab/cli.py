@@ -27,9 +27,9 @@ from .model import (
     sample_coefficients,
 )
 from .dynamics import (
+    NUMERICAL_FAILURES,
     SolverOptions,
     State,
-    StepOvershootError,
     constant_state,
     eigenfunction_state,
     integrate_to_steady,
@@ -37,7 +37,6 @@ from .dynamics import (
     random_state,
 )
 from .spectral import (
-    ConvergenceError,
     principal_eigen,
     scalar_problem,
     switching_problem,
@@ -312,7 +311,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
         return TASKS[config.task](config, out)
     except HypothesisError as exc:
         return _failed(config, out, f"FAILED precondition '{exc}'", EXIT_HYPOTHESIS)
-    except (ConvergenceError, StepOvershootError, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_FAILURES as exc:
         return _failed(config, out, f"NUMERICAL FAILURE '{exc}'", EXIT_NUMERICAL)
     except ValueError as exc:
         return _failed(config, out, f"INVALID '{exc}'", EXIT_VALIDATION)
@@ -488,6 +487,10 @@ def parse_config(data: dict, base_dir: Path = Path("."),
     """The scenario of a json config, checked for the task that runs (by default the config's
     own).  Raises ConfigError for a config the schema rejects."""
     top = _read(data, CONFIG, "top-level", errors=NUMBERS)
+    try:  # one value per node, rates nonnegative, each field positive somewhere
+        sample_coefficients(top["params"], top["grid"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     task = task or top["task"].get("name")
     spec = _read(top["task"], TASK, "task", task, errors=NUMBERS)
     initial, system = top["initial"], top["system"]

@@ -94,6 +94,12 @@ class StepOvershootError(RuntimeError):
     """Explicit reaction stage produced meaningfully negative values."""
 
 
+# The errors by which a computation fails numerically: the CLI exits 3 on them, and a sweep
+# records the point as undetermined.
+NUMERICAL_FAILURES = (ConvergenceError, StepOvershootError, FloatingPointError,
+                      np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True)
 class State:
     """Component fields at one instant; shape (K, n), nonnegative."""
@@ -241,7 +247,7 @@ class ImexStepper:
                         f"dt={self.dt} too large: explicit stage reached {worst:.3e}"
                     )
                 elif not np.isfinite(stage[:, p]).all():
-                    failed[p] = ValueError("explicit stage contains infs or NaNs")
+                    failed[p] = FloatingPointError("explicit stage contains infs or NaNs")
             for p in failed:
                 stage[:, p] = 0.0  # 0 * inf or 0 * nan would cross into the next field
         np.maximum(stage, 0.0, out=stage)

@@ -246,12 +246,12 @@ def larger_quadratic_root_k0(b: float, c: float) -> float:
     return (s + np.sqrt(disc)) / (2.0 * bc)
 
 
-def classify_regime(params: ModelParams, grid: Grid, test_s1: bool = True) -> RegimeReport:
+def classify_regime(params: ModelParams, grid: Grid) -> RegimeReport:
     """Evaluate the eventual-competition and eventual-cooperation tests.
 
-    The competitive test needs min m > 0 and raises HypothesisError when
-    it does not hold; pass test_s1=False to skip it for sign-changing
-    growth rates.
+    S1 (eventually competitive) needs min m, min alpha and min beta all
+    positive, so a growth rate or a switching rate that reaches 0 is not
+    in S1.  Raises HypothesisError unless b > 0 and c > 0.
     """
     if params.b <= 0 or params.c <= 0:
         raise HypothesisError("regime classification requires b > 0 and c > 0")
@@ -265,19 +265,13 @@ def classify_regime(params: ModelParams, grid: Grid, test_s1: bool = True) -> Re
     k1 = max(b_hi / b_lo, a_hi / a_lo) if min(a_lo, b_lo) > 0 else np.inf
     k0 = larger_quadratic_root_k0(b_, c_)
 
-    in_s1 = False
+    ratio_ok = k > max(1.0 - m_lo / (b_ * m_hi), 1.0 - m_lo / (c_ * m_hi))
+    s1_first = m_lo + b_ * (k - 1.0) * m_hi - a_hi - b_hi / b_ > 0.0
+    s1_second = m_lo + c_ * (k - 1.0) * m_hi - b_hi - a_hi / c_ > 0.0
+    in_s1 = bool(min(m_lo, a_lo, b_lo) > 0 and ratio_ok and s1_first and s1_second)
     competitive = None
-    if test_s1:
-        if m_lo <= 0:
-            raise HypothesisError("competitive-regime test requires min m > 0")
-        if a_lo <= 0 or b_lo <= 0:
-            raise HypothesisError("competitive-regime test requires min alpha, min beta > 0")
-        ratio_ok = k > max(1.0 - m_lo / (b_ * m_hi), 1.0 - m_lo / (c_ * m_hi))
-        s1_first = m_lo + b_ * (k - 1.0) * m_hi - a_hi - b_hi / b_ > 0.0
-        s1_second = m_lo + c_ * (k - 1.0) * m_hi - b_hi - a_hi / c_ > 0.0
-        in_s1 = bool(ratio_ok and s1_first and s1_second)
-        if in_s1:
-            competitive = Rectangle(lower=(b_hi / b_, a_hi / c_), upper=(m_hi, m_hi))
+    if in_s1:
+        competitive = Rectangle(lower=(b_hi / b_, a_hi / c_), upper=(m_hi, m_hi))
 
     in_s2 = False
     cooperative = None

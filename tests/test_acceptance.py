@@ -1,21 +1,25 @@
 """Acceptance battery: every criterion runs at its stated tolerance.
 
-Each test executes one check group of the verification battery at the
-default resolutions (201 for dynamics, 401 for eigenvalue thresholds,
-801 for the small-diffusion limit) and prints one PASS/FAIL line per
-check.  The shared context caches steady states and thresholds across
-groups, mirroring what the command-line verify task does.
+Each test executes one check group of the verification battery on the
+scenario, grid and seed of configs/reference.json, read as the
+command-line verify task reads them (201 nodes for dynamics, so 401 for
+eigenvalue thresholds and 801 for the small-diffusion limit), and prints
+one PASS/FAIL line per check.  Groups share no state: each computes what
+it needs from the scenario and its grids.
 """
+
+from pathlib import Path
 
 import pytest
 
-from dispersal_lab.cli import parse_config, run_scenario
+from dispersal_lab.cli import load_config, parse_config, run_scenario
 from dispersal_lab.verify import VerifyContext, run_battery
 
 
 @pytest.fixture(scope="module")
 def ctx():
-    return VerifyContext(seed=0)
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
+    return VerifyContext(config.params, config.grid, config.seed)
 
 
 def run_group(ctx, number: int, group: str) -> None:

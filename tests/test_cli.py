@@ -363,8 +363,9 @@ finite = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 SECTION = None  # a key whose value is a section, drawn as its own table
 
 # A strategy of valid values for every key of every schema table, by table label.  Values that
-# depend on another key are fixed in valid_configs: grid b = a + width, d2 = d1 * factor, and a
-# constant initial state has one value per component.
+# depend on another key are fixed in valid_configs: grid b = a + width, d2 = d1 * factor, samples
+# repeat to one value per node, a cosine rate's mean is at least its amplitude, m is positive
+# somewhere, and a constant initial state has one value per component.
 VALID = {
     "top level": {"grid": SECTION, "params": SECTION, "task": SECTION, "solver": SECTION,
                   "initial": SECTION, "system": st.sampled_from([k.value for k in SystemKind]),
@@ -407,15 +408,23 @@ def valid_configs(draw, tasks=tuple(TASKS)):
                 given[key] = draw(VALID[label][key])
         return given
 
-    def coefficient() -> dict:
+    def coefficient(n: int, rate: bool) -> dict:
         kind = draw(st.sampled_from(list(COEFFICIENTS)))
-        return section(f"coefficient {kind}", kind=kind)
+        spec = section(f"coefficient {kind}", kind=kind)
+        if kind == "samples":
+            spec["values"] = np.resize(spec["values"], n).tolist()
+        if kind == "cosine_profile":  # rates >= 0, and each field positive somewhere
+            amplitude = spec["amplitude"]
+            spec["mean"] = max(spec["mean"], max(amplitude, 0.01) if rate else 0.01 - amplitude)
+        return spec
 
     system = draw(VALID["top level"]["system"])
     task = draw(st.sampled_from(list(tasks)))
-    data = section("top level", system=system, grid=section("grid"), solver=section("solver"),
-                   params=section("params", alpha=coefficient(), beta=coefficient(),
-                                  m=coefficient()),
+    grid = section("grid")
+    data = section("top level", system=system, grid=grid, solver=section("solver"),
+                   params=section("params", alpha=coefficient(grid["n"], rate=True),
+                                  beta=coefficient(grid["n"], rate=True),
+                                  m=coefficient(grid["n"], rate=False)),
                    task=section("task", name=task, **{
                        key: draw(VALID["task"][key]) for key, row in TASK.items()
                        if task in row.tasks and row.default is REQUIRED}))

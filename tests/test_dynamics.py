@@ -440,7 +440,7 @@ def test_step_rejects_nonfinite_stage(grid):
     with np.errstate(invalid="ignore"):
         for bad in (np.nan, np.inf):
             comps[1, 17] = bad
-            with pytest.raises(ValueError, match="explicit stage contains infs or NaNs"):
+            with pytest.raises(FloatingPointError, match="explicit stage contains infs or NaNs"):
                 stepper.step(State._trusted(0.0, comps.copy()))
 
 
@@ -638,9 +638,9 @@ def test_nonfinite_stage_fails_its_run_only(grid):
     comps[1, -1] = np.nan  # next to the first node of the following run in the band
     starts[1] = State._trusted(0.0, comps)  # State() rejects it; this start must reach the stage
     results = integrate_runs(SystemKind.SUBMODEL, [params] * 3, grid, starts, opts)
-    assert isinstance(results[1], ValueError) and "infs or NaNs" in str(results[1])
+    assert isinstance(results[1], FloatingPointError) and "infs or NaNs" in str(results[1])
     expected, _ = reference_integrate(SystemKind.SUBMODEL, params, grid, starts[0], opts)
     assert_same_run(results[0], expected)
     assert_same_run(results[2], expected)
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(FloatingPointError, match="infs or NaNs"):
         integrate_to_steady(SystemKind.SUBMODEL, params, grid, starts[1], opts)

@@ -202,7 +202,7 @@ def test_competitive_regime_example(grid):
 
 def test_cooperative_regime_example(grid):
     params = make_params(CoefficientSpec.constant(1.0), alpha=2.0, beta=2.0)
-    report = classify_regime(params, grid, test_s1=False)
+    report = classify_regime(params, grid)
     assert report.in_s2
     rect = report.cooperative_rectangle
     assert rect is not None
@@ -211,24 +211,21 @@ def test_cooperative_regime_example(grid):
 
 def test_constant_rates_give_unit_ratios(grid):
     params = make_params(CoefficientSpec.constant(1.0), alpha=0.3, beta=0.8)
-    report = classify_regime(params, grid, test_s1=False)
+    report = classify_regime(params, grid)
     assert report.k == 1.0 and report.k1 == 1.0
     varying = make_params(
         CoefficientSpec.constant(1.0),
         alpha=CoefficientSpec.cosine(1.0, 0.4, 1),
         beta=0.8,
     )
-    report = classify_regime(varying, grid, test_s1=False)
+    report = classify_regime(varying, grid)
     assert report.k < 1.0 < report.k1
 
 
 def test_s1_requires_positive_min_growth(grid):
     params = make_params(CoefficientSpec.cosine(0.0, 1.0, 2), alpha=0.05, beta=0.05, b=0.5, c=0.5)
-    with pytest.raises(HypothesisError):
-        classify_regime(params, grid)
-    # skipping the competitive test works for sign-changing growth
-    report = classify_regime(params, grid, test_s1=False)
-    assert not report.in_s1
+    report = classify_regime(params, grid)
+    assert not report.in_s1 and report.competitive_rectangle is None
 
 
 def test_s1_membership_implies_edge_inequalities(grid):

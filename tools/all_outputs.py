@@ -14,18 +14,22 @@ and d3 = 2 (outside (d1, d2), which the switching groups need), and
 ``configs/reference.json`` with one key the parser rejects: a misspelled
 solver or params key, a fractional grid ``n``, a boolean seed, a
 negative seed and ``solver.scan_points``, a key the schema does not
-name, and a ``sweep`` run of it with a negative d3 value, so the diff
-covers the exit code and message of a rejection; an ``eigen`` run of
-it whose output directory is taken by a file; and a ``steady`` run at
-dt = 1 and a ``simulate`` run at dt = 2 of it, both to t_max = 200,
-whose explicit stages overshoot so that the runs halve dt (once at step
-191, then end at t_max with exit 3; and at steps 3 and 87, then converge
-after 140 steps).  Each run is a separate
-``python -m dispersal_lab`` process on the ``src/`` tree next to this
-script, and gets one directory under OUT holding its output files in
-``files/`` and its ``stdout``, ``stderr`` and ``exit`` code.  Run the
-script from two checkouts and compare them with ``diff -r OUT_A OUT_B``;
-no file records a path, a time or a version.
+name, a ``samples`` growth rate of three values on its 201 nodes, and a
+``sweep`` run of it with a negative d3 value, so the diff covers the
+exit code and message of a rejection; an ``eigen`` run of it whose
+output directory is taken by a file; a ``steady`` run at dt = 1 and a
+``simulate`` run at dt = 2 of it, both to t_max = 200, whose explicit
+stages overshoot so that the runs halve dt (once at step 191, then end
+at t_max with exit 3; and at steps 3 and 87, then converge after 140
+steps); and a ``three_component`` ``simulate`` run of it from the
+constant state (1e308, 1e308, 0) at dt = 0.01 to t_max = 1, whose first
+explicit stage is not finite (a numerical failure, exit 3).  Each run
+is a separate ``python -m dispersal_lab`` process on the ``src/`` tree
+next to this script, and gets one directory under OUT holding its
+output files in ``files/`` and its ``stdout``, ``stderr`` and ``exit``
+code.  Run the script from two checkouts and compare them with
+``diff -r OUT_A OUT_B``; no file records a path, a time or a version
+(``stderr`` writes the checkout's directory as ``<checkout>``).
 """
 
 from __future__ import annotations
@@ -63,12 +67,16 @@ REJECT_RUNS = {
     "reject_solver_scan_points": ("solver", "scan_points", 64),
     "reject_sweep_value_negative": (None, "task", {"name": "sweep", "parameter": "d3",
                                                    "values": [-0.5]}),
+    "reject_samples_short": ("params", "m", {"kind": "samples", "values": [0.1, 0.2, 0.3]}),
 }
 OUTPUT_IS_FILE = "reject_output_is_file"  # an eigen run of configs/reference.json
-# run name -> (task, solver changes to configs/reference.json)
-HALVING_RUNS = {
-    "halve_steady_dt1": ("steady", {"dt": 1.0, "t_max": 200.0}),
-    "halve_simulate_dt2": ("simulate", {"dt": 2.0, "t_max": 200.0}),
+# run name -> (task, solver changes to configs/reference.json, its other top-level changes)
+STEPPING_RUNS = {
+    "halve_steady_dt1": ("steady", {"dt": 1.0, "t_max": 200.0}, {}),
+    "halve_simulate_dt2": ("simulate", {"dt": 2.0, "t_max": 200.0}, {}),
+    "nonfinite_simulate": ("simulate", {"dt": 0.01, "t_max": 1.0}, {
+        "system": "three_component", "initial": {"kind": "constant",
+                                                 "values": [1e308, 1e308, 0.0]}}),
 }
 
 
@@ -104,9 +112,10 @@ def runs(out: Path) -> list[tuple[str, str, Path]]:
         path.write_text(json.dumps(config, indent=1), encoding="utf-8")
         plan.append((name, config["task"]["name"], path))
     plan.append((OUTPUT_IS_FILE, "eigen", ROOT / "configs" / "reference.json"))
-    for name, (task, changes) in HALVING_RUNS.items():
+    for name, (task, solver, changes) in STEPPING_RUNS.items():
         config = copy.deepcopy(reference)
-        config["solver"].update(changes)
+        config["solver"].update(solver)
+        config.update(changes)
         config["task"] = {"name": task}
         path = generated / f"{name}.json"
         path.write_text(json.dumps(config, indent=1), encoding="utf-8")
@@ -125,7 +134,8 @@ def run_one(out: Path, name: str, task: str, config: Path) -> str:
     proc = subprocess.run([sys.executable, "-m", "dispersal_lab", task, "--config", str(config),
                            "--out", "files"], cwd=run_dir, env=env, capture_output=True)
     (run_dir / "stdout").write_bytes(proc.stdout)
-    (run_dir / "stderr").write_bytes(proc.stderr)
+    # numpy's warnings name the source file, so stderr names the checkout <checkout>.
+    (run_dir / "stderr").write_bytes(proc.stderr.replace(os.fsencode(ROOT), b"<checkout>"))
     (run_dir / "exit").write_text(f"{proc.returncode}\n", encoding="utf-8")
     return f"{name}: exit {proc.returncode}"
 
