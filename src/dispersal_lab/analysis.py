@@ -215,7 +215,7 @@ def _scanned(roots: list[ThresholdResult], error: type[Exception], message: str)
 
 def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Zero of the scalar invasion eigenvalue at (u*, v*, 0) in d3 on (d1, weighted average)."""
-    check_hypothesis_h(params, grid, coeffs)
+    check_hypothesis_h(coeffs)
     alpha, beta = _constant_rates(params)
     lo, hi = params.d1, weighted_average_diffusion(params, alpha, beta)
     u, v = subsystem_steady(params, grid, coeffs).state.components
@@ -254,7 +254,7 @@ def _rate_family(params: ModelParams, grid: Grid, coeffs: Coefficients,
 
 def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Zero of lambda2(beta) on (1e-4 hi, hi), hi = (d2 - d3) / (d3 - d1) * alpha."""
-    check_hypothesis_h(params, grid, coeffs)
+    check_hypothesis_h(coeffs)
     alpha, _ = _check_section5_setting(params, coeffs, "alpha")
     family = _rate_family(params, grid, coeffs, "beta")
     curve = eigen_curve(family)
@@ -269,7 +269,7 @@ def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdC
 
 def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Zero of lambda2(alpha) above lo = (d3 - d1) / (d2 - d3) * beta; hi by doubling."""
-    check_hypothesis_h(params, grid, coeffs)
+    check_hypothesis_h(coeffs)
     _, beta = _check_section5_setting(params, coeffs, "beta")
     family = _rate_family(params, grid, coeffs, "alpha")
     curve = eigen_curve(family)
@@ -336,7 +336,7 @@ def lambda2_sign_changes(
 
     The problem at d3 solves its own w* (logistic_steady).
     """
-    check_hypothesis_h(params, grid, coeffs)
+    check_hypothesis_h(coeffs)
     alpha, beta = _constant_rates(params)
     bracket = (params.d1, weighted_average_diffusion(params, alpha, beta))
 
@@ -407,7 +407,7 @@ def sweep_outcomes(
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"sweep parameter must be d3, beta or alpha, got {parameter!r}")
     base_coeffs = sample_coefficients(params, grid)
-    check_hypothesis_h(params, grid, base_coeffs)
+    check_hypothesis_h(base_coeffs)
     if parameter in ("beta", "alpha"):
         _check_section5_setting(params, base_coeffs, "alpha" if parameter == "beta" else "beta")
     values_sorted = sorted(float(v) for v in values)
@@ -423,7 +423,7 @@ def sweep_outcomes(
         else:
             local = replace(params, alpha=CoefficientSpec.constant(value))
         coeffs = sample_coefficients(local, grid)
-        check_hypothesis_h(local, grid, coeffs)
+        check_hypothesis_h(coeffs)
 
         # (u*, v*) does not depend on d3, and w* not on the switching rates.
         if pair is None or parameter != "d3":

@@ -40,19 +40,19 @@ runs:
   sup-norms are the values rhs_residual gives for each run alone.  The
   Laplacian for the checks is the grid's, assembled once per grid.
 
-Each run keeps its own convergence test, trajectory samples, t_max stop,
-converged flag, residual and step count.  Time is counted in steps: after
-k steps at dt from t0 a run is at t0 + k*dt, and it reaches t_max after
-the number of steps that spans t_max - t0, so rounding in a running sum
-neither shifts a sample nor adds a step.  A run that converges, reaches
-t_max or fails leaves the block, and the runs that remain get a new
+The runs of a block share one clock: start time, step count, t_max step
+and next sample time.  Time is counted in steps: after k steps at dt from
+t0 the block is at t0 + k*dt, and it reaches t_max after the number of
+steps that spans t_max - t0, so rounding in a running sum neither shifts
+a sample nor adds a step.  Each run keeps its own convergence test,
+trajectory samples, converged flag, residual and step count.  A run that
+converges or fails leaves the block, and the runs that remain get a new
 stepper, whose ``pttrf`` factors are the old ones bit for bit: the same
 call on the same inputs.  A run whose explicit stage overshoots leaves
-the block at its last state and continues alone at dt/2 with its clock
-re-based there, up to MAX_DT_HALVINGS times.  The runs of a block step
-in lockstep, and the loop looks at a run only at the steps where it
-takes a sample, checks its residual or reaches t_max, or when its step
-fails.
+the block at its last state and continues alone at dt/2 on a clock of
+its own, re-based there, up to MAX_DT_HALVINGS times.  The loop looks at
+the runs only at the steps where they take a sample, check their
+residuals or reach t_max, or when a step fails.
 
 ``newton_steady`` finds the logistic and the switching-pair steady states
 by pseudo-transient Newton on the banded layout of the eigensolver, and
@@ -295,7 +295,6 @@ class _Run:
     coeffs: Coefficients
     state: State
     log: TrajectoryLog
-    next_sample: float
     converged: bool
     steps: int = 0
     halvings: int = 0
@@ -320,9 +319,12 @@ def _next_event(next_sample: float, t0: float, steps0: int, k: int, k_max: int,
     return event
 
 
-def _step_block(kind: SystemKind, grid: Grid, runs: list[_Run], opts: SolverOptions) -> None:
+def _step_block(kind: SystemKind, grid: Grid, runs: list[_Run], opts: SolverOptions,
+                next_sample: float) -> None:
     """Step the runs together at opts.dt until each has converged, reached t_max or failed.
 
+    The runs share one clock: one start time and step count, one t_max
+    step, and samples at next_sample and every opts.sample_every after it.
     A run whose explicit stage overshoots leaves the block at its last
     state and continues alone at dt/2, up to MAX_DT_HALVINGS times.
     """
@@ -330,14 +332,12 @@ def _step_block(kind: SystemKind, grid: Grid, runs: list[_Run], opts: SolverOpti
     stepper = ImexStepper(kind, [r.params for r in runs], grid, dt)
     block = np.stack([r.state.components for r in runs], axis=1)
     live = list(range(len(runs)))  # run number at each block position
-    # The live runs step in lockstep: after k block steps at this dt a run's time is
-    # t0 + k*dt and it has taken steps0 + k steps (a block starts from 0 steps, a halved
-    # run, which steps alone, from its own); event_at holds each run's next event.
-    t0 = [r.state.t for r in runs]
-    steps0 = runs[0].steps
-    k_max = [_steps_to(opts.t_max, t, dt) for t in t0]
-    event_at = [_next_event(runs[i].next_sample, t0[i], steps0, 0, k_max[i], dt) for i in live]
-    first_event = min(event_at)
+    # After k block steps at this dt the live runs are at t0 + k*dt and have taken
+    # steps0 + k steps (a block starts from 0 steps, a halved run, which steps alone,
+    # from its own); event is the next step at which they sample, check or stop.
+    t0, steps0 = runs[0].state.t, runs[0].steps
+    k_max = _steps_to(opts.t_max, t0, dt)
+    event = _next_event(next_sample, t0, steps0, 0, k_max, dt)
     k = 0
     rates = reaction_rhs(kind, stepper.params, stepper.coeffs, block)
     while live:
@@ -345,53 +345,46 @@ def _step_block(kind: SystemKind, grid: Grid, runs: list[_Run], opts: SolverOpti
         # The reaction of the new block serves its residual checks and the next stage.
         rates = reaction_rhs(kind, stepper.params, stepper.coeffs, new)
         k += 1
-        if k < first_event and not failed:
+        if k < event and not failed:
             block = new
             continue
-        residuals = None
-        stay = []
-        for pos, i in enumerate(live):
-            run = runs[i]
-            if pos in failed:
-                run.steps = steps0 + k - 1
-                run.state = State._trusted(t0[i] + (k - 1) * dt, block[:, pos].copy())
-                exc = failed[pos]
-                if isinstance(exc, StepOvershootError) and run.halvings < MAX_DT_HALVINGS:
-                    run.halvings += 1
-                    _step_block(kind, grid, [run], replace(opts, dt=dt / 2.0))
-                else:
-                    run.error = exc
-                continue
-            if k < event_at[i]:
-                stay.append(pos)
-                continue
-            run.steps = steps0 + k
-            t = t0[i] + k * dt
-            comps = new[:, pos]
-            if t >= run.next_sample - 1e-12:
-                run.log.record(State._trusted(t, comps.copy()))
-                while run.next_sample <= t + 1e-12:
-                    run.next_sample += opts.sample_every
-            if run.steps % CHECK_EVERY == 0:
-                if residuals is None:
-                    residuals = stepper.residuals(new, rates)
-                run.converged = float(residuals[pos]) <= opts.tol
-            if run.converged or k >= k_max[i]:
-                run.state = State._trusted(t, comps.copy())
+        for pos, exc in failed.items():
+            run = runs[live[pos]]
+            run.steps = steps0 + k - 1
+            run.state = State._trusted(t0 + (k - 1) * dt, block[:, pos].copy())
+            if isinstance(exc, StepOvershootError) and run.halvings < MAX_DT_HALVINGS:
+                run.halvings += 1
+                _step_block(kind, grid, [run], replace(opts, dt=dt / 2.0), next_sample)
             else:
-                stay.append(pos)
-                event_at[i] = _next_event(run.next_sample, t0[i], steps0, k, k_max[i], dt)
+                run.error = exc
+        stay = [pos for pos in range(len(live)) if pos not in failed]
+        if k >= event and stay:
+            t = t0 + k * dt
+            sample = t >= next_sample - 1e-12
+            while next_sample <= t + 1e-12:
+                next_sample += opts.sample_every
+            residuals = stepper.residuals(new, rates) if (steps0 + k) % CHECK_EVERY == 0 else None
+            for pos in list(stay):
+                run = runs[live[pos]]
+                comps = new[:, pos]
+                if sample:
+                    run.log.record(State._trusted(t, comps.copy()))
+                if residuals is not None:
+                    run.converged = float(residuals[pos]) <= opts.tol
+                if run.converged or k >= k_max:
+                    run.steps, run.state = steps0 + k, State._trusted(t, comps.copy())
+                    stay.remove(pos)
+            event = _next_event(next_sample, t0, steps0, k, k_max, dt)
         if len(stay) < len(live):
             live = [live[pos] for pos in stay]
             if live:
                 stepper = ImexStepper(kind, [runs[i].params for i in live], grid, dt)
             new = np.take(new, stay, axis=1)
             rates = np.take(rates, stay, axis=1)
-        if live:
-            first_event = min(event_at[i] for i in live)
         block = new
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the stage check files a non-finite state
 def integrate_runs(
     kind: SystemKind,
     params: Sequence[ModelParams],
@@ -403,11 +396,12 @@ def integrate_runs(
     right-hand side is below opts.tol or opts.t_max is reached.
 
     The runs may differ in diffusion rates, coefficient fields and
-    initial state; they share b, c and the solver options.  Returns, per
-    run, its result or the error that ended it: a step overshoot after
-    MAX_DT_HALVINGS halvings, a non-finite or negative state, or a pair
-    steady state outside its contracting box.  Non-convergence by t_max
-    is reported through the converged flag, not an error.
+    initial state; they share b, c, the solver options and one clock, so
+    their initial states must share t.  Returns, per run, its result or
+    the error that ended it: a step overshoot after MAX_DT_HALVINGS
+    halvings, a non-finite or negative state, or a pair steady state
+    outside its contracting box.  Non-convergence by t_max is reported
+    through the converged flag, not an error.
     """
     if len(params) != len(initials):
         raise ValueError("need one params per initial state")
@@ -415,16 +409,18 @@ def integrate_runs(
     for initial in initials:
         if initial.components.shape != expected:
             raise ValueError(f"initial state shape {initial.components.shape} != {expected}")
+    if len({initial.t for initial in initials}) > 1:
+        raise ValueError("the runs share one clock, so their initial states need one t")
     runs = []
     for p, initial in zip(params, initials):
         c = sample_coefficients(p, grid)
         log = TrajectoryLog(grid=grid, fields=[] if opts.store_fields else None)
         log.record(initial)
         residual = rhs_residual(kind, p, c, initial.components)
-        runs.append(_Run(p, c, initial, log, initial.t + opts.sample_every, residual <= opts.tol))
-    stepping = [r for r in runs if not r.converged and _steps_to(opts.t_max, r.state.t, opts.dt)]
-    if stepping:
-        _step_block(kind, grid, stepping, opts)
+        runs.append(_Run(p, c, initial, log, residual <= opts.tol))
+    stepping = [r for r in runs if not r.converged]
+    if stepping and _steps_to(opts.t_max, stepping[0].state.t, opts.dt):
+        _step_block(kind, grid, stepping, opts, stepping[0].state.t + opts.sample_every)
 
     results: list[Union[SteadyResult, Exception]] = []
     for run in runs:
@@ -437,7 +433,7 @@ def integrate_runs(
         run.log.record(run.state)
         if converged:
             try:
-                _check_contracting_box(kind, run.params, grid, run.coeffs, comps)
+                _check_contracting_box(kind, run.coeffs, comps)
             except ConvergenceError as exc:
                 results.append(exc)
                 continue
@@ -459,10 +455,9 @@ def integrate_to_steady(
     return result
 
 
-def _check_contracting_box(kind: SystemKind, params: ModelParams, grid: Grid,
-                           coeffs: Coefficients, comps: np.ndarray) -> None:
+def _check_contracting_box(kind: SystemKind, coeffs: Coefficients, comps: np.ndarray) -> None:
     """Under hypothesis H a pair steady state lies in [0, max beta] x [0, max alpha]."""
-    if kind is SystemKind.SUBMODEL and hypothesis_h_holds(params, grid, coeffs):
+    if kind is SystemKind.SUBMODEL and hypothesis_h_holds(coeffs):
         beta_hi, alpha_hi = float(np.max(coeffs.beta)), float(np.max(coeffs.alpha))
         slack = 1e-8 * max(1.0, beta_hi, alpha_hi)
         if np.max(comps[0]) > beta_hi + slack or np.max(comps[1]) > alpha_hi + slack:
@@ -523,7 +518,7 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
     converged = (stopped and residual <= max(STEADY_TOL, rounding)
                  and float(np.min(x)) >= -NEGATIVITY_TOLERANCE)
     if converged:
-        _check_contracting_box(kind, params, grid, coeffs, state.components)
+        _check_contracting_box(kind, coeffs, state.components)
     log = TrajectoryLog(grid=grid)
     log.record(state)
     return SteadyResult(state, residual, converged, steps, log)

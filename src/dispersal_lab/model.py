@@ -294,21 +294,19 @@ def classify_regime(params: ModelParams, grid: Grid) -> RegimeReport:
     )
 
 
-def hypothesis_h_holds(params: ModelParams, grid: Grid, coeffs: Optional[Coefficients] = None) -> bool:
-    """Non-constant m, nonnegative mean growth, and max m below alpha+beta."""
-    if coeffs is None:
-        coeffs = sample_coefficients(params, grid)
+def hypothesis_h_holds(coeffs: Coefficients) -> bool:
+    """Non-constant m, nonnegative mean growth, and max m below alpha+beta, on coeffs' grid."""
     m_hi, m_lo = float(np.max(coeffs.m)), float(np.min(coeffs.m))
     if m_hi - m_lo <= 1e-12 * max(1.0, abs(m_hi)):
         return False
-    if integrate(grid, coeffs.m) < -1e-12:
+    if integrate(coeffs.grid, coeffs.m) < -1e-12:
         return False
     switching_floor = float(np.min(coeffs.alpha + coeffs.beta))
     return 0.0 < m_hi < switching_floor
 
 
-def check_hypothesis_h(params: ModelParams, grid: Grid, coeffs: Optional[Coefficients] = None) -> None:
-    if not hypothesis_h_holds(params, grid, coeffs):
+def check_hypothesis_h(coeffs: Coefficients) -> None:
+    if not hypothesis_h_holds(coeffs):
         raise HypothesisError(
             "growth hypothesis fails: need m non-constant, nonnegative mean, "
             "and 0 < max m < alpha + beta"

@@ -374,11 +374,6 @@ def assemble_dense(problem: EigenProblem) -> np.ndarray:
     return assemble_banded(problem.grid.laplacian, problem.diffusions, problem.coupling).to_dense()
 
 
-def component_weights(grid: Grid, n_components: int) -> np.ndarray:
-    """Quadrature weights repeated per component in interleaved layout."""
-    return np.repeat(grid.quadrature_weights, n_components)
-
-
 @dataclass(frozen=True)
 class EigenResult:
     """Principal eigenvalue with its positive eigenfunction(s).
@@ -398,103 +393,90 @@ class EigenResult:
 def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = None) -> EigenResult:
     """Rightmost eigenpair via inverse iteration on the shifted resolvent.
 
-    The shift stays above the principal eigenvalue (Collatz-Wielandt
-    upper bound initially, eigenvalue estimate plus a residual margin
-    afterwards), so every iterate is an inverse M-matrix image of a
+    Iteration 0 reads the start vector, ones; every later iteration first
+    takes one solve of the shifted resolvent.  The shift stays above the
+    principal eigenvalue (the Collatz-Wielandt upper bound after
+    iteration 0, the eigenvalue estimate plus a residual margin after
+    each solve), so every iterate is an inverse M-matrix image of a
     positive vector and stays positive.  Stops when the eigenpair
-    residual reaches the rounding floor of the operator norm and the
-    eigenvalue estimate has stabilized to EIGEN_TOL.
+    residual reaches the rounding floor of the operator norm and, after
+    a solve, the eigenvalue estimate has stabilized to EIGEN_TOL.
 
     Sign mode: sign_from is a positive start vector in the interleaved
     layout, say the iterate of a neighbouring problem, in place of ones.
     The iteration then also stops as soon as the Collatz-Wielandt
     enclosure [min (Av)_i/v_i, max (Av)_i/v_i] of an iterate v, which
     holds the principal eigenvalue, clears 0 by more than the rounding
-    bound of A v (see _certified_sign); certified_sign is then that sign,
-    and lam only the estimate at v.  Where no iterate certifies a sign,
+    bound of A v; certified_sign is then that sign, and lam only the
+    estimate at v.  The enclosure is read in one place, where the first
+    shift and the sign test use it.  Where no iterate certifies a sign,
     certified_sign is 0: the iteration then ends where the cold one
     would stop or raise, and sign mode never raises ConvergenceError.
     """
     A = assemble_banded(problem.grid.laplacian, problem.diffusions, problem.coupling)
     K = problem.n_components
-    w_big = component_weights(problem.grid, K)
+    w_big = np.repeat(problem.grid.quadrature_weights, K)  # in the interleaved layout
     if not np.isfinite(A.ab).all():
         raise ValueError("array must not contain infs or NaNs")
     anorm = A.inf_norm()
     resid_floor = max(EIGEN_TOL, 40.0 * np.finfo(float).eps * anorm)
+    # A computed (Av)_i, a sum of 2K+1 band products, is off by at most about
+    # (2K+1)*eps*||A||_inf*max v, and a computed ratio by that over v_i: a sign
+    # needs the enclosure to clear 0 by eight times that bound.
     sign_slack = SIGN_ROUNDING * (2 * K + 1) * anorm
 
     v = np.ones(A.size) if sign_from is None else np.asarray(sign_from, dtype=float)
-    y = A.matvec(v)
-    ratio = y if sign_from is None else y / v
-    up = float(np.max(ratio))  # Collatz-Wielandt upper bound at v
-    lo = float(np.min(ratio))
-    lam = float((w_big @ (v * y)) / (w_big @ (v * v)))
-    residual = float(np.max(np.abs(y - lam * v)))
-    if sign_from is not None and (sign := _certified_sign(y, v, sign_slack)):
-        return _finish(problem, v, lam, residual, 0, sign)
-    if residual <= resid_floor:
-        return _finish(problem, v, lam, residual, 0)
-
-    sigma = up + max(0.25 * (up - lo), 1e-3 * (1.0 + abs(up)))
-    backoff = max(up - lo, 1e-6 * (1.0 + abs(up)))
     failures = 0
     lam_prev = np.inf
-    for it in range(1, EIGEN_MAX_ITER + 1):
-        try:
-            x = A.solve_shifted(sigma, v)
-        except np.linalg.LinAlgError:
-            x_min = x_max = np.nan
-        else:
-            x_min, x_max = x.min(), x.max()  # NaN if x has a NaN
-            if x_max < 0:
-                np.negative(x, out=x)
-                x_min, x_max = -x_max, -x_min
-        if not (x_min > 0 and x_max < np.inf):
-            # Shift slipped at or below the principal eigenvalue; back away.
-            failures += 1
-            if failures > 25:
-                failure = f"inverse iteration could not find a stable shift after {it} steps"
-                break
-            sigma = lam + backoff
-            backoff *= 4.0
-            continue
-        x /= x_max
-        v = x
+    for it in range(EIGEN_MAX_ITER + 1):
+        if it:
+            try:
+                x = A.solve_shifted(sigma, v)
+            except np.linalg.LinAlgError:
+                x_min = x_max = np.nan
+            else:
+                x_min, x_max = x.min(), x.max()  # NaN if x has a NaN
+                if x_max < 0:
+                    np.negative(x, out=x)
+                    x_min, x_max = -x_max, -x_min
+            if not (x_min > 0 and x_max < np.inf):
+                # Shift slipped at or below the principal eigenvalue; back away.
+                failures += 1
+                if failures > 25:
+                    failure = f"inverse iteration could not find a stable shift after {it} steps"
+                    break
+                sigma = lam + backoff
+                backoff *= 4.0
+                continue
+            x /= x_max
+            v = x
         y = A.matvec(v)
         lam = float((w_big @ (v * y)) / (w_big @ (v * v)))
         residual = float(np.abs(y - lam * v).max())
-        if sign_from is not None and (sign := _certified_sign(y, v, sign_slack)):
-            return _finish(problem, v, lam, residual, it, sign)
-        if residual <= resid_floor and abs(lam - lam_prev) <= EIGEN_TOL * (1.0 + abs(lam)):
+        if it == 0 or sign_from is not None:
+            ratio = y / v
+            lo, up = float(ratio.min()), float(ratio.max())  # the enclosure at v
+        if sign_from is not None:
+            margin = sign_slack * float(v.max()) / float(v.min())
+            sign = 1 if lo > margin else -1 if up < -margin else 0
+            if sign:
+                return _finish(problem, v, lam, residual, it, sign)
+        if residual <= resid_floor and (
+                it == 0 or abs(lam - lam_prev) <= EIGEN_TOL * (1.0 + abs(lam))):
             return _finish(problem, v, lam, residual, it)
-        lam_prev = lam
-        backoff = max(10.0 * residual, 1e-12 * (1.0 + abs(lam)))
-        sigma = lam + max(3.0 * residual, 1e-12 * (1.0 + abs(lam)))
+        if it == 0:
+            sigma = up + max(0.25 * (up - lo), 1e-3 * (1.0 + abs(up)))
+            backoff = max(up - lo, 1e-6 * (1.0 + abs(up)))
+        else:
+            lam_prev = lam
+            backoff = max(10.0 * residual, 1e-12 * (1.0 + abs(lam)))
+            sigma = lam + max(3.0 * residual, 1e-12 * (1.0 + abs(lam)))
     else:
         failure = (f"principal eigenvalue iteration did not converge in {EIGEN_MAX_ITER} steps "
                    f"(last residual {residual:.3e}, floor {resid_floor:.3e})")
     if sign_from is not None:  # no sign certified; the caller solves from ones
         return _finish(problem, v, lam, residual, it)
     raise ConvergenceError(failure)
-
-
-def _certified_sign(y: np.ndarray, v: np.ndarray, slack: float) -> int:
-    """The sign of the principal eigenvalue certified at a positive v, y = A v, or 0.
-
-    By Collatz and Wielandt the eigenvalue lies in [min y_i/v_i, max y_i/v_i].
-    A computed y_i, a sum of 2K+1 band products, is off by at most about
-    (2K+1)*eps*||A||_inf*max v, and a computed ratio by that over v_i.  slack
-    is SIGN_ROUNDING*(2K+1)*||A||_inf, and the computed enclosure must clear
-    0 by slack*max v/min v, eight times that bound.
-    """
-    ratio = y / v
-    margin = slack * float(v.max()) / float(v.min())
-    if ratio.min() > margin:
-        return 1
-    if ratio.max() < -margin:
-        return -1
-    return 0
 
 
 def _finish(problem: EigenProblem, v: np.ndarray, lam: float, residual: float, it: int,

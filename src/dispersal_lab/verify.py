@@ -452,7 +452,7 @@ def check_competitive_uniqueness(ctx: VerifyContext) -> Iterator[Check]:
 
 
 def check_invasion_brackets(ctx: VerifyContext) -> Iterator[Check]:
-    check_hypothesis_h(ctx.params, ctx.grid)
+    check_hypothesis_h(sample_coefficients(ctx.params, ctx.grid))
     alpha = require_constant(ctx.params.alpha, "alpha")
     beta = require_constant(ctx.params.beta, "beta")
     g = ctx.eigen_grid
@@ -501,7 +501,7 @@ def check_invasion_brackets(ctx: VerifyContext) -> Iterator[Check]:
 
 
 def check_exclusion_dynamics(ctx: VerifyContext) -> Iterator[Check]:
-    check_hypothesis_h(ctx.params, ctx.grid)
+    check_hypothesis_h(sample_coefficients(ctx.params, ctx.grid))
     g = ctx.grid
     params = ctx.params
     sweep = an.sweep_outcomes(params, g, "d3", [0.05, 0.08, 0.6, 1.5],

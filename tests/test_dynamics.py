@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +168,7 @@ def test_newton_steady_matches_imex_reference(mean, amplitude, frequency, alpha,
                          beta=CoefficientSpec.constant(beta),
                          m=CoefficientSpec.cosine(mean, amplitude, frequency))
     coeffs = sample_coefficients(params, grid)
-    assume(hypothesis_h_holds(params, grid, coeffs))
+    assume(hypothesis_h_holds(coeffs))
     for kind, start, box in (
         (SystemKind.LOGISTIC, [0.5 * np.max(coeffs.m)], [np.max(coeffs.m)]),
         (SystemKind.SUBMODEL, [0.25 * beta, 0.25 * alpha], [beta, alpha]),
@@ -527,16 +528,16 @@ def assert_same_run(result, expected):
 
 @st.composite
 def block_runs(draw, kind):
-    """P runs of one kind with their own fields, rates, states (with exact zeros) and start times.
+    """P runs of one kind with their own fields, rates and states (with exact zeros).
 
-    The runs share one dt, tol, t_max and sample_every; their own fields
-    and states make them converge, and so leave the block, at different
-    steps.  Half the draws are on the step grid, as every shipped config
-    is: t = 0, dt = 0.05, sample_every a multiple of dt and t_max on the
-    grid.  The other half start at their own nonzero t, with sample_every
-    no multiple of dt and t_max off every run's grid, so samples and the
-    last step fall between grid points; at the larger dt some runs
-    overshoot and go on alone at dt/2.
+    The runs share one start time, dt, tol, t_max and sample_every; their
+    own fields and states make them converge, and so leave the block, at
+    different steps.  Half the draws are on the step grid, as every
+    shipped config is: t = 0, dt = 0.05, sample_every a multiple of dt and
+    t_max on the grid.  The other half start at one nonzero t, with
+    sample_every no multiple of dt and t_max off the runs' grid, so
+    samples and the last step fall between grid points; at the larger dt
+    some runs overshoot and go on alone at dt/2.
     """
     n_runs = draw(st.integers(1, 4))
     grid = build_grid(0, 1, 21)
@@ -544,12 +545,12 @@ def block_runs(draw, kind):
     b, c = draw(st.floats(0.5, 1.5)), draw(st.floats(0.5, 1.5))
     tol = draw(st.sampled_from([0.0, 1e-3, 1e-2, 5e-2]))
     if draw(st.booleans()):
-        start, jitter = 0.0, 0.0
+        start = 0.0
         opts = SolverOptions(dt=0.05, tol=tol, t_max=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
                              sample_every=0.25, store_fields=draw(st.booleans()))
     else:
         dt = draw(st.sampled_from([0.013, 0.05, 0.07, 0.6]))
-        start, jitter = draw(st.floats(0.1, 50.0)), 0.5
+        start = draw(st.floats(0.1, 50.0))
         opts = SolverOptions(dt=dt, tol=tol, t_max=start + dt * draw(st.floats(2.0, 80.0)),
                              sample_every=dt * (draw(st.integers(0, 6)) + draw(st.floats(0.1, 0.9))),
                              store_fields=draw(st.booleans()))
@@ -567,7 +568,7 @@ def block_runs(draw, kind):
         comps[rng.uniform(size=comps.shape) < 0.2] = 0.0
         if draw(st.booleans()):
             comps[rng.integers(kind.n_components)] = 0.0  # an extinct component
-        initials.append(State(t=start + rng.uniform(0.0, jitter), components=comps))
+        initials.append(State(t=start, components=comps))
     return params, grid, initials, opts
 
 
@@ -644,3 +645,21 @@ def test_nonfinite_stage_fails_its_run_only(grid):
     assert_same_run(results[2], expected)
     with pytest.raises(FloatingPointError, match="infs or NaNs"):
         integrate_to_steady(SystemKind.SUBMODEL, params, grid, starts[1], opts)
+
+
+def test_overflowing_run_is_a_numerical_failure_without_warnings(grid):
+    params = scenario_params()
+    start = constant_state(SystemKind.THREE_COMPONENT, grid, [1e308, 1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise here
+        with pytest.raises(FloatingPointError, match="infs or NaNs"):
+            integrate_to_steady(SystemKind.THREE_COMPONENT, params, grid, start,
+                                SolverOptions(dt=0.01, t_max=1.0))
+
+
+def test_runs_of_one_call_share_a_start_time(grid):
+    params = scenario_params()
+    start = constant_state(SystemKind.SUBMODEL, grid, [0.3, 0.2])
+    later = State(t=1.0, components=start.components)
+    with pytest.raises(ValueError, match="one clock"):
+        integrate_runs(SystemKind.SUBMODEL, [params] * 2, grid, [start, later], SolverOptions())

@@ -262,12 +262,13 @@ def test_trajectory_settles_inside_competitive_rectangle(grid):
 
 def test_hypothesis_h(grid):
     scenario = make_params(CoefficientSpec.cosine(0.4, 0.3, 1))
-    assert hypothesis_h_holds(scenario, grid)
-    assert not hypothesis_h_holds(make_params(CoefficientSpec.constant(0.5)), grid)
+    assert hypothesis_h_holds(sample_coefficients(scenario, grid))
+    constant = make_params(CoefficientSpec.constant(0.5))
+    assert not hypothesis_h_holds(sample_coefficients(constant, grid))
     big_m = make_params(CoefficientSpec.cosine(2.0, 0.5, 1))
-    assert not hypothesis_h_holds(big_m, grid)
+    assert not hypothesis_h_holds(sample_coefficients(big_m, grid))
     negative_mean = make_params(CoefficientSpec.cosine(-0.2, 0.5, 2))
-    assert not hypothesis_h_holds(negative_mean, grid)
+    assert not hypothesis_h_holds(sample_coefficients(negative_mean, grid))
 
 
 def test_require_constant():

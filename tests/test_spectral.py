@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from dispersal_lab.analysis import find_threshold
+from dispersal_lab.analysis import find_threshold, logistic_steady
 from dispersal_lab.cli import parse_config
 from dispersal_lab.mesh import assemble_neumann_laplacian, build_grid
+from dispersal_lab.model import sample_coefficients
 from dispersal_lab.spectral import (
     BISECT_MAX_ITER,
+    EIGEN_MAX_ITER,
+    EIGEN_TOL,
     RESIDUAL_TOL,
+    SIGN_ROUNDING,
     BandedOperator,
     ConvergenceError,
     CooperativityError,
@@ -21,7 +25,6 @@ from dispersal_lab.spectral import (
     assemble_banded,
     assemble_dense,
     bisect_curve,
-    component_weights,
     dense_rightmost,
     eigen_curve,
     find_mu_roots,
@@ -32,6 +35,7 @@ from dispersal_lab.spectral import (
     scalar_eigenvalue,
     scalar_problem,
     switching_problem,
+    _finish,
 )
 
 
@@ -91,7 +95,7 @@ def test_adjoint_biorthogonal_to_secondary_eigenvector(grid):
     eigvals, eigvecs = np.linalg.eig(dense)
     order = np.argsort(-eigvals.real)
     secondary = eigvecs[:, order[1]].real
-    w = component_weights(grid, 2)
+    w = np.repeat(grid.quadrature_weights, 2)
     psi = adj.eigenfunctions.T.reshape(-1)
     pairing = float(np.sum(w * psi * secondary))
     scale = np.linalg.norm(psi) * np.linalg.norm(secondary) / grid.n
@@ -470,3 +474,169 @@ def test_nonfinite_operator_is_rejected():
     e[4] = np.inf
     with pytest.raises(ValueError, match="infs or NaNs"):
         principal_eigen(scalar_problem(g, 0.3, e))
+
+
+def reference_principal_eigen(problem, sign_from=None):
+    """spectral.principal_eigen as it was with iteration 0 in a pass of its own
+    before the loop, and the sign test in reference_certified_sign."""
+    A = assemble_banded(problem.grid.laplacian, problem.diffusions, problem.coupling)
+    K = problem.n_components
+    w_big = np.repeat(problem.grid.quadrature_weights, K)
+    if not np.isfinite(A.ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    anorm = A.inf_norm()
+    resid_floor = max(EIGEN_TOL, 40.0 * np.finfo(float).eps * anorm)
+    sign_slack = SIGN_ROUNDING * (2 * K + 1) * anorm
+
+    v = np.ones(A.size) if sign_from is None else np.asarray(sign_from, dtype=float)
+    y = A.matvec(v)
+    ratio = y if sign_from is None else y / v
+    up = float(np.max(ratio))
+    lo = float(np.min(ratio))
+    lam = float((w_big @ (v * y)) / (w_big @ (v * v)))
+    residual = float(np.max(np.abs(y - lam * v)))
+    if sign_from is not None and (sign := reference_certified_sign(y, v, sign_slack)):
+        return _finish(problem, v, lam, residual, 0, sign)
+    if residual <= resid_floor:
+        return _finish(problem, v, lam, residual, 0)
+
+    sigma = up + max(0.25 * (up - lo), 1e-3 * (1.0 + abs(up)))
+    backoff = max(up - lo, 1e-6 * (1.0 + abs(up)))
+    failures = 0
+    lam_prev = np.inf
+    for it in range(1, EIGEN_MAX_ITER + 1):
+        try:
+            x = A.solve_shifted(sigma, v)
+        except np.linalg.LinAlgError:
+            x_min = x_max = np.nan
+        else:
+            x_min, x_max = x.min(), x.max()
+            if x_max < 0:
+                np.negative(x, out=x)
+                x_min, x_max = -x_max, -x_min
+        if not (x_min > 0 and x_max < np.inf):
+            failures += 1
+            if failures > 25:
+                failure = f"inverse iteration could not find a stable shift after {it} steps"
+                break
+            sigma = lam + backoff
+            backoff *= 4.0
+            continue
+        x /= x_max
+        v = x
+        y = A.matvec(v)
+        lam = float((w_big @ (v * y)) / (w_big @ (v * v)))
+        residual = float(np.abs(y - lam * v).max())
+        if sign_from is not None and (sign := reference_certified_sign(y, v, sign_slack)):
+            return _finish(problem, v, lam, residual, it, sign)
+        if residual <= resid_floor and abs(lam - lam_prev) <= EIGEN_TOL * (1.0 + abs(lam)):
+            return _finish(problem, v, lam, residual, it)
+        lam_prev = lam
+        backoff = max(10.0 * residual, 1e-12 * (1.0 + abs(lam)))
+        sigma = lam + max(3.0 * residual, 1e-12 * (1.0 + abs(lam)))
+    else:
+        failure = (f"principal eigenvalue iteration did not converge in {EIGEN_MAX_ITER} steps "
+                   f"(last residual {residual:.3e}, floor {resid_floor:.3e})")
+    if sign_from is not None:
+        return _finish(problem, v, lam, residual, it)
+    raise ConvergenceError(failure)
+
+
+def reference_certified_sign(y, v, slack):
+    ratio = y / v
+    margin = slack * float(v.max()) / float(v.min())
+    if ratio.min() > margin:
+        return 1
+    if ratio.max() < -margin:
+        return -1
+    return 0
+
+
+def eigen_outcome(solve, problem, start=None):
+    """Every bit of what a solve returns, or the type and text of the error it raises."""
+    try:
+        r = solve(problem, sign_from=start)
+    except ConvergenceError as exc:
+        return type(exc), str(exc)
+    return (np.float64(r.lam).tobytes(), r.eigenfunctions.shape, r.eigenfunctions.tobytes(),
+            np.float64(r.residual).tobytes(), r.iterations, r.certified_sign)
+
+
+@st.composite
+def cooperative_problems(draw):
+    """(problem, start): a random cooperative K = 1 or K = 2 problem, shifted so that its
+    eigenvalue is about delta where the draw asks for it, and None (a cold solve) or a
+    positive start vector (sign mode): a random one, or the eigenvector perturbed by a
+    relative 1e-16 to 1e-2, from which the iteration may stop at iteration 0 or 1."""
+    grid = build_grid(0, 1, draw(st.integers(3, 61)))
+    K = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    growth = draw(st.floats(-1.0, 1.0)) + draw(st.floats(0.0, 2.0)) * rng.uniform(-1.0, 1.0,
+                                                                                  grid.n)
+    rate = st.floats(-9.0, 1.0).map(lambda e: 10.0 ** e)
+    if K == 1:
+        d = draw(rate)
+        build = lambda shift: scalar_problem(grid, d, growth + shift)
+    else:
+        d1, d2 = draw(rate), draw(rate)
+        alpha = draw(rate) * rng.uniform(0.5, 1.5, grid.n)
+        beta = draw(rate) * rng.uniform(0.5, 1.5, grid.n)
+        build = lambda shift: switching_problem(grid, d1, d2, alpha, beta, growth + shift)
+    shift = 0.0
+    if draw(st.booleans()):  # near a sign change, where the sign mode works hardest
+        delta = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-16.0, 0.0))
+        shift = delta - principal_eigen(build(0.0)).lam
+    start = draw(st.sampled_from([None, "random", "eigenvector"]))
+    if start == "random":
+        start = np.exp(draw(st.floats(0.0, 20.0)) * rng.uniform(-1.0, 0.0, K * grid.n))
+    elif start == "eigenvector":
+        start = principal_eigen(build(0.0)).eigenfunctions.T.ravel() * (
+            1.0 + 10.0 ** draw(st.floats(-16.0, -2.0)) * rng.uniform(-1.0, 1.0, K * grid.n))
+    return build(shift), start
+
+
+def decoupled_chain():
+    """The sign-mode starts of a scan of a nearly decoupled pair: each point starts from
+    the previous point's iterate.  At mu = 7.2 no stable shift is found."""
+    grid = build_grid(0, 1, 41)
+    family = lambda mu: switching_problem(
+        grid, 0.001, 7.867179555581274, np.full(grid.n, 2.727255329474793),
+        np.full(grid.n, 1.7799412358762107e-08),
+        mu * (-0.010415587111531677 + 0.43572579910446607 * np.cos(3 * np.pi * grid.nodes)))
+    start, cases = np.ones(2 * grid.n), []
+    for mu in np.geomspace(1e-2, 1e2, 8):
+        cases.append((family(mu), start))
+        start = principal_eigen(family(mu), sign_from=start).eigenfunctions.T.ravel()
+    return cases
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cooperative_problems())
+def test_principal_eigen_matches_the_reference_bit_for_bit(case):
+    assert eigen_outcome(principal_eigen, *case) == eigen_outcome(reference_principal_eigen, *case)
+
+
+def test_principal_eigen_matches_the_reference_where_it_stalls_or_slips():
+    # At mu = 7.2 the sign mode slips its shift 26 times, so it ends uncertified before
+    # EIGEN_MAX_ITER with its residual far above the floor.
+    slipped = [eigen_outcome(reference_principal_eigen, *case) for case in decoupled_chain()]
+    assert any(o[5] == 0 and o[4] < EIGEN_MAX_ITER and np.frombuffer(o[3])[0] > 1e-8
+               for o in slipped)
+    assert [eigen_outcome(principal_eigen, *case) for case in decoupled_chain()] == slipped
+    # beta_c's lower bracket end on configs/threshold_dc.json at n = 801, whose residual
+    # stays above its floor for all EIGEN_MAX_ITER iterations.
+    path = Path(__file__).resolve().parents[1] / "configs" / "threshold_dc.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["grid"]["n"] = 801
+    config = parse_config(data)
+    grid, p = config.grid, config.params
+    coeffs = sample_coefficients(p, grid)
+    (w_star,) = logistic_steady(p, grid, coeffs).state.components
+    problem = switching_problem(grid, p.d1, p.d2, coeffs.alpha, np.full(grid.n, 2e-4),
+                                coeffs.m - w_star)
+    stalled = eigen_outcome(reference_principal_eigen, problem)
+    assert stalled[1].startswith(f"principal eigenvalue iteration did not converge in "
+                                 f"{EIGEN_MAX_ITER} steps")
+    assert eigen_outcome(principal_eigen, problem) == stalled
+    signed = eigen_outcome(reference_principal_eigen, problem, np.ones(2 * grid.n))
+    assert eigen_outcome(principal_eigen, problem, np.ones(2 * grid.n)) == signed

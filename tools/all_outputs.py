@@ -28,8 +28,7 @@ is a separate ``python -m dispersal_lab`` process on the ``src/`` tree
 next to this script, and gets one directory under OUT holding its
 output files in ``files/`` and its ``stdout``, ``stderr`` and ``exit``
 code.  Run the script from two checkouts and compare them with
-``diff -r OUT_A OUT_B``; no file records a path, a time or a version
-(``stderr`` writes the checkout's directory as ``<checkout>``).
+``diff -r OUT_A OUT_B``; no file records a path, a time or a version.
 """
 
 from __future__ import annotations
@@ -134,8 +133,7 @@ def run_one(out: Path, name: str, task: str, config: Path) -> str:
     proc = subprocess.run([sys.executable, "-m", "dispersal_lab", task, "--config", str(config),
                            "--out", "files"], cwd=run_dir, env=env, capture_output=True)
     (run_dir / "stdout").write_bytes(proc.stdout)
-    # numpy's warnings name the source file, so stderr names the checkout <checkout>.
-    (run_dir / "stderr").write_bytes(proc.stderr.replace(os.fsencode(ROOT), b"<checkout>"))
+    (run_dir / "stderr").write_bytes(proc.stderr)
     (run_dir / "exit").write_text(f"{proc.returncode}\n", encoding="utf-8")
     return f"{name}: exit {proc.returncode}"
 
