@@ -188,10 +188,10 @@ class ThresholdCurve:
     curve, bracket and family are set when the bracket is a verified sign
     bracket whose one root spectral.bisect_curve refines (d_c, beta_c,
     alpha_c).  family maps the varied value to its eigenproblem, and curve
-    is its memoized principal eigenvalue (spectral.eigen_curve), so a
-    plot of the curve does not solve the bracket endpoints again.  The
-    other thresholds scan a lattice (spectral.scan_roots) and keep only
-    their roots.
+    is its memoized principal eigenvalue (spectral.eigen_curve), whose
+    memo curve.values holds every point the root-find solved: the bracket
+    ends, alpha_c's doublings and Brent's iterates.  The other thresholds
+    scan a lattice (spectral.scan_roots) and keep only their roots.
     """
 
     roots: list[ThresholdResult]

@@ -155,9 +155,13 @@ def _task_eigen(config: ScenarioConfig, out: Path) -> RunArtifacts:
     )
     fun_path, svg = _write_fields(out, "eigenfunctions", config.grid, result.eigenfunctions,
                                   "Principal eigenfunction", "amplitude")
-    report = _write_report(out / "report.txt", [
-        "task: eigen", f"principal eigenvalue: {_fmt(result.lam)}",
-        f"residual: {_fmt(result.residual)}", f"iterations: {result.iterations}", "status: OK"])
+    lines = ["task: eigen", f"principal eigenvalue: {_fmt(result.lam)}",
+             f"residual: {_fmt(result.residual)}", f"iterations: {result.iterations}"]
+    if result.enclosure is not None:
+        lo, up = result.enclosure
+        lines.append(f"stalled above the residual floor; eigenvalue enclosure: "
+                     f"[{_fmt(lo)}, {_fmt(up)}]")
+    report = _write_report(out / "report.txt", lines + ["status: OK"])
     return RunArtifacts([csv_path, fun_path], [svg], report, EXIT_OK)
 
 
@@ -209,10 +213,10 @@ def _task_threshold(config: ScenarioConfig, out: Path) -> RunArtifacts:
         [[r.name, r.bracket[0], r.bracket[1], r.root, r.residual] for r in results],
     )
     svgs = []
-    if threshold.bracket is not None:
-        lattice = np.linspace(*threshold.bracket, 17)
+    if threshold.curve is not None:  # through the points the root-find solved, in order
+        xs = sorted(threshold.curve.values)
         svgs.append(svgplot.line_plot(
-            out / "threshold_curve.svg", lattice, [[threshold.curve(x) for x in lattice]],
+            out / "threshold_curve.svg", xs, [[threshold.curve.values[x] for x in xs]],
             ["principal eigenvalue"], title=f"Eigenvalue curve near {name}",
             xlabel=name.split("_")[0], ylabel="lambda"))
     report = _write_report(

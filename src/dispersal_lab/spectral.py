@@ -46,6 +46,7 @@ from .model import HypothesisError
 
 EIGEN_TOL = 1e-10  # eigenvalue stabilization, and the least residual floor
 EIGEN_MAX_ITER = 200
+EIGEN_STALL_ITER = 64  # solves just above the residual floor, up to the cap, for a stalled stop
 ADJOINT_MATCH_TOL = 1e-8  # relative primal/adjoint eigenvalue agreement
 RESIDUAL_TOL = 1e-9  # |curve| at which bisect_curve accepts a root
 BISECT_MAX_ITER = 200  # curve evaluations bisect_curve may make
@@ -388,6 +389,9 @@ class EigenResult:
     residual: float
     iterations: int
     certified_sign: int = 0  # sign mode only: the certified sign of the eigenvalue, or 0
+    # Cold mode only: where the iteration stalled above its residual floor and stopped,
+    # the rigorous Collatz-Wielandt enclosure (lo, up) that holds lam; otherwise None.
+    enclosure: Optional[tuple[float, float]] = None
 
 
 def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = None) -> EigenResult:
@@ -412,6 +416,18 @@ def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = Non
     shift and the sign test use it.  Where no iterate certifies a sign,
     certified_sign is 0: the iteration then ends where the cold one
     would stop or raise, and sign mode never raises ConvergenceError.
+
+    Stalled stop, cold mode only: at large ||A|| the residual can stay
+    just above its floor while lam no longer moves, and a solve that
+    converges may only be one whose residual dipped under the floor by
+    chance, at any iteration up to the cap.  So the stop is at the cap:
+    if the last EIGEN_STALL_ITER solves before it all left a residual in
+    (floor, 4*floor], the enclosure at the iterate is read once with the
+    rounding of y = A v counted, [min (y_i - e_i)/v_i, max (y_i + e_i)/v_i]
+    with e_i = SIGN_ROUNDING*(2K+1)*(|A| v)_i.  It holds the principal
+    eigenvalue (Collatz 1942, Wielandt 1950).  If it also holds lam, the
+    iterate is returned with that enclosure in place of the
+    ConvergenceError, and every solve that converges is unchanged.
     """
     A = assemble_banded(problem.grid.laplacian, problem.diffusions, problem.coupling)
     K = problem.n_components
@@ -426,7 +442,7 @@ def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = Non
     sign_slack = SIGN_ROUNDING * (2 * K + 1) * anorm
 
     v = np.ones(A.size) if sign_from is None else np.asarray(sign_from, dtype=float)
-    failures = 0
+    failures = stalled = 0  # stalled: consecutive solves with a residual just above the floor
     lam_prev = np.inf
     for it in range(EIGEN_MAX_ITER + 1):
         if it:
@@ -442,6 +458,7 @@ def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = Non
             if not (x_min > 0 and x_max < np.inf):
                 # Shift slipped at or below the principal eigenvalue; back away.
                 failures += 1
+                stalled = 0
                 if failures > 25:
                     failure = f"inverse iteration could not find a stable shift after {it} steps"
                     break
@@ -464,6 +481,13 @@ def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = Non
         if residual <= resid_floor and (
                 it == 0 or abs(lam - lam_prev) <= EIGEN_TOL * (1.0 + abs(lam))):
             return _finish(problem, v, lam, residual, it)
+        if it and sign_from is None:
+            stalled = stalled + 1 if resid_floor < residual <= 4.0 * resid_floor else 0
+            if it == EIGEN_MAX_ITER and stalled >= EIGEN_STALL_ITER:
+                rounding = SIGN_ROUNDING * (2 * K + 1) * BandedOperator(np.abs(A.ab)).matvec(v)
+                lo, up = float(np.min((y - rounding) / v)), float(np.max((y + rounding) / v))
+                if lo <= lam <= up:
+                    return _finish(problem, v, lam, residual, it, enclosure=(lo, up))
         if it == 0:
             sigma = up + max(0.25 * (up - lo), 1e-3 * (1.0 + abs(up)))
             backoff = max(up - lo, 1e-6 * (1.0 + abs(up)))
@@ -480,13 +504,13 @@ def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = Non
 
 
 def _finish(problem: EigenProblem, v: np.ndarray, lam: float, residual: float, it: int,
-            sign: int = 0) -> EigenResult:
+            sign: int = 0, enclosure: Optional[tuple[float, float]] = None) -> EigenResult:
     K, n = problem.n_components, problem.grid.n
     fields = v.reshape(n, K).T.copy()
     if np.min(fields) <= 0:
         raise ConvergenceError("computed eigenfunction is not strictly positive")
     return EigenResult(lam=lam, eigenfunctions=fields, residual=residual, iterations=it,
-                       certified_sign=sign)
+                       certified_sign=sign, enclosure=enclosure)
 
 
 def adjoint_principal_eigen(problem: EigenProblem, primal: EigenResult) -> EigenResult:
@@ -523,8 +547,21 @@ def mu_family(
 
 
 def eigen_curve(family: Callable[[float], EigenProblem]) -> Callable[[float], float]:
-    """x -> the principal eigenvalue of family(x), memoized; family must be pure."""
-    return functools.cache(lambda x: principal_eigen(family(x)).lam)
+    """x -> the principal eigenvalue of family(x), memoized; family must be pure.
+
+    The memo is the curve's attribute values: every x evaluated so far,
+    with its eigenvalue, in the order of evaluation, so a caller can read
+    the points a root finder solved without solving any of them again.
+    """
+    values: dict[float, float] = {}
+
+    def curve(x: float) -> float:
+        if x not in values:
+            values[x] = principal_eigen(family(x)).lam
+        return values[x]
+
+    curve.values = values
+    return curve
 
 
 def lambda_prime_at_zero(

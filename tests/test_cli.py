@@ -116,6 +116,69 @@ def test_threshold_task_solves_its_steady_state_once(tmp_path, monkeypatch, name
     assert len(calls) == 1
 
 
+def threshold_dc_task(tmp_path, monkeypatch, name):
+    """The threshold task of configs/threshold_dc.json for name: the curve that
+    analysis.threshold_curve built, and the principal_eigen calls made before it returned
+    and after."""
+    import dispersal_lab.analysis as analysis_mod
+    import dispersal_lab.spectral as spectral_mod
+
+    calls, built = [], []
+    solve, build = spectral_mod.principal_eigen, analysis_mod.threshold_curve
+
+    def counted_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    def counted_build(*args, **kwargs):
+        built.append((build(*args, **kwargs), len(calls)))
+        return built[-1][0]
+
+    monkeypatch.setattr(spectral_mod, "principal_eigen", counted_solve)
+    monkeypatch.setattr(analysis_mod, "threshold_curve", counted_build)
+    data = json.loads((CONFIGS / "threshold_dc.json").read_text(encoding="utf-8"))
+    data["task"]["threshold_name"] = name
+    data["output"] = str(tmp_path / "out")
+    assert run_scenario(parse_config(data)).exit_status == EXIT_OK
+    ((threshold, before),) = built
+    return threshold, before, len(calls) - before
+
+
+def test_threshold_task_solves_no_eigenproblem_of_its_own(tmp_path, monkeypatch):
+    threshold, before, after = threshold_dc_task(tmp_path, monkeypatch, "d_c")
+    assert after == 0
+    assert before == len(threshold.curve.values) > 0
+
+
+@pytest.mark.parametrize("name", ["d_c", "beta_c", "alpha_c"])
+def test_threshold_plot_draws_each_evaluated_point_once(tmp_path, monkeypatch, name):
+    threshold, _, _ = threshold_dc_task(tmp_path, monkeypatch, name)
+    svg = (tmp_path / "out" / "threshold_curve.svg").read_text(encoding="utf-8")
+    (points,) = [line.split('points="')[1].split('"')[0] for line in svg.splitlines()
+                 if line.startswith("<polyline")]
+    assert len(points.split()) == len(threshold.curve.values)
+    lo, hi = threshold.bracket
+    assert min(threshold.curve.values) == lo and max(threshold.curve.values) == hi
+
+
+def test_eigen_task_reports_the_enclosure_of_a_stalled_solve(tmp_path):
+    # At n = 1601 this pair's residual stalls just above its floor.
+    data = base_config(tmp_path, grid={"a": 0.0, "b": 1.0, "n": 1601})
+    data["params"].update(
+        alpha={"kind": "cosine_profile", "mean": 1.0, "amplitude": 0.5, "frequency": 1},
+        beta={"kind": "constant", "value": 0.8},
+        m={"kind": "cosine_profile", "mean": 0.0, "amplitude": 1.0, "frequency": 2})
+    assert run_scenario(parse_config(data)).exit_status == EXIT_OK
+    lines = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8").splitlines()
+    (stalled,) = [line for line in lines if line.startswith("stalled")]
+    lo, up = (float(x) for x in stalled.split("[")[1].rstrip("]").split(", "))
+    lam = float(lines[1].split(": ")[1])
+    assert lo <= lam <= up and up - lo < 1e-6
+    data = base_config(tmp_path)
+    run_scenario(parse_config(data))
+    assert "stalled" not in (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+
+
 def test_parse_rejects_empty_sweep(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(base_config(tmp_path, task={"name": "sweep", "parameter": "d3", "values": []}))

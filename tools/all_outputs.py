@@ -23,7 +23,10 @@ stages overshoot so that the runs halve dt (once at step 191, then end
 at t_max with exit 3; and at steps 3 and 87, then converge after 140
 steps); and a ``three_component`` ``simulate`` run of it from the
 constant state (1e308, 1e308, 0) at dt = 0.01 to t_max = 1, whose first
-explicit stage is not finite (a numerical failure, exit 3).  Each run
+explicit stage is not finite (a numerical failure, exit 3); and an
+``eigen`` run of it at n = 1601 with alpha = 1 + 0.5 cos(pi x), beta = 0.8
+and m = cos(2 pi x), whose eigensolve stalls just above its residual
+floor and stops on a certified enclosure.  Each run
 is a separate ``python -m dispersal_lab`` process on the ``src/`` tree
 next to this script, and gets one directory under OUT holding its
 output files in ``files/`` and its ``stdout``, ``stderr`` and ``exit``
@@ -78,6 +81,12 @@ STEPPING_RUNS = {
                                                  "values": [1e308, 1e308, 0.0]}}),
 }
 
+# an eigen run of configs/reference.json on the switching pair with a variable alpha, at n = 1601
+STALLED_EIGEN = ("eigen_variable_1601", 1601, {
+    "alpha": {"kind": "cosine_profile", "mean": 1.0, "amplitude": 0.5, "frequency": 1},
+    "beta": {"kind": "constant", "value": 0.8},
+    "m": {"kind": "cosine_profile", "mean": 0.0, "amplitude": 1.0, "frequency": 2}})
+
 
 def runs(out: Path) -> list[tuple[str, str, Path]]:
     """(run name, task, config path) of every run, writing the generated configs under out."""
@@ -119,6 +128,13 @@ def runs(out: Path) -> list[tuple[str, str, Path]]:
         path = generated / f"{name}.json"
         path.write_text(json.dumps(config, indent=1), encoding="utf-8")
         plan.append((name, task, path))
+    name, n, changes = STALLED_EIGEN
+    config = copy.deepcopy(reference)
+    config["grid"]["n"] = n
+    config["params"].update(changes)
+    path = generated / f"{name}.json"
+    path.write_text(json.dumps(config, indent=1), encoding="utf-8")
+    plan.append((name, "eigen", path))
     return plan
 
 
