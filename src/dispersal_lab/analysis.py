@@ -185,26 +185,18 @@ def _check_section5_setting(params: ModelParams, coeffs: Coefficients, size_boun
 class ThresholdCurve:
     """A threshold's eigenvalue curve, built once, and every root of it in order.
 
-    curve, bracket and family are set when the bracket is a verified sign
-    bracket whose one root spectral.bisect_curve refines (d_c, beta_c,
-    alpha_c).  family maps the varied value to its eigenproblem, and curve
-    is its memoized principal eigenvalue (spectral.eigen_curve), whose
-    memo curve.values holds every point the root-find solved: the bracket
-    ends, alpha_c's doublings and Brent's iterates.  The other thresholds
-    scan a lattice (spectral.scan_roots) and keep only their roots.
+    curve is set when a verified sign bracket holds the one root, which
+    spectral.bisect_curve refines (d_c, beta_c, alpha_c); roots[0].bracket
+    is that bracket.  curve is the memoized principal eigenvalue of
+    curve.family, which maps the varied value to its eigenproblem
+    (spectral.eigen_curve), and its memo curve.values holds every point
+    the root-find solved: the bracket ends, alpha_c's doublings and
+    Brent's iterates.  The other thresholds scan a lattice
+    (spectral.scan_roots) and keep only their roots.
     """
 
     roots: list[ThresholdResult]
     curve: Optional[Callable[[float], float]] = None
-    bracket: Optional[tuple[float, float]] = None
-    family: Optional[Callable[[float], EigenProblem]] = None
-
-
-def _bracketed(name: str, family: Callable[[float], EigenProblem],
-               curve: Callable[[float], float], lo: float, hi: float,
-               f_lo: float, f_hi: float) -> ThresholdCurve:
-    return ThresholdCurve([bisect_curve(curve, lo, hi, f_lo, f_hi, name=name)], curve, (lo, hi),
-                          family)
 
 
 def _scanned(roots: list[ThresholdResult], error: type[Exception], message: str) -> ThresholdCurve:
@@ -222,14 +214,13 @@ def _d_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurv
     potential = coeffs.m - u - v
     if float(np.max(potential)) - float(np.min(potential)) <= 1e-6:
         raise HypothesisError("m - u* - v* is numerically constant; bracket theory void")
-    family = lambda d3: scalar_problem(grid, d3, potential)
-    curve = eigen_curve(family)
+    curve = eigen_curve(lambda d3: scalar_problem(grid, d3, potential))
     f_lo, f_hi = curve(lo), curve(hi)
     if not (f_lo > 0 > f_hi):
         raise HypothesisError(
             f"endpoint signs violate the d_c bracket: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
         )
-    return _bracketed("d_c", family, curve, lo, hi, f_lo, f_hi)
+    return ThresholdCurve([bisect_curve(curve, lo, hi, name="d_c")], curve)
 
 
 def _d_0(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
@@ -256,23 +247,21 @@ def _beta_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdC
     """Zero of lambda2(beta) on (1e-4 hi, hi), hi = (d2 - d3) / (d3 - d1) * alpha."""
     check_hypothesis_h(coeffs)
     alpha, _ = _check_section5_setting(params, coeffs, "alpha")
-    family = _rate_family(params, grid, coeffs, "beta")
-    curve = eigen_curve(family)
+    curve = eigen_curve(_rate_family(params, grid, coeffs, "beta"))
     hi = (params.d2 - params.d3) / (params.d3 - params.d1) * alpha
     lo = 1e-4 * hi
     f_lo, f_hi = curve(lo), curve(hi)
     if not (f_lo < 0 < f_hi):
         raise HypothesisError(f"endpoint signs violate the beta_c bracket: "
                               f"f({lo:.3e})={f_lo:.3e}, f({hi:.3e})={f_hi:.3e}")
-    return _bracketed("beta_c", family, curve, lo, hi, f_lo, f_hi)
+    return ThresholdCurve([bisect_curve(curve, lo, hi, name="beta_c")], curve)
 
 
 def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:
     """Zero of lambda2(alpha) above lo = (d3 - d1) / (d2 - d3) * beta; hi by doubling."""
     check_hypothesis_h(coeffs)
     _, beta = _check_section5_setting(params, coeffs, "beta")
-    family = _rate_family(params, grid, coeffs, "alpha")
-    curve = eigen_curve(family)
+    curve = eigen_curve(_rate_family(params, grid, coeffs, "alpha"))
     lo = (params.d3 - params.d1) / (params.d2 - params.d3) * beta
     f_lo = curve(lo)
     if f_lo <= 0:
@@ -285,7 +274,7 @@ def _alpha_c(params: ModelParams, grid: Grid, coeffs: Coefficients) -> Threshold
             break
     else:
         raise HypothesisError("lambda2(alpha) never became negative while doubling alpha")
-    return _bracketed("alpha_c", family, curve, lo, hi, f_lo, f_hi)
+    return ThresholdCurve([bisect_curve(curve, lo, hi, name="alpha_c")], curve)
 
 
 def _mu_star(params: ModelParams, grid: Grid, coeffs: Coefficients) -> ThresholdCurve:

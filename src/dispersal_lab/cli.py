@@ -159,7 +159,7 @@ def _task_eigen(config: ScenarioConfig, out: Path) -> RunArtifacts:
              f"residual: {_fmt(result.residual)}", f"iterations: {result.iterations}"]
     if result.enclosure is not None:
         lo, up = result.enclosure
-        lines.append(f"stalled above the residual floor; eigenvalue enclosure: "
+        lines.append(f"stalled at the iteration cap; eigenvalue enclosure: "
                      f"[{_fmt(lo)}, {_fmt(up)}]")
     report = _write_report(out / "report.txt", lines + ["status: OK"])
     return RunArtifacts([csv_path, fun_path], [svg], report, EXIT_OK)

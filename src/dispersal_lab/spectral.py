@@ -46,7 +46,7 @@ from .model import HypothesisError
 
 EIGEN_TOL = 1e-10  # eigenvalue stabilization, and the least residual floor
 EIGEN_MAX_ITER = 200
-EIGEN_STALL_ITER = 64  # solves just above the residual floor, up to the cap, for a stalled stop
+EIGEN_STALL_ITER = 64  # solves within 4x the residual floor, up to the cap, for a stalled stop
 ADJOINT_MATCH_TOL = 1e-8  # relative primal/adjoint eigenvalue agreement
 RESIDUAL_TOL = 1e-9  # |curve| at which bisect_curve accepts a root
 BISECT_MAX_ITER = 200  # curve evaluations bisect_curve may make
@@ -389,8 +389,8 @@ class EigenResult:
     residual: float
     iterations: int
     certified_sign: int = 0  # sign mode only: the certified sign of the eigenvalue, or 0
-    # Cold mode only: where the iteration stalled above its residual floor and stopped,
-    # the rigorous Collatz-Wielandt enclosure (lo, up) that holds lam; otherwise None.
+    # Cold mode only: where the iteration stalled and stopped at the cap, the rigorous
+    # Collatz-Wielandt enclosure (lo, up) that holds lam; otherwise None.
     enclosure: Optional[tuple[float, float]] = None
 
 
@@ -418,11 +418,13 @@ def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = Non
     would stop or raise, and sign mode never raises ConvergenceError.
 
     Stalled stop, cold mode only: at large ||A|| the residual can stay
-    just above its floor while lam no longer moves, and a solve that
-    converges may only be one whose residual dipped under the floor by
-    chance, at any iteration up to the cap.  So the stop is at the cap:
-    if the last EIGEN_STALL_ITER solves before it all left a residual in
-    (floor, 4*floor], the enclosure at the iterate is read once with the
+    just above its floor while lam no longer moves, or stay under it
+    while lam jitters by about eps*||A|| and never passes the EIGEN_TOL
+    test.  A solve that converges may only be one whose residual or lam
+    settled by chance, at any iteration up to the cap.  So the stop is at
+    the cap, once the convergence test has failed there too: if the last
+    EIGEN_STALL_ITER solves before it all left a residual of at most
+    4*floor, the enclosure at the iterate is read once with the
     rounding of y = A v counted, [min (y_i - e_i)/v_i, max (y_i + e_i)/v_i]
     with e_i = SIGN_ROUNDING*(2K+1)*(|A| v)_i.  It holds the principal
     eigenvalue (Collatz 1942, Wielandt 1950).  If it also holds lam, the
@@ -442,7 +444,7 @@ def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = Non
     sign_slack = SIGN_ROUNDING * (2 * K + 1) * anorm
 
     v = np.ones(A.size) if sign_from is None else np.asarray(sign_from, dtype=float)
-    failures = stalled = 0  # stalled: consecutive solves with a residual just above the floor
+    failures = stalled = 0  # stalled: consecutive solves with a residual of at most 4*floor
     lam_prev = np.inf
     for it in range(EIGEN_MAX_ITER + 1):
         if it:
@@ -482,7 +484,7 @@ def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = Non
                 it == 0 or abs(lam - lam_prev) <= EIGEN_TOL * (1.0 + abs(lam))):
             return _finish(problem, v, lam, residual, it)
         if it and sign_from is None:
-            stalled = stalled + 1 if resid_floor < residual <= 4.0 * resid_floor else 0
+            stalled = stalled + 1 if residual <= 4.0 * resid_floor else 0
             if it == EIGEN_MAX_ITER and stalled >= EIGEN_STALL_ITER:
                 rounding = SIGN_ROUNDING * (2 * K + 1) * BandedOperator(np.abs(A.ab)).matvec(v)
                 lo, up = float(np.min((y - rounding) / v)), float(np.max((y + rounding) / v))
@@ -549,9 +551,12 @@ def mu_family(
 def eigen_curve(family: Callable[[float], EigenProblem]) -> Callable[[float], float]:
     """x -> the principal eigenvalue of family(x), memoized; family must be pure.
 
-    The memo is the curve's attribute values: every x evaluated so far,
-    with its eigenvalue, in the order of evaluation, so a caller can read
-    the points a root finder solved without solving any of them again.
+    The memo is the curve's attribute values, the one store of its solved
+    points: every x evaluated so far, with its eigenvalue, in the order of
+    evaluation.  A caller that solved a point cold may write it there; a
+    root finder then reads it without solving it again, and a plot reads
+    every point without solving any.  The curve's attribute family is
+    the family it evaluates.
     """
     values: dict[float, float] = {}
 
@@ -560,7 +565,7 @@ def eigen_curve(family: Callable[[float], EigenProblem]) -> Callable[[float], fl
             values[x] = principal_eigen(family(x)).lam
         return values[x]
 
-    curve.values = values
+    curve.values, curve.family = values, family
     return curve
 
 
@@ -624,20 +629,16 @@ class ThresholdResult:
             raise ValueError(f"threshold residual {self.residual:.3e} exceeds 1e-8")
 
 
-def bisect_curve(
-    curve: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float,
-    f_hi: float,
-    name: str,
-) -> ThresholdResult:
+def bisect_curve(curve: Callable[[float], float], lo: float, hi: float,
+                 name: str) -> ThresholdResult:
     """The sign change of curve in (lo, hi), refined by Brent's method.
 
-    f_lo and f_hi are the curve at lo and hi, of opposite signs.  Each
-    step is Brent's (Algorithms for Minimization without Derivatives,
-    1973, ch. 4): an inverse quadratic or secant step on the shrinking
-    sign bracket, or halving when the interpolated point would leave the
+    The curve at lo and at hi must have opposite signs.  It reads them
+    first and does not count them among the evaluations; on an
+    eigen_curve whose memo holds them they are no eigensolves.  Each step
+    is Brent's (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): an inverse quadratic or secant step on the shrinking sign
+    bracket, or halving when the interpolated point would leave the
     bracket or not shrink it fast enough.  The first point with
     |curve| <= RESIDUAL_TOL is the root; it lies strictly inside (lo, hi).
     A curve that never gets there (a jump, say) raises ConvergenceError
@@ -650,6 +651,7 @@ def bisect_curve(
     threshold curves have simple roots, since the eigenvalue is strictly
     monotone in each of d, beta, alpha and mu.
     """
+    f_lo, f_hi = curve(lo), curve(hi)
     if f_lo == 0.0 or f_hi == 0.0 or f_lo * f_hi > 0:
         raise ValueError(f"endpoints do not bracket a sign change: f({lo})={f_lo}, f({hi})={f_hi}")
     # cur is the best point so far and blk the bracketing point on the other
@@ -706,14 +708,15 @@ def scan_roots(family: Callable[[float], EigenProblem], lattice: np.ndarray,
     the previous point's iterate (from ones at the first).  The cold
     principal_eigen gives the value wherever a value is used: at a point
     whose sign is not certified, and at both ends of each cell whose
-    signs differ, where bisect_curve refines the root on
-    eigen_curve(family) from those values.  An interior lattice point
-    whose value is exactly zero, between neighbours of opposite sign, is
-    a root as it stands; only a cold value is zero.  So the roots are
-    those of a scan that solves every point cold.
+    signs differ.  Each cold value goes into the memo of
+    eigen_curve(family), on which bisect_curve refines each cell's root.
+    An interior lattice point whose value is exactly zero, between
+    neighbours of opposite sign, is a root as it stands; only a cold
+    value is zero.  So the roots are those of a scan that solves every
+    point cold.
     """
+    curve = eigen_curve(family)
     signs: list[float] = []
-    values: dict[int, float] = {}  # cold eigenvalues, by lattice index
     start = previous = None
     for i, x in enumerate(lattice):
         problem = family(x)
@@ -722,21 +725,19 @@ def scan_roots(family: Callable[[float], EigenProblem], lattice: np.ndarray,
         result = principal_eigen(problem, sign_from=start)
         if not result.certified_sign:
             result = principal_eigen(problem)
-            values[i] = result.lam
+            curve.values[x] = result.lam
         signs.append(result.certified_sign or np.sign(result.lam))
         if i and signs[i - 1] * signs[i] < 0:
-            for j, p in ((i - 1, previous), (i, problem)):
-                if j not in values:
-                    values[j] = principal_eigen(p).lam
+            for y, p in ((lattice[i - 1], previous), (x, problem)):
+                if y not in curve.values:
+                    curve.values[y] = principal_eigen(p).lam
         start, previous = result.eigenfunctions.T.ravel(), problem
-    if not np.isfinite(list(values.values())).all():
+    if not np.isfinite(list(curve.values.values())).all():
         raise ValueError("non-finite eigenvalue on the scan lattice")
-    curve = eigen_curve(family)
     roots: list[ThresholdResult] = []
     for i in range(len(lattice) - 1):
         if signs[i] * signs[i + 1] < 0:
-            roots.append(bisect_curve(curve, lattice[i], lattice[i + 1], values[i], values[i + 1],
-                                      name=name))
+            roots.append(bisect_curve(curve, lattice[i], lattice[i + 1], name=name))
         elif signs[i + 1] == 0 and i + 2 < len(lattice) and signs[i] * signs[i + 2] < 0:
             roots.append(ThresholdResult(name, (lattice[i], lattice[i + 2]), lattice[i + 1], 0.0,
                                          int(signs[i]), int(signs[i + 2])))

@@ -30,8 +30,8 @@ def line_plot(
     series: Sequence[Sequence[float]],
     labels: Sequence[str],
     title: str,
-    xlabel: str = "",
-    ylabel: str = "",
+    xlabel: str,
+    ylabel: str,
 ) -> Path:
     """Write a polyline plot of several y-series against a shared x-axis."""
     path = Path(path)
@@ -106,16 +106,14 @@ def line_plot(
         f'<text x="{MARGIN_L - 6}" y="{MARGIN_T + 10}" text-anchor="end" font-size="11" '
         f'font-family="sans-serif">{_fmt(y_hi)}</text>'
     )
-    if xlabel:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="{HEIGHT - 8}" text-anchor="middle" font-size="12" '
-            f'font-family="sans-serif">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="14" y="{HEIGHT // 2}" font-size="12" font-family="sans-serif" '
-            f'transform="rotate(-90 14 {HEIGHT // 2})" text-anchor="middle">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{WIDTH // 2}" y="{HEIGHT - 8}" text-anchor="middle" font-size="12" '
+        f'font-family="sans-serif">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="14" y="{HEIGHT // 2}" font-size="12" font-family="sans-serif" '
+        f'transform="rotate(-90 14 {HEIGHT // 2})" text-anchor="middle">{ylabel}</text>'
+    )
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
     return path

@@ -3,9 +3,8 @@
 Every check is oracle-based or property-based: dense eigensolves,
 central differences, analytic limits, and cross-checks between the
 spectral and dynamical routes.  The battery is deterministic for a
-fixed seed.  On configs/reference.json (n = 201 for dynamics, so 401 for
-eigenvalue thresholds and 801 for the small-diffusion limit) run_battery
-takes about 24 s of process CPU (2-core Xeon VM, one BLAS thread).
+fixed seed.  On configs/reference.json it runs dynamics at n = 201,
+eigenvalue thresholds at n = 401 and the small-diffusion limit at 801.
 
 Each group is a generator over the scenario and its three grids only.
 It yields (check name, passed, detail) triples as it goes, and
@@ -561,14 +560,14 @@ def check_switching_thresholds(ctx: VerifyContext) -> Iterator[Check]:
     beta = an.threshold_curve("beta_c", params, g)
     alpha = an.threshold_curve("alpha_c", params, g)
     w_star = an.logistic_steady(params, g).state.components[0]
-    hi_beta = beta.bracket[1]
-    lattice_roots = find_mu_roots(beta.family, beta.bracket, name="beta_c", scan_points=64)
+    beta_c = beta.roots[0]
+    hi_beta = beta_c.bracket[1]
+    lattice_roots = find_mu_roots(beta.curve.family, beta_c.bracket, name="beta_c", scan_points=64)
     yield (
         "one-sign-change-in-beta",
         len(lattice_roots) == 1,
         f"{len(lattice_roots)} sign change(s) on the 64-point lattice",
     )
-    beta_c = beta.roots[0]
     yield (
         "beta-threshold-inside-bracket",
         0.0 < beta_c.root < hi_beta and beta_c.residual <= 1e-8,
@@ -591,8 +590,8 @@ def check_switching_thresholds(ctx: VerifyContext) -> Iterator[Check]:
     slope_at_root = rate_slope("beta", beta_c.root)
     yield ("beta-derivative-positive-at-root", slope_at_root > 0, f"slope {slope_at_root:.6f}")
 
-    lo_alpha = alpha.bracket[0]
     alpha_c = alpha.roots[0]
+    lo_alpha = alpha_c.bracket[0]
     yield (
         "alpha-threshold-beyond-lower-bound",
         alpha_c.root > lo_alpha and alpha_c.residual <= 1e-8,
@@ -617,8 +616,8 @@ def check_switching_thresholds(ctx: VerifyContext) -> Iterator[Check]:
 def check_switching_dynamics(ctx: VerifyContext) -> Iterator[Check]:
     params = ctx.params
     g = ctx.grid
-    beta = an.threshold_curve("beta_c", params, ctx.eigen_grid)
-    beta_c, hi_beta = beta.roots[0], beta.bracket[1]
+    beta_c = an.threshold_curve("beta_c", params, ctx.eigen_grid).roots[0]
+    hi_beta = beta_c.bracket[1]
     alpha_c = an.threshold_curve("alpha_c", params, ctx.eigen_grid).roots[0]
 
     # Far from the thresholds the invasion eigenvalues are still only a few

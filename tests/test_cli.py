@@ -157,7 +157,7 @@ def test_threshold_plot_draws_each_evaluated_point_once(tmp_path, monkeypatch, n
     (points,) = [line.split('points="')[1].split('"')[0] for line in svg.splitlines()
                  if line.startswith("<polyline")]
     assert len(points.split()) == len(threshold.curve.values)
-    lo, hi = threshold.bracket
+    lo, hi = threshold.roots[0].bracket
     assert min(threshold.curve.values) == lo and max(threshold.curve.values) == hi
 
 

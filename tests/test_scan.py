@@ -40,7 +40,7 @@ def reference_scan_roots(family, lattice, name):
     for i in range(len(lattice) - 1):
         f_lo, f_hi = values[i], values[i + 1]
         if f_lo * f_hi < 0:
-            roots.append(bisect_curve(curve, lattice[i], lattice[i + 1], f_lo, f_hi, name=name))
+            roots.append(bisect_curve(curve, lattice[i], lattice[i + 1], name=name))
         elif f_hi == 0.0 and i + 2 < len(lattice) and f_lo * values[i + 2] < 0:
             roots.append(ThresholdResult(name, (lattice[i], lattice[i + 2]), lattice[i + 1], 0.0,
                                          int(np.sign(f_lo)), int(np.sign(values[i + 2]))))

@@ -23,10 +23,13 @@ stages overshoot so that the runs halve dt (once at step 191, then end
 at t_max with exit 3; and at steps 3 and 87, then converge after 140
 steps); and a ``three_component`` ``simulate`` run of it from the
 constant state (1e308, 1e308, 0) at dt = 0.01 to t_max = 1, whose first
-explicit stage is not finite (a numerical failure, exit 3); and an
-``eigen`` run of it at n = 1601 with alpha = 1 + 0.5 cos(pi x), beta = 0.8
-and m = cos(2 pi x), whose eigensolve stalls just above its residual
-floor and stops on a certified enclosure.  Each run
+explicit stage is not finite (a numerical failure, exit 3); and two
+``eigen`` runs of it whose eigensolve stalls and stops at the iteration
+cap on a certified enclosure: at n = 1601 with alpha = 1 + 0.5 cos(pi x),
+beta = 0.8 and m = cos(2 pi x), where the residual stays just above its
+floor, and the ``logistic`` system at n = 401 with d3 = 984 and
+m = 0.1 + 0.3 cos(3 pi x), where the residual is under its floor but the
+eigenvalue estimate never settles.  Each run
 is a separate ``python -m dispersal_lab`` process on the ``src/`` tree
 next to this script, and gets one directory under OUT holding its
 output files in ``files/`` and its ``stdout``, ``stderr`` and ``exit``
@@ -81,11 +84,19 @@ STEPPING_RUNS = {
                                                  "values": [1e308, 1e308, 0.0]}}),
 }
 
-# an eigen run of configs/reference.json on the switching pair with a variable alpha, at n = 1601
-STALLED_EIGEN = ("eigen_variable_1601", 1601, {
-    "alpha": {"kind": "cosine_profile", "mean": 1.0, "amplitude": 0.5, "frequency": 1},
-    "beta": {"kind": "constant", "value": 0.8},
-    "m": {"kind": "cosine_profile", "mean": 0.0, "amplitude": 1.0, "frequency": 2}})
+# run name -> (grid n, params changes, system) of the eigen runs of configs/reference.json
+# that stop on an enclosure
+STALLED_EIGENS = {
+    "eigen_variable_1601": (1601, {
+        "alpha": {"kind": "cosine_profile", "mean": 1.0, "amplitude": 0.5, "frequency": 1},
+        "beta": {"kind": "constant", "value": 0.8},
+        "m": {"kind": "cosine_profile", "mean": 0.0, "amplitude": 1.0, "frequency": 2}},
+        "submodel"),
+    "eigen_logistic_stall_401": (401, {
+        "d3": 984.0,
+        "m": {"kind": "cosine_profile", "mean": 0.1, "amplitude": 0.3, "frequency": 3}},
+        "logistic"),
+}
 
 
 def runs(out: Path) -> list[tuple[str, str, Path]]:
@@ -128,13 +139,14 @@ def runs(out: Path) -> list[tuple[str, str, Path]]:
         path = generated / f"{name}.json"
         path.write_text(json.dumps(config, indent=1), encoding="utf-8")
         plan.append((name, task, path))
-    name, n, changes = STALLED_EIGEN
-    config = copy.deepcopy(reference)
-    config["grid"]["n"] = n
-    config["params"].update(changes)
-    path = generated / f"{name}.json"
-    path.write_text(json.dumps(config, indent=1), encoding="utf-8")
-    plan.append((name, "eigen", path))
+    for name, (n, changes, system) in STALLED_EIGENS.items():
+        config = copy.deepcopy(reference)
+        config["grid"]["n"] = n
+        config["params"].update(changes)
+        config["system"] = system
+        path = generated / f"{name}.json"
+        path.write_text(json.dumps(config, indent=1), encoding="utf-8")
+        plan.append((name, "eigen", path))
     return plan
 
 
