@@ -130,25 +130,6 @@ def subsystem_steady(
                             "switching pair")
 
 
-def pair_linearization_dense(
-    params: ModelParams, grid: Grid, coeffs: Coefficients, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Dense Jacobian of the general two-species system at (u, v).
-
-    The off-diagonal blocks beta - b*u and alpha - c*v can change sign,
-    so this linearization is outside the cooperative solver's scope and
-    is evaluated densely.
-    """
-    lap = grid.laplacian.to_dense()
-    j11 = coeffs.m - coeffs.alpha - 2.0 * u - params.b * v
-    j12 = coeffs.beta - params.b * u
-    j21 = coeffs.alpha - params.c * v
-    j22 = coeffs.m - coeffs.beta - params.c * u - 2.0 * v
-    top = np.hstack([params.d1 * lap + np.diag(j11), np.diag(j12)])
-    bottom = np.hstack([np.diag(j21), params.d2 * lap + np.diag(j22)])
-    return np.vstack([top, bottom])
-
-
 def _lambda2_problem(params: ModelParams, grid: Grid, w_star: np.ndarray,
                      coeffs: Coefficients) -> EigenProblem:
     return switching_problem(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta,

@@ -75,6 +75,7 @@ from .model import (
     ModelParams,
     SystemKind,
     hypothesis_h_holds,
+    reaction_jacobian,
     reaction_rhs,
     sample_coefficients,
 )
@@ -466,15 +467,6 @@ def _check_contracting_box(kind: SystemKind, coeffs: Coefficients, comps: np.nda
             )
 
 
-def _jacobian_coupling(kind: SystemKind, coeffs: Coefficients, comps: np.ndarray) -> np.ndarray:
-    """Reaction part of the steady-state Jacobian as a (K, K, n) coupling field."""
-    if kind is SystemKind.LOGISTIC:
-        return (coeffs.m - 2.0 * comps)[None]
-    (u, v), al, be = comps, coeffs.alpha, coeffs.beta
-    s = coeffs.m - u - v
-    return np.array([[s - al - u, be - u], [al - v, s - be - v]])
-
-
 def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: State,
                   coeffs: Coefficients) -> SteadyResult:
     """Steady state of the logistic equation or the switching pair by pseudo-transient Newton.
@@ -498,7 +490,7 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
     f = _steady_rhs(x, column, reaction_rhs(kind, params, coeffs, x), lap)
     f_norm, tau, stopped = float(np.max(np.abs(f))), 1.0, False
     for steps in range(1, NEWTON_MAX_ITER + 1):
-        jac = assemble_banded(lap, diffusions, _jacobian_coupling(kind, coeffs, x))
+        jac = assemble_banded(lap, diffusions, reaction_jacobian(kind, params, coeffs, x))
         dx = solve_band(jac.shifted_bands(1.0 / tau), f.T.ravel()).reshape(n, K).T
         x += dx
         f = _steady_rhs(x, column, reaction_rhs(kind, params, coeffs, x), lap)

@@ -3,10 +3,11 @@
 Everything downstream (eigenvalue solves, time stepping, variational
 identities) is built on the three objects here: a uniform grid with
 trapezoid weights, the second-difference Laplacian closed with mirror
-(ghost-node) rows at the boundary, and trapezoid quadrature.  The mirror
-closure is chosen so that the operator kills constants and is
-self-adjoint under the trapezoid inner product, which makes the discrete
-integration-by-parts identity exact up to rounding.
+(ghost-node) rows at the boundary and kept as its three bands, and
+trapezoid quadrature.  The mirror closure is chosen so that the operator
+kills constants and is self-adjoint under the trapezoid inner product,
+which makes the discrete integration-by-parts identity exact up to
+rounding.  spectral.assemble_banded lays the bands out, in band or dense form.
 """
 
 from __future__ import annotations
@@ -134,14 +135,6 @@ class NeumannLaplacian:
         out[:-1] += upper * flat[1:]
         out[1:] += lower * flat[:-1]
         return out.reshape(f.shape)
-
-    def to_dense(self) -> np.ndarray:
-        n = self.grid.n
-        dense = np.zeros((n, n))
-        dense[np.arange(n), np.arange(n)] = self.diag
-        dense[np.arange(n - 1), np.arange(1, n)] = self.upper
-        dense[np.arange(1, n), np.arange(n - 1)] = self.lower
-        return dense
 
 
 def assemble_neumann_laplacian(grid: Grid) -> NeumannLaplacian:

@@ -7,7 +7,8 @@ pressure controlled by b, c.  Depending on coefficient sizes the coupled
 system is eventually competitive (large growth, small switching) or
 eventually cooperative (switching dominates growth); ``classify_regime``
 evaluates the explicit sufficient conditions for each case and returns
-the absorbing state-space box that each one proves.
+the absorbing state-space box that each one proves.  ``reaction_jacobian``
+is the one place where the derivative of ``reaction_rhs`` is written.
 """
 
 from __future__ import annotations
@@ -210,6 +211,22 @@ def reaction_rhs(
     return out
 
 
+def reaction_jacobian(kind: SystemKind, params: ModelParams, coeffs: Coefficients,
+                      comps: np.ndarray) -> np.ndarray:
+    """Derivative of reaction_rhs at one run's comps (K, n), as the (K, K, n)
+    coupling field of spectral.assemble_banded: entry [i, j] is d rhs_i / d comp_j."""
+    if kind is SystemKind.LOGISTIC:
+        return (coeffs.m - 2.0 * comps)[None]
+    if kind is SystemKind.THREE_COMPONENT:
+        raise ValueError(f"no Jacobian for system kind {kind}")
+    (u, v), al, be, m = comps, coeffs.alpha, coeffs.beta, coeffs.m
+    if kind is SystemKind.TWO_SPECIES_GENERAL:
+        return np.array([[m - al - 2.0 * u - params.b * v, be - params.b * u],
+                         [al - params.c * v, m - be - params.c * u - 2.0 * v]])
+    s = m - u - v
+    return np.array([[s - al - u, be - u], [al - v, s - be - v]])
+
+
 @dataclass(frozen=True)
 class Rectangle:
     """Product box [lower] x [upper] in (u, v) state space."""
@@ -229,7 +246,6 @@ class RegimeReport:
 
     k: float
     k1: float
-    k0: float
     in_s1: bool
     in_s2: bool
     competitive_rectangle: Optional[Rectangle]
@@ -286,7 +302,6 @@ def classify_regime(params: ModelParams, grid: Grid) -> RegimeReport:
     return RegimeReport(
         k=k,
         k1=float(k1),
-        k0=k0,
         in_s1=in_s1,
         in_s2=in_s2,
         competitive_rectangle=competitive,

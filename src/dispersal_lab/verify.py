@@ -30,6 +30,7 @@ from .model import (
     SystemKind,
     check_hypothesis_h,
     classify_regime,
+    reaction_jacobian,
     require_constant,
     sample_coefficients,
 )
@@ -45,6 +46,7 @@ from .dynamics import (
 )
 from .spectral import (
     adjoint_principal_eigen,
+    assemble_banded,
     assemble_dense,
     dense_rightmost,
     eigen_curve,
@@ -435,10 +437,10 @@ def check_competitive_uniqueness(ctx: VerifyContext) -> Iterator[Check]:
     )
     yield ("three-seeds-agree", worst <= 1e-6, f"worst pairwise sup distance {worst:.3e}")
     mean_state = sum(finals) / 3.0
-    coeffs = sample_coefficients(params, g)
-    lam, _ = dense_rightmost(
-        an.pair_linearization_dense(params, g, coeffs, mean_state[0], mean_state[1])
-    )
+    # beta - b*u and alpha - c*v may change sign, outside principal_eigen's scope: solve densely.
+    jac = reaction_jacobian(SystemKind.TWO_SPECIES_GENERAL, params,
+                            sample_coefficients(params, g), mean_state)
+    lam, _ = dense_rightmost(assemble_banded(g.laplacian, (params.d1, params.d2), jac).to_dense())
     yield (
         "limit-linearly-stable",
         lam.real < -1e-9,

@@ -12,6 +12,7 @@ from dispersal_lab.model import (
     HypothesisError,
     ModelParams,
     SystemKind,
+    reaction_jacobian,
     sample_coefficients,
 )
 from dispersal_lab.analysis import (
@@ -20,7 +21,6 @@ from dispersal_lab.analysis import (
     lambda2_eigenpair,
     lambda2_sensitivity,
     logistic_steady,
-    pair_linearization_dense,
     subsystem_steady,
     sweep_outcomes,
     weighted_average_diffusion,
@@ -28,6 +28,7 @@ from dispersal_lab.analysis import (
 from dispersal_lab.cli import EXIT_OK, parse_config, run_scenario
 from dispersal_lab.dynamics import SolverOptions, StepOvershootError
 from dispersal_lab.spectral import (
+    assemble_banded,
     dense_rightmost,
     principal_eigen,
     scalar_eigenvalue,
@@ -100,8 +101,10 @@ def test_positive_pair_stable_in_competitive_regime(grid):
     assert steady.converged
     u, v = steady.state.components
     assert np.min(u) > 0 and np.min(v) > 0
-    coeffs = sample_coefficients(competitive, grid)
-    lam, _ = dense_rightmost(pair_linearization_dense(competitive, grid, coeffs, u, v))
+    jac = reaction_jacobian(SystemKind.TWO_SPECIES_GENERAL, competitive,
+                            sample_coefficients(competitive, grid), steady.state.components)
+    lam, _ = dense_rightmost(assemble_banded(grid.laplacian, (competitive.d1, competitive.d2),
+                                             jac).to_dense())
     assert lam.real < -1e-8
 
 

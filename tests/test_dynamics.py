@@ -40,7 +40,12 @@ from dispersal_lab.dynamics import (
     random_state,
     rhs_residual,
 )
-from dispersal_lab.spectral import adjoint_principal_eigen, principal_eigen, switching_problem
+from dispersal_lab.spectral import (
+    adjoint_principal_eigen,
+    assemble_banded,
+    principal_eigen,
+    switching_problem,
+)
 from dispersal_lab.analysis import logistic_steady, subsystem_steady
 
 
@@ -360,7 +365,7 @@ def test_step_is_bit_identical_to_reference(grid, kind):
 
 def test_diffusion_solve_matches_dense_solve(grid):
     dt, diffusions = 0.02, (0.01, 0.1, 1.0, 5.0)
-    lap = assemble_neumann_laplacian(grid).to_dense()
+    lap = assemble_banded(grid.laplacian, (1.0,), np.zeros((1, 1, grid.n))).to_dense()
     y = np.random.default_rng(4).uniform(0.0, 1.0, (len(diffusions), grid.n))
     x = DiffusionSolver(grid, diffusions, dt).solve(y.copy())
     for d, xi, yi in zip(diffusions, x, y):

@@ -13,12 +13,14 @@ from dispersal_lab.model import (
     classify_regime,
     hypothesis_h_holds,
     larger_quadratic_root_k0,
+    reaction_jacobian,
     reaction_rhs,
     require_constant,
     sample_coefficient,
     sample_coefficients,
 )
 from dispersal_lab.dynamics import SolverOptions, constant_state, integrate_to_steady
+from dispersal_lab.spectral import switching_problem
 
 
 @pytest.fixture
@@ -140,6 +142,43 @@ def test_reaction_terms_match_vectorized(grid):
         for node in (0, 17, grid.n - 1):
             point = reaction_at_node(kind, params, coeffs, comps[:, node], node)
             assert np.allclose(point, full[:, node], atol=1e-14)
+
+
+def varying_rate_params(b=1.0, c=1.0):
+    """Growth and switching rates that all vary in space."""
+    return make_params(CoefficientSpec.cosine(0.4, 0.3, 1), alpha=CoefficientSpec.cosine(0.7, 0.3, 2),
+                       beta=CoefficientSpec.cosine(1.2, 0.4, 1), b=b, c=c)
+
+
+@pytest.mark.parametrize(
+    "kind", [SystemKind.LOGISTIC, SystemKind.SUBMODEL, SystemKind.TWO_SPECIES_GENERAL]
+)
+def test_reaction_jacobian_matches_central_differences(kind):
+    grid = build_grid(0, 1, 41)
+    params = varying_rate_params(b=0.6, c=1.7)
+    coeffs = sample_coefficients(params, grid)
+    comps = np.random.default_rng(11).uniform(0.05, 2.0, (kind.n_components, grid.n))
+    jac = reaction_jacobian(kind, params, coeffs, comps)
+    assert jac.shape == (kind.n_components, kind.n_components, grid.n)
+    step = 1e-5
+    for j in range(kind.n_components):
+        shift = np.zeros_like(comps)
+        shift[j] = step  # the reaction is local, so one shift per component covers every node
+        diff = (reaction_rhs(kind, params, coeffs, comps + shift)
+                - reaction_rhs(kind, params, coeffs, comps - shift)) / (2.0 * step)
+        assert np.max(np.abs(jac[:, j] - diff)) <= 1e-8
+
+
+def test_pair_jacobian_at_zero_is_the_persistence_coupling():
+    """The persistence eigenproblem is the pair's linearization at the trivial state."""
+    grid = build_grid(0, 1, 41)
+    params = varying_rate_params()
+    coeffs = sample_coefficients(params, grid)
+    jac = reaction_jacobian(SystemKind.SUBMODEL, params, coeffs, np.zeros((2, grid.n)))
+    problem = switching_problem(grid, params.d1, params.d2, coeffs.alpha, coeffs.beta, coeffs.m)
+    assert jac.tobytes() == problem.coupling.tobytes()
+    with pytest.raises(ValueError):
+        reaction_jacobian(SystemKind.THREE_COMPONENT, params, coeffs, np.zeros((3, grid.n)))
 
 
 def test_component_count_mismatch(grid):
