@@ -172,7 +172,9 @@ class ThresholdCurve:
     curve.family, which maps the varied value to its eigenproblem
     (spectral.eigen_curve), and its memo curve.values holds every point
     the root-find solved: the bracket ends, alpha_c's doublings and
-    Brent's iterates.  The other thresholds scan a lattice
+    Brent's iterates; curve.enclosures holds the eigenvalue enclosure of
+    each of those points whose solve stalled and stopped at the
+    iteration cap.  The other thresholds scan a lattice
     (spectral.scan_roots) and keep only their roots.
     """
 

@@ -212,13 +212,16 @@ def _task_threshold(config: ScenarioConfig, out: Path) -> RunArtifacts:
         ["name", "lo", "hi", "root", "residual"],
         [[r.name, r.bracket[0], r.bracket[1], r.root, r.residual] for r in results],
     )
-    svgs = []
+    symbol, svgs, stalled = name.split("_")[0], [], []
     if threshold.curve is not None:  # through the points the root-find solved, in order
         xs = sorted(threshold.curve.values)
         svgs.append(svgplot.line_plot(
             out / "threshold_curve.svg", xs, [[threshold.curve.values[x] for x in xs]],
             ["principal eigenvalue"], title=f"Eigenvalue curve near {name}",
-            xlabel=name.split("_")[0], ylabel="lambda"))
+            xlabel=symbol, ylabel="lambda"))
+        stalled = [f"{symbol} = {_fmt(x)} stalled at the iteration cap; eigenvalue "
+                   f"enclosure: [{_fmt(lo)}, {_fmt(up)}]"
+                   for x, (lo, up) in sorted(threshold.curve.enclosures.items())]
     report = _write_report(
         out / "report.txt",
         ["task: threshold", f"name: {name}"]
@@ -227,7 +230,8 @@ def _task_threshold(config: ScenarioConfig, out: Path) -> RunArtifacts:
             f"residual {_fmt(r.residual)}, signs {r.sign_left:+d}->{r.sign_right:+d}"
             for r in results
         ]
-        + [f"root evaluations: {sum(r.evaluations for r in results)}", "status: OK"],
+        + [f"root evaluations: {sum(r.evaluations for r in results)}"]
+        + stalled + ["status: OK"],
     )
     return RunArtifacts([csv_path], svgs, report, EXIT_OK)
 

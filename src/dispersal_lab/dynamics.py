@@ -285,7 +285,7 @@ def rhs_residual(kind: SystemKind, params: ModelParams, coeffs: Coefficients,
     rates = reaction_rhs(kind, params, coeffs, comps)
     rhs = _steady_rhs(comps, np.reshape(kind_diffusions(kind, params), (-1, 1)), rates,
                       coeffs.grid.laplacian)
-    return float(np.max(np.abs(rhs)))
+    return float(np.abs(rhs).max())
 
 
 @dataclass
@@ -488,17 +488,18 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
     column = np.reshape(diffusions, (K, 1))
     x = initial.components.copy()
     f = _steady_rhs(x, column, reaction_rhs(kind, params, coeffs, x), lap)
-    f_norm, tau, stopped = float(np.max(np.abs(f))), 1.0, False
+    f_norm, tau, stopped = float(np.abs(f).max()), 1.0, False
     for steps in range(1, NEWTON_MAX_ITER + 1):
         jac = assemble_banded(lap, diffusions, reaction_jacobian(kind, params, coeffs, x))
         dx = solve_band(jac.shifted_bands(1.0 / tau), f.T.ravel()).reshape(n, K).T
         x += dx
         f = _steady_rhs(x, column, reaction_rhs(kind, params, coeffs, x), lap)
-        new_norm = float(np.max(np.abs(f)))
-        step_limit = NEWTON_ROUNDING * max(1.0, float(np.max(np.abs(x))))
-        if tau >= TAU_NEWTON and float(np.max(np.abs(dx))) <= step_limit:
-            stopped = True
-            break
+        new_norm = float(np.abs(f).max())
+        if tau >= TAU_NEWTON:  # only then may a rounding-level step end the run
+            step_limit = NEWTON_ROUNDING * max(1.0, float(np.abs(x).max()))
+            if float(np.abs(dx).max()) <= step_limit:
+                stopped = True
+                break
         tau = min(1e14, tau * max(2.0, f_norm / max(new_norm, 1e-300)))
         f_norm = new_norm
     state = State._trusted(initial.t, np.maximum(x, 0.0))
@@ -506,9 +507,9 @@ def newton_steady(kind: SystemKind, params: ModelParams, grid: Grid, initial: St
     # Rounding alone leaves rhs_residual near eps * max d * |L| * max|x|, |L| = 4/h^2,
     # which exceeds STEADY_TOL on fine grids.
     rounding = (4.0 * np.finfo(float).eps * max(diffusions)
-                * (4.0 / (grid.h * grid.h)) * float(np.max(np.abs(x))))
+                * (4.0 / (grid.h * grid.h)) * float(np.abs(x).max()))
     converged = (stopped and residual <= max(STEADY_TOL, rounding)
-                 and float(np.min(x)) >= -NEGATIVITY_TOLERANCE)
+                 and float(x.min()) >= -NEGATIVITY_TOLERANCE)
     if converged:
         _check_contracting_box(kind, coeffs, state.components)
     log = TrajectoryLog(grid=grid)

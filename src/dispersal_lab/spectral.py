@@ -90,12 +90,12 @@ class EigenProblem:
         object.__setattr__(self, "coupling", coupling)
         for i in range(K):
             for j in range(K):
-                if i != j and np.min(coupling[i, j]) < 0:
+                if i != j and coupling[i, j].min() < 0:
                     raise CooperativityError(
                         f"coupling[{i},{j}] is negative somewhere "
-                        f"(min {np.min(coupling[i, j]):.3e}); operator is not cooperative"
+                        f"(min {coupling[i, j].min():.3e}); operator is not cooperative"
                     )
-        if K == 2 and (np.max(coupling[0, 1]) <= 0 or np.max(coupling[1, 0]) <= 0):
+        if K == 2 and (coupling[0, 1].max() <= 0 or coupling[1, 0].max() <= 0):
             raise CooperativityError(
                 "both off-diagonal couplings must be positive somewhere (irreducibility)"
             )
@@ -134,9 +134,10 @@ def switching_problem(
     alpha = grid.check_field(alpha)
     beta = grid.check_field(beta)
     growth = grid.check_field(growth)
-    coupling = np.stack(
-        [np.stack([growth - alpha, beta]), np.stack([alpha, growth - beta])]
-    )
+    coupling = np.empty((2, 2, grid.n))
+    np.subtract(growth, alpha, out=coupling[0, 0])
+    coupling[0, 1], coupling[1, 0] = beta, alpha
+    np.subtract(growth, beta, out=coupling[1, 1])
     return EigenProblem(grid=grid, diffusions=(float(d1), float(d2)), coupling=coupling)
 
 
@@ -146,25 +147,34 @@ class BandedOperator:
     def __init__(self, ab: np.ndarray):
         self.ab = ab
         self.halfband, self.size = (ab.shape[0] - 1) // 2, ab.shape[1]
-        # (rows of A x, band row of ab, columns) of each band: the main diagonal,
-        # then offsets +-u down to +-1.
+        # (rows of A x, band row of ab, columns) of each off-diagonal band, offsets
+        # +-u down to +-1.
         u, size = self.halfband, self.size
-        self._terms = [(slice(None), u, slice(None))]
+        self._terms = []
         for k in range(u, 0, -1):
             self._terms.append((slice(0, size - k), u - k, slice(k, None)))
             self._terms.append((slice(k, None), u + k, slice(0, size - k)))
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x: every product ab[r, j] * x[j] in one multiply, then each band's
-        products added in turn to a zero accumulator (so -0.0 products give +0.0)."""
-        products = self.ab * x
-        y = np.zeros_like(x)
+    def _row_sums(self, products: np.ndarray) -> np.ndarray:
+        """Each row's sum of the band-stored products: the main band plus 0.0, then
+        each off-diagonal band added in turn (so a row of -0.0 products gives +0.0)."""
+        y = products[self.halfband] + 0.0
         for rows, band, cols in self._terms:
             y[rows] += products[band, cols]
         return y
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x: every product ab[r, j] * x[j] in one multiply, then their row sums.
+
+        The sums have the bits of adding each band in turn to a zero
+        accumulator: the main band's p + 0.0 is 0.0 + p bit for bit, -0.0
+        included, and the other bands follow in the same order."""
+        return self._row_sums(self.ab * x)
+
     def inf_norm(self) -> float:
-        return float(np.max(BandedOperator(np.abs(self.ab)).matvec(np.ones(self.size))))
+        """max_i sum_j |A[i, j]|: the row sums of |ab|, in matvec's order, with the bits
+        of the matvec of the operator |A| on a ones vector (|a| * 1.0 is |a|)."""
+        return float(self._row_sums(np.abs(self.ab)).max())
 
     def to_dense(self) -> np.ndarray:
         return np.column_stack([self.matvec(e) for e in np.eye(self.size)])
@@ -279,7 +289,8 @@ def solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if u == 1:
         info = _gtsv(ab, x)
     else:
-        work = np.zeros((3 * u + 1, ab.shape[1]), order="F")
+        work = np.empty((3 * u + 1, ab.shape[1]), order="F")
+        work[:u] = 0.0  # the rows of the LU factors' fill-in
         work[u:] = ab
         info = _gbsv(work, u, x)
     if info > 0:
@@ -433,7 +444,8 @@ def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = Non
     """
     A = assemble_banded(problem.grid.laplacian, problem.diffusions, problem.coupling)
     K = problem.n_components
-    w_big = np.repeat(problem.grid.quadrature_weights, K)  # in the interleaved layout
+    w = problem.grid.quadrature_weights
+    w_big = w if K == 1 else np.repeat(w, K)  # in the interleaved layout
     if not np.isfinite(A.ab).all():
         raise ValueError("array must not contain infs or NaNs")
     anorm = A.inf_norm()
@@ -486,7 +498,7 @@ def principal_eigen(problem: EigenProblem, sign_from: Optional[np.ndarray] = Non
         if it and sign_from is None:
             stalled = stalled + 1 if residual <= 4.0 * resid_floor else 0
             if it == EIGEN_MAX_ITER and stalled >= EIGEN_STALL_ITER:
-                rounding = SIGN_ROUNDING * (2 * K + 1) * BandedOperator(np.abs(A.ab)).matvec(v)
+                rounding = SIGN_ROUNDING * (2 * K + 1) * A._row_sums(np.abs(A.ab) * v)
                 lo, up = float(np.min((y - rounding) / v)), float(np.max((y + rounding) / v))
                 if lo <= lam <= up:
                     return _finish(problem, v, lam, residual, it, enclosure=(lo, up))
@@ -509,7 +521,7 @@ def _finish(problem: EigenProblem, v: np.ndarray, lam: float, residual: float, i
             sign: int = 0, enclosure: Optional[tuple[float, float]] = None) -> EigenResult:
     K, n = problem.n_components, problem.grid.n
     fields = v.reshape(n, K).T.copy()
-    if np.min(fields) <= 0:
+    if fields.min() <= 0:
         raise ConvergenceError("computed eigenfunction is not strictly positive")
     return EigenResult(lam=lam, eigenfunctions=fields, residual=residual, iterations=it,
                        certified_sign=sign, enclosure=enclosure)
@@ -553,19 +565,28 @@ def eigen_curve(family: Callable[[float], EigenProblem]) -> Callable[[float], fl
 
     The memo is the curve's attribute values, the one store of its solved
     points: every x evaluated so far, with its eigenvalue, in the order of
-    evaluation.  A caller that solved a point cold may write it there; a
-    root finder then reads it without solving it again, and a plot reads
-    every point without solving any.  The curve's attribute family is
-    the family it evaluates.
+    evaluation.  Its attribute enclosures holds, for each of those points
+    whose solve stalled and stopped at the iteration cap, the enclosure
+    of the eigenvalue that the solve returned (EigenResult.enclosure).  A
+    caller that solved a point cold may keep it there, by the curve's
+    attribute keep(x, result); a root finder then reads it without
+    solving it again, and a plot reads every point without solving any.
+    The curve's attribute family is the family it evaluates.
     """
     values: dict[float, float] = {}
+    enclosures: dict[float, tuple[float, float]] = {}
+
+    def keep(x: float, result: EigenResult) -> None:
+        values[x] = result.lam
+        if result.enclosure is not None:
+            enclosures[x] = result.enclosure
 
     def curve(x: float) -> float:
         if x not in values:
-            values[x] = principal_eigen(family(x)).lam
+            keep(x, principal_eigen(family(x)))
         return values[x]
 
-    curve.values, curve.family = values, family
+    curve.values, curve.enclosures, curve.keep, curve.family = values, enclosures, keep, family
     return curve
 
 
@@ -725,12 +746,12 @@ def scan_roots(family: Callable[[float], EigenProblem], lattice: np.ndarray,
         result = principal_eigen(problem, sign_from=start)
         if not result.certified_sign:
             result = principal_eigen(problem)
-            curve.values[x] = result.lam
+            curve.keep(x, result)
         signs.append(result.certified_sign or np.sign(result.lam))
         if i and signs[i - 1] * signs[i] < 0:
             for y, p in ((lattice[i - 1], previous), (x, problem)):
                 if y not in curve.values:
-                    curve.values[y] = principal_eigen(p).lam
+                    curve.keep(y, principal_eigen(p))
         start, previous = result.eigenfunctions.T.ravel(), problem
     if not np.isfinite(list(curve.values.values())).all():
         raise ValueError("non-finite eigenvalue on the scan lattice")

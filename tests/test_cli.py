@@ -35,6 +35,7 @@ from dispersal_lab.cli import (
     numbers,
     parse_config,
     run_scenario,
+    _fmt,
 )
 from dispersal_lab.mesh import build_grid
 from dispersal_lab.spectral import scalar_eigenvalue
@@ -116,10 +117,10 @@ def test_threshold_task_solves_its_steady_state_once(tmp_path, monkeypatch, name
     assert len(calls) == 1
 
 
-def threshold_dc_task(tmp_path, monkeypatch, name):
-    """The threshold task of configs/threshold_dc.json for name: the curve that
-    analysis.threshold_curve built, and the principal_eigen calls made before it returned
-    and after."""
+def threshold_dc_task(tmp_path, monkeypatch, name, n=None):
+    """The threshold task of configs/threshold_dc.json for name, on n nodes if n is given:
+    the curve that analysis.threshold_curve built, and the principal_eigen calls made
+    before it returned and after."""
     import dispersal_lab.analysis as analysis_mod
     import dispersal_lab.spectral as spectral_mod
 
@@ -139,6 +140,8 @@ def threshold_dc_task(tmp_path, monkeypatch, name):
     data = json.loads((CONFIGS / "threshold_dc.json").read_text(encoding="utf-8"))
     data["task"]["threshold_name"] = name
     data["output"] = str(tmp_path / "out")
+    if n is not None:
+        data["grid"]["n"] = n
     assert run_scenario(parse_config(data)).exit_status == EXIT_OK
     ((threshold, before),) = built
     return threshold, before, len(calls) - before
@@ -177,6 +180,17 @@ def test_eigen_task_reports_the_enclosure_of_a_stalled_solve(tmp_path):
     data = base_config(tmp_path)
     run_scenario(parse_config(data))
     assert "stalled" not in (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+
+
+def test_threshold_task_reports_the_enclosure_of_each_stalled_point(tmp_path, monkeypatch):
+    # At n = 801 the solve at beta_c's lower bracket end, beta = 2e-4, stalls and stops at
+    # the iteration cap on an enclosure; every other point of the curve converges.
+    threshold, _, _ = threshold_dc_task(tmp_path, monkeypatch, "beta_c", n=801)
+    ((x, (lo, up)),) = threshold.curve.enclosures.items()
+    assert x == threshold.roots[0].bracket[0] and lo <= threshold.curve.values[x] <= up
+    lines = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[-2:] == [f"beta = {_fmt(x)} stalled at the iteration cap; eigenvalue "
+                          f"enclosure: [{_fmt(lo)}, {_fmt(up)}]", "status: OK"]
 
 
 def test_parse_rejects_empty_sweep(tmp_path):

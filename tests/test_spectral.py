@@ -408,6 +408,11 @@ def reference_matvec(ab, x):
     return y
 
 
+def reference_inf_norm(ab):
+    """||A||_inf as the operator |A| applied to a ones vector, reduced by np.max."""
+    return float(np.max(reference_matvec(np.abs(ab), np.ones(ab.shape[1]))))
+
+
 @settings(max_examples=40, deadline=None)
 @given(K=st.sampled_from([1, 2]), n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1))
 def test_matvec_is_bit_identical_to_the_band_loop(K, n, seed):
@@ -421,6 +426,25 @@ def test_matvec_is_bit_identical_to_the_band_loop(K, n, seed):
     start, stop = sorted(rng.integers(0, K * n + 1, 2))
     x[start:stop] = np.where(rng.uniform(size=stop - start) < 0.5, 0.0, -0.0)
     assert same_bits(op.matvec(x), reference_matvec(op.ab, x))
+    assert np.float64(op.inf_norm()).tobytes() == np.float64(reference_inf_norm(op.ab)).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1))
+def test_switching_coupling_is_bit_identical_to_the_stacked_build(n, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_grid(0, 1, n)
+    fields = rng.uniform(-2.0, 2.0, (3, n))
+    # Signed zeros in every field, so that growth - rate meets +-0.0 on both sides.
+    fields[rng.uniform(size=fields.shape) < 0.3] = -0.0
+    fields[rng.uniform(size=fields.shape) < 0.2] = 0.0
+    # Rates flipped to >= 0 (cooperative; -0.0 stays) and positive at node 0 (irreducible).
+    growth, alpha, beta = fields
+    alpha, beta = (np.where(rate < 0, -rate, rate) for rate in (alpha, beta))
+    alpha[0] = beta[0] = 1.0
+    stacked = np.stack([np.stack([growth - alpha, beta]), np.stack([alpha, growth - beta])])
+    problem = switching_problem(grid, 0.5, 1.5, alpha, beta, growth)
+    assert same_bits(problem.coupling, stacked)
 
 
 @pytest.mark.parametrize("K", [1, 2])
@@ -493,7 +517,7 @@ def reference_principal_eigen(problem, sign_from=None):
     w_big = np.repeat(problem.grid.quadrature_weights, K)
     if not np.isfinite(A.ab).all():
         raise ValueError("array must not contain infs or NaNs")
-    anorm = A.inf_norm()
+    anorm = reference_inf_norm(A.ab)
     resid_floor = max(EIGEN_TOL, 40.0 * np.finfo(float).eps * anorm)
     sign_slack = SIGN_ROUNDING * (2 * K + 1) * anorm
 

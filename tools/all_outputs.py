@@ -33,7 +33,10 @@ eigenvalue estimate never settles.  Each run
 is a separate ``python -m dispersal_lab`` process on the ``src/`` tree
 next to this script, and gets one directory under OUT holding its
 output files in ``files/`` and its ``stdout``, ``stderr`` and ``exit``
-code.  Run the script from two checkouts and compare them with
+code.  OUT/openblas_core names the kernel family that numpy's bundled
+OpenBLAS picked on this machine (``SkylakeX``, say), read once from its
+``scipy_openblas_get_corename64_``; the outputs' bits can depend on it.
+Run the script from two checkouts and compare them with
 ``diff -r OUT_A OUT_B``; no file records a path, a time or a version.
 """
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import json
 import os
 import subprocess
@@ -49,7 +53,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-from dispersal_lab import analysis, cli  # noqa: E402  (the lab of this checkout)
+import numpy as np  # noqa: E402
+from dispersal_lab import analysis, cli, spectral  # noqa: E402  (the lab of this checkout)
 
 THRESHOLD_SIZES = (401, 801)
 MU_SIZES = (*THRESHOLD_SIZES, 1601)  # the mu_ thresholds are also run on a fine grid
@@ -150,6 +155,15 @@ def runs(out: Path) -> list[tuple[str, str, Path]]:
     return plan
 
 
+def openblas_core() -> str:
+    """The core name of the OpenBLAS in numpy.libs/ that the lab binds, as that library
+    reports it; the runs inherit this process's environment, so they pick the same one."""
+    library = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(spectral._OPENBLAS))[0]
+    corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def run_one(out: Path, name: str, task: str, config: Path) -> str:
     run_dir = out / name
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -171,6 +185,7 @@ def main() -> int:
     parser.add_argument("out", type=Path, help="directory for the runs; must not exist")
     out = parser.parse_args().out.resolve()
     out.mkdir(parents=True)
+    (out / "openblas_core").write_text(f"{openblas_core()}\n", encoding="utf-8")
     for run in runs(out):
         print(run_one(out, *run), flush=True)
     return 0
